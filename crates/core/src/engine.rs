@@ -37,8 +37,10 @@ use alive2_ir::function::Function;
 use alive2_ir::module::Module;
 use alive2_obs::{Phase, StatsTotals};
 use alive2_sema::config::EncodeConfig;
+use alive2_smt::cache::TermScope;
+use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -138,6 +140,41 @@ impl Counts {
     }
 }
 
+/// Source of engine identities in the query cache's term tier: every
+/// engine built from scratch takes the next one, and its clones share it.
+static NEXT_ENGINE: AtomicU64 = AtomicU64::new(0);
+
+/// An engine's identity in the term tier plus its runs in flight. A run
+/// reads only entries that runs finished before it began wrote (see
+/// [`TermScope`]), so the horizon is fixed when the run starts.
+#[derive(Debug)]
+struct TermRuns {
+    engine: u64,
+    /// Run ordinal → the horizon it started with: every run below it had
+    /// finished.
+    inflight: Mutex<BTreeMap<u32, u32>>,
+}
+
+impl TermRuns {
+    fn inflight(&self) -> std::sync::MutexGuard<'_, BTreeMap<u32, u32>> {
+        // Every update is a single insert or remove: a panic elsewhere
+        // leaves the map valid.
+        self.inflight.lock().unwrap_or_else(|e| e.into_inner())
+    }
+}
+
+/// Ends a run's term-tier registration, on every exit from `run`.
+struct RunGuard<'a> {
+    runs: &'a TermRuns,
+    run: u32,
+}
+
+impl Drop for RunGuard<'_> {
+    fn drop(&mut self) {
+        self.runs.inflight().remove(&self.run);
+    }
+}
+
 /// A fixed-size worker pool for validation jobs.
 #[derive(Clone, Debug)]
 pub struct ValidationEngine {
@@ -181,6 +218,9 @@ pub struct ValidationEngine {
     /// shared across clones and drained by `run_counts` /
     /// [`ValidationEngine::fold_supervision_into`].
     pub(crate) sup_stats: Arc<SupervisionStats>,
+    /// This engine's identity in the term tier of the query cache, shared
+    /// across clones like `run_seq`.
+    term_runs: Arc<TermRuns>,
 }
 
 impl Default for ValidationEngine {
@@ -199,6 +239,10 @@ impl Default for ValidationEngine {
             supervise: None,
             worker_shard: None,
             sup_stats: Arc::new(SupervisionStats::default()),
+            term_runs: Arc::new(TermRuns {
+                engine: NEXT_ENGINE.fetch_add(1, Ordering::Relaxed),
+                inflight: Mutex::new(BTreeMap::new()),
+            }),
         }
     }
 }
@@ -307,12 +351,28 @@ impl ValidationEngine {
         }
     }
 
-    /// Runs one job with the panic firewall: a panic anywhere inside the
-    /// validation stack is contained to this job and reported as
-    /// [`Verdict::Crash`] with the panic payload and job name captured.
-    /// `run_started` anchors the job's queue-wait measurement.
-    pub(crate) fn run_one(&self, job: &Job, run_started: Instant) -> Outcome {
+    /// Runs job `idx` of run `run_id` with the panic firewall: a panic
+    /// anywhere inside the validation stack is contained to this job and
+    /// reported as [`Verdict::Crash`] with the panic payload and job name
+    /// captured. `run_started` anchors the job's queue-wait measurement.
+    pub(crate) fn run_one(
+        &self,
+        job: &Job,
+        run_id: u32,
+        idx: usize,
+        run_started: Instant,
+    ) -> Outcome {
         let queue_ms = run_started.elapsed().as_millis() as u64;
+        // The job's term-tier scope: it reads what earlier runs of this
+        // engine stored and writes under its own run and index. A run not
+        // registered by `run` reads nothing.
+        let visible_below = self.term_runs.inflight().get(&run_id).copied().unwrap_or(0);
+        alive2_smt::cache::set_term_scope(Some(TermScope {
+            engine: self.term_runs.engine,
+            run: run_id,
+            visible_below,
+            job: idx as u32,
+        }));
         // Job phase starts at Queued; the validator advances it. If the
         // job panics, the unwound guards do NOT reset it, so the crash
         // record below still reports the furthest phase reached.
@@ -381,6 +441,7 @@ impl ValidationEngine {
             }
         };
         stats.queue_ms = queue_ms;
+        alive2_smt::cache::set_term_scope(None);
         alive2_obs::profile::flush_job();
         alive2_obs::profile::clear_job();
         Outcome {
@@ -407,8 +468,25 @@ impl ValidationEngine {
     /// - supervising parent (`--procs N` with `N > 1`): shard across
     ///   child processes with watchdog/retry/quarantine;
     /// - plain local (everything else): the in-process thread pool.
+    ///
+    /// Answers of the query cache's term tier that one run stores are
+    /// read only by later runs of this engine (or its clones), so a run's
+    /// verdicts and deterministic counters do not depend on how its jobs
+    /// were scheduled.
     pub fn run(&self, jobs: &[Job]) -> Vec<Outcome> {
-        let run_id = self.run_seq.fetch_add(1, Ordering::Relaxed);
+        let run_id = {
+            // Ordinals are handed out under the lock, so every run below
+            // the smallest one in flight has finished.
+            let mut inflight = self.term_runs.inflight();
+            let run_id = self.run_seq.fetch_add(1, Ordering::Relaxed);
+            let horizon = inflight.keys().next().copied().unwrap_or(run_id);
+            inflight.insert(run_id, horizon);
+            run_id
+        };
+        let _registered = RunGuard {
+            runs: &self.term_runs,
+            run: run_id,
+        };
         if let Some(shard) = self.worker_shard {
             if shard.run == run_id {
                 crate::supervisor::run_worker_shard(self, run_id, jobs, shard);
@@ -459,7 +537,7 @@ impl ValidationEngine {
         let workers = self.workers.max(1).min(pending.len().max(1));
         if workers <= 1 {
             for &i in &pending {
-                complete(i, self.run_one(&jobs[i], run_started));
+                complete(i, self.run_one(&jobs[i], run_id, i, run_started));
             }
         } else {
             let next = AtomicUsize::new(0);
@@ -472,7 +550,7 @@ impl ValidationEngine {
                                 break;
                             }
                             let i = pending[k];
-                            complete(i, self.run_one(&jobs[i], run_started));
+                            complete(i, self.run_one(&jobs[i], run_id, i, run_started));
                         })
                     })
                     .collect();
@@ -496,7 +574,7 @@ impl ValidationEngine {
         // thread, where a repeatable panic becomes its Crash outcome.
         for (i, slot) in slots.iter_mut().enumerate() {
             if slot.is_none() {
-                let outcome = self.run_one(&jobs[i], run_started);
+                let outcome = self.run_one(&jobs[i], run_id, i, run_started);
                 if let Some(journal) = &self.journal {
                     let _sp = alive2_obs::span(Phase::Journal);
                     journal.record(run_id, i, &outcome);
@@ -867,6 +945,53 @@ mod tests {
             "{:?} vs {:?}",
             c1.stats,
             c4.stats
+        );
+    }
+
+    #[test]
+    fn term_tier_serves_later_runs_of_the_same_engine_only() {
+        // `mul 2` → `add x, x` is wrong only for undef x: refuting it takes
+        // a CEGQI loop over the undef choices.
+        let src =
+            parse_module("define i8 @f(i8 %x) {\nentry:\n  %r = mul i8 %x, 2\n  ret i8 %r\n}")
+                .unwrap();
+        let tgt =
+            parse_module("define i8 @f(i8 %x) {\nentry:\n  %r = add i8 %x, %x\n  ret i8 %r\n}")
+                .unwrap();
+        let jobs = jobs_of(&src, &tgt, EncodeConfig::default());
+        let engine = ValidationEngine::new(2);
+        let (cold_out, cold) = engine.run_counts(&jobs);
+        assert!(cold_out[0].verdict.is_incorrect());
+        assert!(cold.stats.cegqi_iters > 0, "{:?}", cold.stats);
+        // Within one run nothing is shared: the pair twice costs twice.
+        let twice = [jobs[0].clone(), jobs[0].clone()];
+        let (_, doubled) = ValidationEngine::sequential().run_counts(&twice);
+        assert_eq!(doubled.stats.cegqi_iters, 2 * cold.stats.cegqi_iters);
+        // Later runs of the engine, and of its clones, answer every
+        // obligation from the tier: no loop, no live solve, and the very
+        // counterexample the cold run printed.
+        for e in [engine.clone(), engine.clone().with_workers(1)] {
+            let (warm_out, warm) = e.run_counts(&jobs);
+            assert_eq!(warm.stats.cegqi_iters, 0, "{:?}", warm.stats);
+            assert_eq!(warm.stats.sat_solves + warm.stats.incremental_solves, 0);
+            assert!(warm.stats.cache_hits > 0);
+            assert_eq!(
+                format!("{:?}", warm_out[0].verdict),
+                format!("{:?}", cold_out[0].verdict)
+            );
+        }
+        // An engine built later reads none of it, even where it reuses the
+        // dropped one's memory: after an unrelated first run, its second
+        // run still runs the pair's CEGQI loop.
+        drop(engine);
+        let fresh = ValidationEngine::new(2);
+        let (osrc, otgt) = modules();
+        fresh.run_counts(&jobs_of(&osrc, &otgt, EncodeConfig::default()));
+        let (_, again) = fresh.run_counts(&jobs);
+        assert_eq!(again.stats.cegqi_iters, cold.stats.cegqi_iters);
+        assert_eq!(
+            again.stats.incremental_solves,
+            cold.stats.incremental_solves
         );
     }
 }

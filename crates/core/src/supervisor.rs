@@ -206,7 +206,7 @@ pub(crate) fn run_worker_shard(
                 continue; // already merged by the parent
             }
         }
-        let outcome = engine.run_one(job, run_started);
+        let outcome = engine.run_one(job, run_id, idx, run_started);
         let line = entry_line(run_id, idx, &outcome);
         // Journal first (crash-safe source of truth), then stream (the
         // parent's low-latency merge path).
@@ -572,7 +572,7 @@ pub(crate) fn run_supervised(
                 // in-process. Weaker isolation, but the run completes.
                 for &idx in &attempt.indices {
                     if slots[idx].is_none() {
-                        let o = engine.run_one(&jobs[idx], run_started);
+                        let o = engine.run_one(&jobs[idx], run_id, idx, run_started);
                         merged.record_line(&entry_line(run_id, idx, &o));
                         slots[idx] = Some(o);
                     }
@@ -614,7 +614,7 @@ pub(crate) fn run_supervised(
     // finish it in-process rather than panic a completed run.
     for &idx in &pending {
         if slots[idx].is_none() {
-            let o = engine.run_one(&jobs[idx], run_started);
+            let o = engine.run_one(&jobs[idx], run_id, idx, run_started);
             merged.record_line(&entry_line(run_id, idx, &o));
             slots[idx] = Some(o);
         }

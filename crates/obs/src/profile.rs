@@ -99,6 +99,9 @@ pub struct QueryProfile {
     /// A live CDCL search actually ran (one-shot solve or incremental
     /// check). `sat_solves + incremental_solves` counts exactly these.
     pub solved: bool,
+    /// A whole ∃∀ obligation answered by the term-tier cache: no CNF was
+    /// built, so the record adds no CNF-size histogram sample.
+    pub obligation: bool,
     /// CEGQI iteration index when issued inside the refinement loop.
     pub cegqi_iter: Option<u64>,
     /// Outcome: "sat", "unsat", "timeout", "oom".
@@ -112,12 +115,17 @@ impl QueryProfile {
             Some(i) => format!(",\"cegqi_iter\":{i}"),
             None => String::new(),
         };
+        let obligation = if self.obligation {
+            ",\"obligation\":1"
+        } else {
+            ""
+        };
         format!(
             "{{\"job\":\"{}\",\"wall_us\":{},\"vars_pre\":{},\"clauses_pre\":{},\
              \"vars_post\":{},\"clauses_post\":{},\"conflicts\":{},\"decisions\":{},\
              \"propagations\":{},\"restarts\":{},\"learnts_kept\":{},\
              \"rewrite_steps\":{},\"discharged\":{},\"cache\":\"{}\",\
-             \"incremental\":{},\"solved\":{}{iter},\"result\":\"{}\"}}",
+             \"incremental\":{},\"solved\":{}{iter}{obligation},\"result\":\"{}\"}}",
             esc(&self.job),
             self.wall_us,
             self.vars_pre,
@@ -174,7 +182,7 @@ pub fn record_query(mut p: QueryProfile) {
     p.job = CURRENT_JOB.with(|j| j.borrow().clone());
     p.cegqi_iter = CEGQI_ITER.with(|c| c.get());
     crate::stats::record_query_latency_us(p.wall_us);
-    if !p.discharged {
+    if !p.discharged && !p.obligation {
         crate::stats::record_query_cnf_clauses(p.clauses_post);
     }
     if p.solved {

@@ -10,6 +10,7 @@
 //! 3. If none exists, `x*` is a witness; otherwise add the found `y*` as a
 //!    new instantiation and repeat.
 
+use crate::cache::{self, CnfSizes, TermKey, TermOutcome, TermScope};
 use crate::model::Model;
 use crate::sat::Budget;
 use crate::solver::{Activation, IncrementalSolver, SmtResult, Solver};
@@ -101,7 +102,126 @@ pub fn solve_exists_forall(
 /// regardless of seed quality — good seeds (e.g. matching a source
 /// function's undef choices to the target's) make the loop converge in one
 /// iteration instead of chasing fresh values.
+///
+/// Inside an engine job the whole obligation is a term-tier cache entry
+/// ([`TermKey::of_obligation`]): φ, the seeds and the settings that shape
+/// the witness are keyed before anything else runs, so a hit skips the
+/// rewriter, every candidate and verify check, and bit-blasting. A stored
+/// witness is re-validated by the verify step before reuse.
 pub fn solve_exists_forall_with_seeds(
+    ctx: &Ctx,
+    universals: &[TermId],
+    phi: TermId,
+    config: EfConfig,
+    seeds: &[HashMap<TermId, TermId>],
+) -> EfResult {
+    for u in universals {
+        assert!(
+            ctx.as_var(*u).is_some(),
+            "universal quantifier binds non-variable term"
+        );
+    }
+    let Some(scope) = cache::term_scope() else {
+        return solve_live(ctx, universals, phi, config, seeds);
+    };
+    let key = TermKey::of_obligation(
+        ctx,
+        universals,
+        phi,
+        seeds,
+        config.rewrite,
+        config.incremental,
+    );
+    if let Some(r) = replay(ctx, scope, &key, universals, phi, config) {
+        return r;
+    }
+    let result = solve_live(ctx, universals, phi, config, seeds);
+    let outcome = match &result {
+        EfResult::Unsat => Some(TermOutcome::Unsat),
+        EfResult::Sat(m) => key.encode_model(ctx, m).map(TermOutcome::Sat),
+        EfResult::Timeout | EfResult::OutOfMemory => None,
+    };
+    if let Some(outcome) = outcome {
+        cache::global().store_term(scope, &key, outcome, CnfSizes::default());
+    }
+    result
+}
+
+/// Answers an obligation from the term tier. `Unsat` is taken as stored;
+/// a stored witness `x*` must pass the verify step (`¬φ(x*, Y)` unsat)
+/// first, and one that fails counts as `cache_reval` and leaves the
+/// obligation to the live loop. A hit is recorded as one query profile
+/// that adds no CNF-size sample.
+fn replay(
+    ctx: &Ctx,
+    scope: TermScope,
+    key: &TermKey,
+    universals: &[TermId],
+    phi: TermId,
+    config: EfConfig,
+) -> Option<EfResult> {
+    let started = Instant::now();
+    let (outcome, _) = cache::global().lookup_term(scope, key)?;
+    let result = match outcome {
+        TermOutcome::Unsat => EfResult::Unsat,
+        TermOutcome::Sat(bits) => {
+            let exist_vars = existentials(ctx, universals, phi);
+            match key.decode_model(ctx, &bits).filter(|x| {
+                refute(ctx, phi, &exist_vars, x, config.rewrite, config.budget).is_unsat()
+            }) {
+                Some(x) => EfResult::Sat(x),
+                None => {
+                    alive2_obs::stats::record_cache_reval();
+                    return None;
+                }
+            }
+        }
+    };
+    alive2_obs::stats::record_cache_hit();
+    alive2_obs::profile::record_query(alive2_obs::QueryProfile {
+        wall_us: started.elapsed().as_micros() as u64,
+        cache: alive2_obs::profile::CacheOutcome::Hit,
+        obligation: true,
+        result: if result.is_sat() { "sat" } else { "unsat" },
+        ..alive2_obs::QueryProfile::default()
+    });
+    Some(result)
+}
+
+/// The existential variables of an obligation: φ's free variables that
+/// are not universal.
+fn existentials(ctx: &Ctx, universals: &[TermId], phi: TermId) -> Vec<TermId> {
+    ctx.free_vars(phi)
+        .into_iter()
+        .filter(|v| !universals.contains(v))
+        .collect()
+}
+
+/// CEGQI's verify step: fixes the existentials to candidate `x` and
+/// searches for universals refuting it (`¬φ(x, Y)`). `Unsat` means `x`
+/// is a witness. Always a one-shot solve: verification queries recur
+/// across reruns of the same job, so they stay cache-eligible.
+fn refute(
+    ctx: &Ctx,
+    phi: TermId,
+    exist_vars: &[TermId],
+    x: &Model,
+    rewrite: bool,
+    budget: Budget,
+) -> SmtResult {
+    let x_subst: HashMap<TermId, TermId> = exist_vars
+        .iter()
+        .map(|&v| (v, x.value_term(ctx, v)))
+        .collect();
+    let phi_x = ctx.substitute(phi, &x_subst);
+    let mut verify = Solver::new(ctx);
+    verify.set_rewrite(rewrite);
+    verify.assert(ctx.not(phi_x));
+    verify.check(budget)
+}
+
+/// The CEGQI loop itself, with no term-tier traffic.
+fn solve_live(
     ctx: &Ctx,
     universals: &[TermId],
     phi: TermId,
@@ -129,13 +249,6 @@ pub fn solve_exists_forall_with_seeds(
         }
         Some(b)
     };
-
-    for u in universals {
-        assert!(
-            ctx.as_var(*u).is_some(),
-            "universal quantifier binds non-variable term"
-        );
-    }
 
     // Rewrite φ once up front: a literal here settles the whole ∃∀ query
     // (∀Y.true is true, and a false body admits no witness) with no CNF,
@@ -207,11 +320,7 @@ pub fn solve_exists_forall_with_seeds(
 
     // The existential variables are a property of φ alone — computed once,
     // not per iteration.
-    let exist_vars: Vec<TermId> = ctx
-        .free_vars(phi)
-        .into_iter()
-        .filter(|v| !universals.contains(v))
-        .collect();
+    let exist_vars = existentials(ctx, universals, phi);
 
     // Candidate solver for the default incremental mode: one solver alive
     // across the whole loop. Each instantiation of φ is pushed exactly once
@@ -292,20 +401,10 @@ pub fn solve_exists_forall_with_seeds(
             SmtResult::OutOfMemory => return EfResult::OutOfMemory,
         };
         // Verification step: fix X := x*, search for a counter-instantiation.
-        // Always a one-shot solve: verification queries recur across reruns
-        // of the same job, so they stay eligible for the shared query cache.
-        let mut x_subst: HashMap<TermId, TermId> = HashMap::new();
-        for &xv in &exist_vars {
-            x_subst.insert(xv, x_model.value_term(ctx, xv));
-        }
-        let phi_x = ctx.substitute(phi, &x_subst);
         let Some(b) = budget_left(&start) else {
             return EfResult::Timeout;
         };
-        let mut verify = Solver::new(ctx);
-        verify.set_rewrite(config.rewrite);
-        verify.assert(ctx.not(phi_x));
-        match verify.check(b) {
+        match refute(ctx, phi, &exist_vars, &x_model, config.rewrite, b) {
             SmtResult::Unsat => return EfResult::Sat(x_model),
             SmtResult::Sat(y_model) => {
                 let mut inst = HashMap::new();

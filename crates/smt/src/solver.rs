@@ -3,19 +3,24 @@
 //!
 //! Two entry points share the term-to-CNF pipeline:
 //!
-//! * [`Solver`] — the one-shot path. Each check rebuilds, preprocesses,
-//!   and canonicalizes the CNF, so its results are a pure function of the
-//!   canonical formula and are *eligible for the query cache*.
+//! * [`Solver`] — the one-shot path. Each check rewrites and
+//!   Ackermannizes the formula, then consults the query cache twice:
+//!   the term tier (inside an engine job) on the term DAG before any CNF
+//!   exists, then the CNF tier on the preprocessed, canonicalized CNF.
+//!   A live solve always runs on the canonical CNF, so its result is a
+//!   pure function of that formula.
 //! * [`IncrementalSolver`] — a persistent push-assertion /
 //!   check-under-assumptions solver that keeps its bit-blaster, clause
 //!   database, learned clauses, and variable activities alive across
 //!   checks. Its results depend on solver history (warm state, activation
-//!   literals), not on a canonical formula, so it *never touches the
-//!   query cache* — it trades cache eligibility for clause reuse.
+//!   literals), not on a canonical formula, so its checks are never cached
+//!   one by one. The CEGQI loop it serves is cached whole instead, as an
+//!   obligation in the term tier (see
+//!   [`exists_forall`](crate::exists_forall)).
 
 use crate::ackermann::{ackermannize, Ackermannizer};
 use crate::bitblast::BitBlaster;
-use crate::cache::{self, CachedOutcome};
+use crate::cache::{self, CachedOutcome, CnfSizes, TermKey, TermOutcome, TermScope};
 use crate::model::{Model, Value};
 use crate::sat::{Budget, Lit, SatOutcome, SatSolver, SatVar};
 use crate::term::{Ctx, Sort, TermId};
@@ -181,7 +186,6 @@ impl<'a> Solver<'a> {
             conj = r;
         }
         let ack = ackermannize(self.ctx, &[conj]);
-        let mut bb = BitBlaster::new(self.ctx);
         // Roots include the Ackermann result variables (mapped back to
         // applications by callers that care).
         let roots: Vec<TermId> = ack
@@ -190,7 +194,81 @@ impl<'a> Solver<'a> {
             .chain(&ack.constraints)
             .copied()
             .collect();
-        for &t in &roots {
+
+        // Term tier: inside an engine job the rewritten, Ackermannized
+        // DAG is keyed before any CNF exists, so a hit skips blasting,
+        // preprocessing and the CNF-level lookup too.
+        let tier = cache::term_scope().map(|scope| (scope, TermKey::of_query(self.ctx, &roots)));
+        if let Some((scope, key)) = &tier {
+            if let Some(r) = self.replay(*scope, key, &roots, prof) {
+                return r;
+            }
+        }
+        let result = self.solve_roots(&roots, budget, prof);
+        if let Some((scope, key)) = &tier {
+            let outcome = match &result {
+                SmtResult::Unsat => Some(TermOutcome::Unsat),
+                SmtResult::Sat(m) => key.encode_model(self.ctx, m).map(TermOutcome::Sat),
+                SmtResult::Timeout | SmtResult::OutOfMemory => None,
+            };
+            if let Some(outcome) = outcome {
+                let sizes = CnfSizes {
+                    vars_pre: prof.vars_pre,
+                    clauses_pre: prof.clauses_pre,
+                    vars_post: prof.vars_post,
+                    clauses_post: prof.clauses_post,
+                };
+                cache::global().store_term(*scope, key, outcome, sizes);
+            }
+        }
+        result
+    }
+
+    /// Answers a query from the term tier: `Unsat` as stored, `Sat` once
+    /// the stored model, mapped back onto this context, satisfies every
+    /// root. A model that fails counts as `cache_reval` and leaves the
+    /// query to the live path. A hit replays the CNF sizes of the solve
+    /// that wrote the entry into `prof`.
+    fn replay(
+        &self,
+        scope: TermScope,
+        key: &TermKey,
+        roots: &[TermId],
+        prof: &mut alive2_obs::QueryProfile,
+    ) -> Option<SmtResult> {
+        let (outcome, sizes) = cache::global().lookup_term(scope, key)?;
+        let result = match outcome {
+            TermOutcome::Unsat => SmtResult::Unsat,
+            TermOutcome::Sat(bits) => match key.decode_model(self.ctx, &bits) {
+                Some(m) if roots.iter().all(|&t| m.eval(self.ctx, t).as_bool()) => {
+                    SmtResult::Sat(m)
+                }
+                _ => {
+                    alive2_obs::stats::record_cache_reval();
+                    prof.cache = alive2_obs::profile::CacheOutcome::Reval;
+                    return None;
+                }
+            },
+        };
+        alive2_obs::stats::record_cache_hit();
+        prof.cache = alive2_obs::profile::CacheOutcome::Hit;
+        prof.vars_pre = sizes.vars_pre;
+        prof.clauses_pre = sizes.clauses_pre;
+        prof.vars_post = sizes.vars_post;
+        prof.clauses_post = sizes.clauses_post;
+        Some(result)
+    }
+
+    /// Blasts `roots`, preprocesses and canonicalizes the CNF, and answers
+    /// from the CNF tier or a live solve of the canonical formula.
+    fn solve_roots(
+        &self,
+        roots: &[TermId],
+        budget: Budget,
+        prof: &mut alive2_obs::QueryProfile,
+    ) -> SmtResult {
+        let mut bb = BitBlaster::new(self.ctx);
+        for &t in roots {
             bb.assert_term(t);
         }
 
@@ -226,7 +304,7 @@ impl<'a> Solver<'a> {
                 sat_val(l.var()).map(|b| if l.is_positive() { b } else { !b })
             };
             let mut model = Model::new();
-            for vt in self.ctx.free_vars_many(&roots) {
+            for vt in self.ctx.free_vars_many(roots) {
                 let v = self.ctx.as_var(vt).expect("free var is a Var term");
                 match self.ctx.sort(vt) {
                     Sort::Bool => {
@@ -333,17 +411,16 @@ pub struct Activation(Lit);
 /// clauses for structure not already encoded (`clauses_reused` counts
 /// what a check inherited instead of rebuilding).
 ///
-/// # Cache eligibility (the PR 5 canonical-CNF cache)
+/// # Cache eligibility
 ///
-/// Incremental checks never consult or populate the query cache. The
-/// cache's contract is that a stored result is a pure function of a
-/// canonical CNF; an incremental verdict is a function of the solver's
+/// Incremental checks never consult or populate the query cache. Both
+/// tiers store results that are a function of one formula; an
+/// incremental verdict (and its model) is a function of the solver's
 /// history — which groups are active, what was learned under earlier
-/// assumptions — and the live clause list is never canonicalized. Use
-/// the one-shot [`Solver`] when a query is likely shared across jobs or
-/// reruns; use this solver for query *sequences* that grow monotonically
-/// (the CEGQI candidate loop), where warm-state reuse beats cross-job
-/// deduplication.
+/// assumptions — and the live clause list is never canonicalized. The
+/// CEGQI candidate loop, this solver's one client, is cached a level up:
+/// `solve_exists_forall_with_seeds` keys the whole obligation in the term
+/// tier, so a rerun skips every incremental check of the loop.
 ///
 /// # Examples
 ///

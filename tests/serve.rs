@@ -3,8 +3,9 @@
 //! reject oversized batches with an error response (not a buffer or a
 //! crash), a SIGKILLed daemon must replay its journaled request log on
 //! restart to the exact verdicts the one-shot `alive2_tv` CLI produces
-//! on the same pairs, and the `--listen` socket must speak the
-//! length-prefixed frame protocol.
+//! on the same pairs, the `--listen` socket must speak the
+//! length-prefixed frame protocol, and a warm batch in the default
+//! configuration must be answered from the query cache alone.
 //!
 //! These tests spawn and SIGKILL processes, so they are Linux-only
 //! (matching `tests/supervise.rs`).
@@ -197,6 +198,40 @@ fn oversized_batch_is_rejected_by_admission_control() {
     );
     let s = summary(&out);
     assert_eq!(field(&s, "pairs"), 1, "{s}");
+}
+
+#[test]
+fn warm_known_bugs_batch_replays_every_pair_without_a_live_solve() {
+    let bugs = alive2_testgen::known_bugs::known_bugs();
+    let corpus: Vec<(&str, &str, &str)> = bugs.iter().map(|b| (b.name, b.src, b.tgt)).collect();
+    let input = format!(
+        "{}\n{}\n",
+        validate_req("batch-1", &corpus),
+        validate_req("batch-2", &corpus)
+    );
+    // The default configuration: incremental CEGQI candidates included.
+    let out = serve_stdio(&["--jobs", "1"], &input);
+    assert!(out.status.success(), "{out:?}");
+    let lines = stdout_lines(&out);
+    let batch = |id: &str| {
+        let tag = format!("{{\"id\":\"{id}\",");
+        let mine = lines.iter().filter(|l| l.starts_with(&tag));
+        let (done, pairs): (Vec<&String>, Vec<&String>) =
+            mine.partition(|l| l.contains("\"done\":true"));
+        let pairs: Vec<String> = pairs.iter().map(|l| l[tag.len()..].to_string()).collect();
+        (done[0].clone(), pairs)
+    };
+    let (done1, pairs1) = batch("batch-1");
+    let (done2, pairs2) = batch("batch-2");
+    assert_eq!(pairs1.len(), corpus.len(), "{lines:?}");
+    // 29 detected / 7 missed, and the warm batch repeats every verdict
+    // and counterexample byte for byte.
+    assert_eq!(field(&done1, "incorrect"), 29, "{done1}");
+    assert_eq!(pairs1, pairs2);
+    let live = |d: &str| field(d, "sat_solves") + field(d, "incremental_solves");
+    assert!(live(&done1) > 0, "{done1}");
+    assert_eq!(live(&done2), 0, "warm batch solved live: {done2}");
+    assert!(field(&done2, "cache_hits") > 0, "{done2}");
 }
 
 #[test]
