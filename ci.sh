@@ -223,6 +223,17 @@ KB_SOLVED=$(grep -c '"solved":1,' "$SMOKE/kb.profile.jsonl")
 KB_SAT=$(kbsum "$SMOKE/kb_prof.out" | grep -o '"sat_solves":[0-9]*' | cut -d: -f2)
 KB_INCS=$(kbsum "$SMOKE/kb_prof.out" | grep -o '"incremental_solves":[0-9]*' | cut -d: -f2)
 test "$KB_SOLVED" -eq $((KB_SAT + KB_INCS))
+# Search determinism: two --jobs 1 runs must write the same profile
+# records (175 lines on known_bugs), byte for byte once the per-query
+# wall time is removed — CNF sizes, conflicts, decisions, propagations,
+# learnts and results included. Count-based comparisons between runs,
+# and between a change and its parent, rest on the search repeating.
+for n in 1 2; do
+  "$KB" --jobs 1 --profile "$SMOKE/kb_det$n.jsonl" > "$SMOKE/kb_det$n.out" 2>&1
+  sed 's/"wall_us":[0-9]*//' "$SMOKE/kb_det$n.jsonl" > "$SMOKE/kb_det$n.nowall"
+done
+test "$(wc -l < "$SMOKE/kb_det1.nowall")" -gt 1
+cmp "$SMOKE/kb_det1.nowall" "$SMOKE/kb_det2.nowall"
 
 # ---- validation-service smoke (see DESIGN.md, "Validation as a service") --
 # The known-bugs corpus through one warm `alive2-serve` daemon as two

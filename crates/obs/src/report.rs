@@ -169,7 +169,7 @@ pub fn render_top_queries(s: &ProfileSummary) -> String {
             None => String::new(),
         };
         out.push_str(&format!(
-            "  #{:<2} {:>9} us  {:<8} {:<11} job {}{iter}  cnf {}v/{}c  conflicts {}  cache {:?}\n",
+            "  #{:<2} {:>9} us  {:<8} {:<11} job {}{iter}  cnf {}v/{}c  conflicts {}  decisions {}  propagations {}  cache {:?}\n",
             rank + 1,
             q.wall_us,
             q.result,
@@ -178,6 +178,8 @@ pub fn render_top_queries(s: &ProfileSummary) -> String {
             q.vars_post,
             q.clauses_post,
             q.conflicts,
+            q.decisions,
+            q.propagations,
             q.cache
         ));
     }
@@ -245,6 +247,8 @@ mod tests {
                 vars_post: 8,
                 clauses_post: 21,
                 conflicts: 3,
+                decisions: 4_096,
+                propagations: 65_537,
                 solved: true,
                 cegqi_iter: Some(2),
                 result: "unsat",
@@ -259,6 +263,7 @@ mod tests {
         assert!(text.contains("1234"));
         assert!(text.contains("job pair-x"));
         assert!(text.contains("cegqi#2"));
+        assert!(text.contains("conflicts 3  decisions 4096  propagations 65537"));
         assert!(text.contains("profiles 7 (4 live solves), ring-dropped 1"));
     }
 }

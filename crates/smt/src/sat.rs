@@ -239,6 +239,13 @@ pub struct SatSolver {
     seen: Vec<bool>,
     ok: bool,
     learned_lits: usize,
+    /// Live (not deleted) clauses in `clauses`, learnt ones included.
+    /// Kept in step by `attach_clause`, `delete_clause` and the
+    /// learnt→original promotion in `subsume_bounded`, so nothing per
+    /// decision, per conflict or per check has to scan the database.
+    live_clauses: usize,
+    /// Live learnt clauses: the reduce trigger and `num_learnts`.
+    live_learnts: usize,
     stats: SatStats,
     /// Failed-assumption core from the most recent
     /// [`solve_assuming`](Self::solve_assuming) that returned `Unsat`
@@ -285,6 +292,8 @@ impl SatSolver {
             seen: Vec::new(),
             ok: true,
             learned_lits: 0,
+            live_clauses: 0,
+            live_learnts: 0,
             stats: SatStats::default(),
             failed: Vec::new(),
         }
@@ -297,15 +306,20 @@ impl SatSolver {
 
     /// Number of clauses (including learned, excluding deleted).
     pub fn num_clauses(&self) -> usize {
-        self.clauses.iter().filter(|c| !c.deleted).count()
+        self.live_clauses
     }
 
     /// Number of live learned clauses currently in the database.
     pub fn num_learnts(&self) -> usize {
-        self.clauses
-            .iter()
-            .filter(|c| c.learnt && !c.deleted)
-            .count()
+        self.live_learnts
+    }
+
+    /// Recounts `(live clauses, live learnts)` from the clause vector:
+    /// the reference the incremental counters must always equal. A full
+    /// scan, so only for whole-database passes and tests.
+    fn recount(&self) -> (usize, usize) {
+        let live = self.clauses.iter().filter(|c| !c.deleted);
+        (live.clone().count(), live.filter(|c| c.learnt).count())
     }
 
     /// The failed-assumption core of the most recent
@@ -439,7 +453,9 @@ impl SatSolver {
     fn attach_clause(&mut self, lits: Vec<Lit>, learnt: bool, lbd: u32) -> ClauseRef {
         debug_assert!(lits.len() >= 2);
         let cref = self.clauses.len();
+        self.live_clauses += 1;
         if learnt {
+            self.live_learnts += 1;
             self.learned_lits += lits.len();
         }
         let w0 = lits[0];
@@ -689,9 +705,8 @@ impl SatSolver {
         loop {
             self.bump_clause(cref);
             let start = if p.is_some() { 1 } else { 0 };
-            // Clone needed literals to appease the borrow checker; clauses are short.
-            let lits = self.clauses[cref].lits.clone();
-            for &q in &lits[start..] {
+            for k in start..self.clauses[cref].lits.len() {
+                let q = self.clauses[cref].lits[k];
                 let v = q.var().0 as usize;
                 if !self.seen[v] && self.level[v] > 0 {
                     self.seen[v] = true;
@@ -735,11 +750,8 @@ impl SatSolver {
                 minimized.push(l);
             }
         }
+        // `minimized` is a subset of `learnt`, so this clears every mark.
         for &l in &learnt {
-            self.seen[l.var().0 as usize] = false;
-        }
-        // Re-mark the kept ones were cleared above; recompute seen for safety.
-        for &l in &minimized[1..] {
             self.seen[l.var().0 as usize] = false;
         }
         let back_level = minimized[1..]
@@ -787,13 +799,13 @@ impl SatSolver {
             if locked.contains(&cref) || c.lits.len() <= 2 || c.lbd <= 2 {
                 continue;
             }
-            self.clauses[cref].deleted = true;
-            self.learned_lits -= self.clauses[cref].lits.len();
+            self.delete_clause(cref);
             removed += 1;
         }
         for ws in &mut self.watches {
             ws.retain(|w| !self.clauses[w.clause].deleted);
         }
+        debug_assert_eq!(self.recount(), (self.live_clauses, self.live_learnts));
     }
 
     /// Literal-block distance of a clause under the current assignment:
@@ -809,7 +821,10 @@ impl SatSolver {
     }
 
     fn delete_clause(&mut self, ci: ClauseRef) {
+        debug_assert!(!self.clauses[ci].deleted);
+        self.live_clauses -= 1;
         if self.clauses[ci].learnt {
+            self.live_learnts -= 1;
             self.learned_lits -= self.clauses[ci].lits.len();
         }
         self.clauses[ci].deleted = true;
@@ -970,6 +985,7 @@ impl SatSolver {
                                 // clause standing in for an original.
                                 if !self.clauses[dj].learnt && self.clauses[ci].learnt {
                                     self.clauses[ci].learnt = false;
+                                    self.live_learnts -= 1;
                                     self.learned_lits -= self.clauses[ci].lits.len();
                                 }
                                 self.delete_clause(dj);
@@ -1068,6 +1084,7 @@ impl SatSolver {
         }
         self.rebuild_watches();
         self.qhead = 0; // re-propagate from scratch on the next solve
+        debug_assert_eq!(self.recount(), (self.live_clauses, self.live_learnts));
         true
     }
 
@@ -1170,6 +1187,8 @@ impl SatSolver {
         let start = Instant::now();
         let mut restart_num = 1u64;
         let mut conflicts_until_restart = 32 * Self::luby(restart_num);
+        // `clauses.len()` counts tombstones too; basing the limit on the
+        // live count instead would change the search.
         let mut max_learnts = (self.clauses.len() / 3).max(1000);
         let mut decisions = 0u64;
         loop {
@@ -1184,10 +1203,11 @@ impl SatSolver {
                 if learnt.len() == 1 {
                     self.enqueue(learnt[0], None);
                 } else {
+                    let uip = learnt[0];
                     let lbd = self.compute_lbd(&learnt);
-                    let cref = self.attach_clause(learnt.clone(), true, lbd);
+                    let cref = self.attach_clause(learnt, true, lbd);
                     self.bump_clause(cref);
-                    self.enqueue(learnt[0], Some(cref));
+                    self.enqueue(uip, Some(cref));
                 }
                 self.var_inc /= 0.95;
                 self.cla_inc /= 0.999;
@@ -1214,12 +1234,7 @@ impl SatSolver {
                     conflicts_until_restart = 32 * Self::luby(restart_num);
                     self.backtrack(0);
                 }
-                let learnt_count = self
-                    .clauses
-                    .iter()
-                    .filter(|c| c.learnt && !c.deleted)
-                    .count();
-                if learnt_count > max_learnts {
+                if self.live_learnts > max_learnts {
                     self.reduce_db();
                     max_learnts = max_learnts + max_learnts / 10;
                 }
@@ -1616,6 +1631,91 @@ mod tests {
             };
             assert_eq!(got, expect, "round {round}: {cls:?}");
         }
+    }
+
+    #[test]
+    fn clause_counters_match_recount_on_every_path() {
+        // `num_clauses` and `num_learnts` are kept incrementally; every
+        // path that adds, deletes or promotes a clause must leave them
+        // equal to a full recount of the clause vector.
+        fn check(s: &SatSolver) -> (usize, usize) {
+            let counts = (s.num_clauses(), s.num_learnts());
+            assert_eq!(counts, s.recount());
+            counts
+        }
+        let mut s = SatSolver::new();
+        let v: Vec<Lit> = (0..40).map(|_| Lit::new(s.new_var(), true)).collect();
+        // Originals: (0 1) subsumes (0 1 2); (3 4 5) will be subsumed by
+        // the learnt (3 4), which must then be promoted.
+        s.add_clause(&[v[0], v[1]]);
+        s.add_clause(&[v[0], v[1], v[2]]);
+        s.add_clause(&[v[3], v[4], v[5]]);
+        assert_eq!(check(&s), (3, 0));
+        // Learnt attach: one binary plus twenty reducible ternaries.
+        s.attach_clause(vec![v[3], v[4]], true, 2);
+        for i in 10..30 {
+            s.attach_clause(vec![v[i], v[i + 1], v[i + 2]], true, 3);
+        }
+        assert_eq!(check(&s), (24, 21));
+        // reduce_db deletes half of the ternaries and keeps the binary.
+        s.reduce_db();
+        assert_eq!(check(&s), (14, 11));
+        // Subsumption deletes (0 1 2) and (3 4 5); the learnt (3 4)
+        // stands in for an original now, so it is promoted.
+        assert!(s.simplify());
+        assert_eq!(check(&s), (12, 10));
+        let promoted = s
+            .clauses
+            .iter()
+            .find(|c| !c.deleted && c.lits.contains(&v[3]));
+        assert!(!promoted.expect("(3 4) kept").learnt);
+        // Level-0 stripping: with 6 true, the learnt (7 8 6) is satisfied
+        // and the learnt (9 ¬6) reduces to the unit 9; both are deleted.
+        s.add_clause(&[v[6]]);
+        s.attach_clause(vec![v[7], v[8], v[6]], true, 3);
+        s.attach_clause(vec![v[9], v[6].negate()], true, 2);
+        assert_eq!(check(&s), (14, 12));
+        assert!(s.simplify());
+        assert_eq!(check(&s), (12, 10));
+        assert_eq!(s.value(v[9].var()), Some(true));
+
+        // Learnts from real search, then clauses added between solves:
+        // pigeonhole 5 into 4 under an activation literal is unsat only
+        // under the assumption, so the solver stays usable.
+        let mut s = SatSolver::new();
+        let act = Lit::new(s.new_var(), true);
+        let p: Vec<Vec<Lit>> = (0..5)
+            .map(|_| (0..4).map(|_| Lit::new(s.new_var(), true)).collect())
+            .collect();
+        for pigeon in &p {
+            let mut c = vec![act.negate()];
+            c.extend(pigeon);
+            s.add_clause(&c);
+        }
+        for (i, pi) in p.iter().enumerate() {
+            for pj in &p[i + 1..] {
+                for (a, b) in pi.iter().zip(pj) {
+                    s.add_clause(&[a.negate(), b.negate()]);
+                }
+            }
+        }
+        check(&s);
+        assert_eq!(
+            s.solve_assuming(&[act], Budget::unlimited()),
+            SatOutcome::Unsat
+        );
+        assert_eq!(s.failed_assumptions(), &[act]);
+        let (_, learnts) = check(&s);
+        assert!(learnts > 0, "search learnt nothing");
+        s.add_clause(&[p[0][0], p[1][1]]);
+        check(&s);
+        s.add_clause(&[act.negate()]);
+        check(&s);
+        assert_eq!(s.solve(Budget::unlimited()), SatOutcome::Sat);
+        check(&s);
+        // With ¬act at level 0 every pigeon clause is satisfied.
+        assert!(s.simplify());
+        check(&s);
     }
 
     #[test]

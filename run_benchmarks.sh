@@ -9,149 +9,23 @@
 # Pass --stats to also print each harness's per-phase timing breakdown
 # and counter totals (and fill the summary JSON's stats/phases objects).
 #
-# Pass --cache to measure the persistent query cache instead: the
-# known_bugs harness runs twice against a fresh cache directory (cold,
-# then warm) and BENCH_pr5.json records per-run live SAT solves,
-# cache traffic, and wall time. The same mode then measures incremental
-# solving into BENCH_pr6.json: a cold incremental run, a warm incremental
-# rerun, and a cold --no-incremental baseline, each with one-shot and
-# live-solver solve counts and wall time. BENCH_pr8.json then measures
-# term rewriting: a cold default run vs. a cold --no-rewrite baseline,
-# with discharge counts, solve counts, wall time, and a verdict-parity
-# flag.
+# Verdict throughput, tail latency and the per-layer split come from the
+# in-process benchmark instead (BENCHMARK.json and
+# crates/bench/src/bin/bench/README.md):
+#
+#     cargo run --release --offline -q --manifest-path \
+#         crates/bench/src/bin/bench/Cargo.toml -- --workload known_bugs
+#
+# The BENCH_pr*.json files are kept as history; nothing regenerates
+# them.
 set -e
 cd "$(dirname "$0")"
 JOBS="${JOBS:-$(nproc 2>/dev/null || echo 1)}"
 STATS=""
-CACHE=""
 for arg in "$@"; do
   [ "$arg" = "--stats" ] && STATS="--stats"
-  [ "$arg" = "--cache" ] && CACHE=1
 done
 
-if [ -n "$CACHE" ]; then
-  CDIR=$(mktemp -d)
-  trap 'rm -rf "$CDIR"' EXIT
-  cargo build --release -q -p alive2-bench --bin known_bugs
-  run_pass() { # $1 = label, $2... = extra known_bugs flags
-    label="$1"; shift
-    start_ms=$(date +%s%3N)
-    out=$(cargo run --release -q -p alive2-bench --bin known_bugs -- \
-          --jobs "$JOBS" "$@" 2>/dev/null \
-          | grep '"name":"known_bugs"' | tail -n 1)
-    end_ms=$(date +%s%3N)
-    printf '"%s":{"wall_ms":%s,"sat_solves":%s,"incremental_solves":%s,"cache_hits":%s,"cache_misses":%s,"rewrite_discharged":%s,"rewrite_residue":%s,"summary":%s}' \
-      "$label" "$((end_ms - start_ms))" \
-      "$(printf '%s' "$out" | grep -o '"sat_solves":[0-9]*' | cut -d: -f2)" \
-      "$(printf '%s' "$out" | grep -o '"incremental_solves":[0-9]*' | cut -d: -f2)" \
-      "$(printf '%s' "$out" | grep -o '"cache_hits":[0-9]*' | cut -d: -f2)" \
-      "$(printf '%s' "$out" | grep -o '"cache_misses":[0-9]*' | cut -d: -f2)" \
-      "$(printf '%s' "$out" | grep -o '"rewrite_discharged":[0-9]*' | cut -d: -f2)" \
-      "$(printf '%s' "$out" | grep -o '"rewrite_residue":[0-9]*' | cut -d: -f2)" \
-      "$out"
-  }
-  # BENCH_pr5: the query-cache experiment, unchanged — but run one-shot
-  # (--no-incremental) so its cold/warm sat_solves keep their original
-  # "every query solves fresh" meaning.
-  { printf '{'; run_pass cold --cache "$CDIR" --no-incremental
-    printf ','; run_pass warm --cache "$CDIR" --no-incremental
-    printf '}\n'; } > BENCH_pr5.json
-  cat BENCH_pr5.json
-  # BENCH_pr6: the incremental-solving experiment. `cold` runs the
-  # persistent candidate solver against a fresh cache; `warm` reruns on
-  # the populated cache; `fresh_cold` is the --no-incremental baseline on
-  # its own fresh cache (cold-vs-cold comparison with `cold`).
-  IDIR=$(mktemp -d)
-  FDIR=$(mktemp -d)
-  trap 'rm -rf "$CDIR" "$IDIR" "$FDIR"' EXIT
-  { printf '{'; run_pass cold --cache "$IDIR"
-    printf ','; run_pass warm --cache "$IDIR"
-    printf ','; run_pass fresh_cold --cache "$FDIR" --no-incremental
-    printf '}\n'; } > BENCH_pr6.json
-  cat BENCH_pr6.json
-  # BENCH_pr7: the process-supervision experiment. The same corpus run
-  # single-process and sharded across 4 supervised worker processes
-  # (--procs 4), with throughput (pairs/sec over the 36-pair corpus) and
-  # a verdict-parity flag — the correctness anchor: on a clean run,
-  # supervision must not change a single verdict.
-  R1=$(run_pass procs1)
-  R4=$(run_pass procs4 --procs 4)
-  pairsec() { # $1 = one run_pass record
-    wall=$(printf '%s' "$1" | grep -o '"wall_ms":[0-9]*' | head -n 1 | cut -d: -f2)
-    pairs=$(printf '%s' "$1" | grep -o '"pairs":[0-9]*' | head -n 1 | cut -d: -f2)
-    awk "BEGIN { printf \"%.2f\", $wall ? $pairs * 1000 / $wall : 0 }"
-  }
-  sup_verdicts() { printf '%s' "$1" | sed 's/.*"summary"://; s/,"stats":.*$/}/'; }
-  if [ "$(sup_verdicts "$R1")" = "$(sup_verdicts "$R4")" ]; then
-    PARITY=true
-  else
-    PARITY=false
-  fi
-  printf '{%s,%s,"pairs_per_sec":{"procs1":%s,"procs4":%s},"verdict_parity":%s}\n' \
-    "$R1" "$R4" "$(pairsec "$R1")" "$(pairsec "$R4")" "$PARITY" > BENCH_pr7.json
-  cat BENCH_pr7.json
-  # BENCH_pr8: the term-rewriting experiment. `rewrite_cold` runs the
-  # default (rewriter on) against a fresh cache; `norewrite_cold` is the
-  # --no-rewrite baseline on its own fresh cache (cold-vs-cold), with a
-  # verdict-parity flag — rewriting must change solve counts, never
-  # verdicts.
-  RWDIR=$(mktemp -d)
-  NRDIR=$(mktemp -d)
-  trap 'rm -rf "$CDIR" "$IDIR" "$FDIR" "$RWDIR" "$NRDIR"' EXIT
-  RW=$(run_pass rewrite_cold --cache "$RWDIR")
-  NR=$(run_pass norewrite_cold --cache "$NRDIR" --no-rewrite)
-  if [ "$(sup_verdicts "$RW")" = "$(sup_verdicts "$NR")" ]; then
-    RWPARITY=true
-  else
-    RWPARITY=false
-  fi
-  printf '{%s,%s,"verdict_parity":%s}\n' "$RW" "$NR" "$RWPARITY" > BENCH_pr8.json
-  cat BENCH_pr8.json
-  # BENCH_pr9: the profiling-overhead experiment. `base` is a plain run;
-  # `profiled` re-runs the identical corpus with the --profile JSON-lines
-  # sink armed. Query profiles are recorded unconditionally (the ring is
-  # always live), so the delta isolates the cost of streaming them to
-  # disk — the acceptance bar is <= 5% wall overhead with verdict parity.
-  PDIR=$(mktemp -d)
-  trap 'rm -rf "$CDIR" "$IDIR" "$FDIR" "$RWDIR" "$NRDIR" "$PDIR"' EXIT
-  PB=$(run_pass base)
-  PP=$(run_pass profiled --profile "$PDIR/kb.profile.jsonl")
-  if [ "$(sup_verdicts "$PB")" = "$(sup_verdicts "$PP")" ]; then
-    PPARITY=true
-  else
-    PPARITY=false
-  fi
-  pwall() { printf '%s' "$1" | grep -o '"wall_ms":[0-9]*' | head -n 1 | cut -d: -f2; }
-  # Clamped at 0: the in-tree JSON codec has no negative numbers, and a
-  # faster profiled run is just timing noise anyway.
-  OVERHEAD=$(awk "BEGIN { b=$(pwall "$PB"); p=$(pwall "$PP");
-                          d = b ? (p - b) * 100 / b : 0;
-                          if (d < 0) d = 0; printf \"%d\", d }")
-  printf '{%s,%s,"profile_lines":%s,"overhead_pct":%s,"verdict_parity":%s}\n' \
-    "$PB" "$PP" "$(wc -l < "$PDIR/kb.profile.jsonl")" "$OVERHEAD" "$PPARITY" \
-    > BENCH_pr9.json
-  cat BENCH_pr9.json
-  # BENCH_pr10: the validation-as-a-service experiment. A cold one-shot
-  # CLI run (spawn known_bugs: process startup + fresh query cache) vs.
-  # a warm `alive2-serve` daemon re-validating the same 36-pair corpus
-  # as its second batch. Both sides run --jobs 1 --no-incremental so the
-  # delta is warm state, not thread count, and every discharge flows
-  # through the cache-eligible one-shot solver path. serve_bench prints
-  # the whole artifact: per-pass wall/solve meters, pairs/sec, the
-  # warm/cold live-solve split, and the acceptance flags (verdict
-  # parity, warm cache hits, memory under the 512 MiB budget).
-  cargo build --release -q --bin alive2-serve
-  cargo build --release -q -p alive2-bench --bin serve_bench
-  ./target/release/serve_bench --jobs 1 > BENCH_pr10.json
-  cat BENCH_pr10.json
-  # Cross-run triage gates: each new artifact must not regress the
-  # previous PR's verdict columns (labels are disjoint across PRs, so
-  # the report falls back to per-harness verdict-signature parity).
-  cargo build --release -q -p alive2-bench --bin alive2-report
-  ./target/release/alive2-report BENCH_pr8.json BENCH_pr9.json
-  ./target/release/alive2-report BENCH_pr9.json BENCH_pr10.json
-  exit 0
-fi
 {
   echo "==================================================================="
   echo "In-tree micro-benchmarks (alive2-bench --bin micro)"

@@ -38,7 +38,7 @@ fn known_bug_corpus_verdict_parity() {
     // The shared query cache is process-global, so the second run replays
     // repeated queries. Running one-shot mode cold keeps its sat_solves
     // count the honest baseline; the strict cold-vs-cold comparison (both
-    // modes in separate processes) lives in run_benchmarks.sh.
+    // modes in separate processes) is ci.sh's incremental-solving smoke.
     let (fresh_verdicts, fresh_stats) = run_corpus(false);
     let (inc_verdicts, inc_stats) = run_corpus(true);
     assert_eq!(
