@@ -234,6 +234,15 @@ for n in 1 2; do
 done
 test "$(wc -l < "$SMOKE/kb_det1.nowall")" -gt 1
 cmp "$SMOKE/kb_det1.nowall" "$SMOKE/kb_det2.nowall"
+# Search pin: two runs of one build move together, so the check above
+# cannot see a change that alters the search. The totals over those
+# records must stay what they were when the search was last changed on
+# purpose; such a change updates the three numbers and says why.
+for pin in conflicts:4652 decisions:89564 propagations:2966953; do
+  total=$(grep -o "\"${pin%%:*}\":[0-9]*" "$SMOKE/kb_det1.jsonl" | cut -d: -f2 |
+    awk '{ s += $1 } END { print s + 0 }')
+  test "$total" -eq "${pin#*:}"
+done
 
 # ---- validation-service smoke (see DESIGN.md, "Validation as a service") --
 # The known-bugs corpus through one warm `alive2-serve` daemon as two

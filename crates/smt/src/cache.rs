@@ -82,6 +82,9 @@ pub struct PreCnf {
 /// Simplifies a CNF at level 0: in-clause literal dedup, tautology
 /// removal, unit propagation to fixpoint (absorbing unit clauses into
 /// [`PreCnf::assigned`]), and duplicate-clause removal.
+///
+/// Works on one flat buffer, as [`Cnf`] stores clauses: clause `i` is
+/// `lits[ends[i - 1]..ends[i]]`, and each round compacts it in place.
 pub fn preprocess(cnf: &Cnf) -> PreCnf {
     let n = cnf.num_vars() as usize;
     let mut assigned: Vec<Option<bool>> = vec![None; n];
@@ -89,38 +92,53 @@ pub fn preprocess(cnf: &Cnf) -> PreCnf {
 
     // In-clause dedup + tautology removal. Sorting also puts the two
     // polarities of a variable next to each other.
-    let mut clauses: Vec<Vec<Lit>> = Vec::with_capacity(cnf.clauses().len());
+    let mut lits: Vec<Lit> = Vec::new();
+    let mut ends: Vec<usize> = Vec::with_capacity(cnf.num_clauses());
+    let mut c2: Vec<Lit> = Vec::new();
     for c in cnf.clauses() {
-        let mut c2 = c.clone();
-        c2.sort();
+        c2.clear();
+        c2.extend_from_slice(c);
+        c2.sort_unstable();
         c2.dedup();
         if c2.windows(2).any(|w| w[0].var() == w[1].var()) {
             continue; // x ∨ ¬x ∨ … is a tautology
         }
-        clauses.push(c2);
+        lits.extend_from_slice(&c2);
+        ends.push(lits.len());
     }
 
     // Unit propagation to fixpoint: drop satisfied clauses, strip false
-    // literals, absorb fresh units into the assignment.
+    // literals, absorb fresh units into the assignment. Each round writes
+    // the surviving literals and clause ends back over the ones it read.
     loop {
         let mut new_assign = false;
-        let mut next: Vec<Vec<Lit>> = Vec::with_capacity(clauses.len());
-        'clause: for c in clauses.drain(..) {
-            let mut out: Vec<Lit> = Vec::with_capacity(c.len());
-            for &l in &c {
+        let (mut read, mut write, mut kept) = (0, 0, 0);
+        'clause: for i in 0..ends.len() {
+            let (start, end) = (read, ends[i]);
+            read = end;
+            let out = write;
+            for k in start..end {
+                let l = lits[k];
                 match assigned[l.var().0 as usize] {
-                    Some(b) if b == l.is_positive() => continue 'clause, // satisfied
-                    Some(_) => {}                                        // false literal
-                    None => out.push(l),
+                    Some(b) if b == l.is_positive() => {
+                        write = out; // satisfied
+                        continue 'clause;
+                    }
+                    Some(_) => {} // false literal
+                    None => {
+                        lits[write] = l;
+                        write += 1;
+                    }
                 }
             }
-            match out.len() {
+            match write - out {
                 0 => {
                     conflict = true;
                     break;
                 }
                 1 => {
-                    let l = out[0];
+                    write = out;
+                    let l = lits[out];
                     match &mut assigned[l.var().0 as usize] {
                         slot @ None => {
                             *slot = Some(l.is_positive());
@@ -133,21 +151,33 @@ pub fn preprocess(cnf: &Cnf) -> PreCnf {
                         Some(_) => {}
                     }
                 }
-                _ => next.push(out),
+                _ => {
+                    ends[kept] = write;
+                    kept += 1;
+                }
             }
         }
-        clauses = next;
+        lits.truncate(write);
+        ends.truncate(kept);
         if conflict || !new_assign {
             break;
         }
     }
     if conflict {
-        clauses.clear();
+        ends.clear();
     }
 
     // Duplicate-clause removal (first occurrence wins, order preserved).
-    let mut seen: HashSet<Vec<Lit>> = HashSet::with_capacity(clauses.len());
-    clauses.retain(|c| seen.insert(c.clone()));
+    let mut seen: HashSet<&[Lit]> = HashSet::with_capacity(ends.len());
+    let mut clauses: Vec<Vec<Lit>> = Vec::with_capacity(ends.len());
+    let mut start = 0;
+    for &end in &ends {
+        let c = &lits[start..end];
+        start = end;
+        if seen.insert(c) {
+            clauses.push(c.to_vec());
+        }
+    }
 
     PreCnf {
         num_vars: cnf.num_vars(),
@@ -1110,6 +1140,152 @@ mod tests {
             cnf.add_clause(c);
         }
         cnf
+    }
+
+    /// The clause-per-`Vec` preprocessing pass the flat [`preprocess`]
+    /// replaced, kept verbatim as its differential oracle.
+    fn preprocess_reference(cnf: &Cnf) -> PreCnf {
+        let n = cnf.num_vars() as usize;
+        let mut assigned: Vec<Option<bool>> = vec![None; n];
+        let mut conflict = false;
+
+        // In-clause dedup + tautology removal. Sorting also puts the two
+        // polarities of a variable next to each other.
+        let mut clauses: Vec<Vec<Lit>> = Vec::with_capacity(cnf.num_clauses());
+        for c in cnf.clauses() {
+            let mut c2 = c.to_vec();
+            c2.sort();
+            c2.dedup();
+            if c2.windows(2).any(|w| w[0].var() == w[1].var()) {
+                continue; // x ∨ ¬x ∨ … is a tautology
+            }
+            clauses.push(c2);
+        }
+
+        // Unit propagation to fixpoint: drop satisfied clauses, strip false
+        // literals, absorb fresh units into the assignment.
+        loop {
+            let mut new_assign = false;
+            let mut next: Vec<Vec<Lit>> = Vec::with_capacity(clauses.len());
+            'clause: for c in clauses.drain(..) {
+                let mut out: Vec<Lit> = Vec::with_capacity(c.len());
+                for &l in &c {
+                    match assigned[l.var().0 as usize] {
+                        Some(b) if b == l.is_positive() => continue 'clause, // satisfied
+                        Some(_) => {}                                        // false literal
+                        None => out.push(l),
+                    }
+                }
+                match out.len() {
+                    0 => {
+                        conflict = true;
+                        break;
+                    }
+                    1 => {
+                        let l = out[0];
+                        match &mut assigned[l.var().0 as usize] {
+                            slot @ None => {
+                                *slot = Some(l.is_positive());
+                                new_assign = true;
+                            }
+                            Some(b) if *b != l.is_positive() => {
+                                conflict = true;
+                                break;
+                            }
+                            Some(_) => {}
+                        }
+                    }
+                    _ => next.push(out),
+                }
+            }
+            clauses = next;
+            if conflict || !new_assign {
+                break;
+            }
+        }
+        if conflict {
+            clauses.clear();
+        }
+
+        // Duplicate-clause removal (first occurrence wins, order preserved).
+        let mut seen: HashSet<Vec<Lit>> = HashSet::with_capacity(clauses.len());
+        clauses.retain(|c| seen.insert(c.clone()));
+
+        PreCnf {
+            num_vars: cnf.num_vars(),
+            clauses,
+            assigned,
+            conflict,
+        }
+    }
+
+    #[test]
+    fn flat_preprocess_matches_reference() {
+        // Random small CNFs mixing unit chains, duplicate literals and
+        // clauses, tautologies, empty clauses and conflicting units: the
+        // flat pass must return exactly what the per-clause reference
+        // does, and so canonicalize to the same fingerprint.
+        let mut state = 0x5EED_CAFEu64;
+        let mut rng = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let (mut conflicts, mut residual, mut propagated) = (0, 0, 0);
+        for round in 0..3000 {
+            let nv = 1 + rng() % 10;
+            let mut cnf = Cnf::new();
+            for _ in 0..nv {
+                cnf.new_var();
+            }
+            let any =
+                |rng: &mut dyn FnMut() -> u64| lit((rng() % nv) as u32, rng().is_multiple_of(2));
+            let mut added: Vec<Vec<Lit>> = Vec::new();
+            for _ in 0..rng() % 20 {
+                let c: Vec<Lit> = match rng() % 16 {
+                    0 => Vec::new(),
+                    1..=3 => vec![any(&mut rng)],
+                    4..=6 => {
+                        // A link of a unit chain: a → b.
+                        let (a, b) = (any(&mut rng), any(&mut rng));
+                        vec![a.negate(), b]
+                    }
+                    7 | 8 if !added.is_empty() => {
+                        // A duplicate clause, perhaps reordered.
+                        let mut c = added[(rng() % added.len() as u64) as usize].clone();
+                        c.reverse();
+                        c
+                    }
+                    9 => {
+                        let (a, b) = (any(&mut rng), any(&mut rng));
+                        vec![a, b, a.negate()]
+                    }
+                    _ => {
+                        // Two to five literals, duplicates allowed.
+                        let len = 2 + rng() % 4;
+                        (0..len).map(|_| any(&mut rng)).collect()
+                    }
+                };
+                cnf.add_clause(&c);
+                added.push(c);
+            }
+            let got = preprocess(&cnf);
+            let want = preprocess_reference(&cnf);
+            assert_eq!(got.num_vars, want.num_vars, "round {round}");
+            assert_eq!(got.clauses, want.clauses, "round {round}: {added:?}");
+            assert_eq!(got.assigned, want.assigned, "round {round}: {added:?}");
+            assert_eq!(got.conflict, want.conflict, "round {round}: {added:?}");
+            assert_eq!(
+                canonicalize(&got).fingerprint(),
+                canonicalize(&want).fingerprint(),
+                "round {round}"
+            );
+            conflicts += usize::from(got.conflict);
+            residual += usize::from(!got.clauses.is_empty());
+            propagated += usize::from(got.assigned.iter().flatten().count() > 1);
+        }
+        assert!(conflicts > 0 && residual > 0 && propagated > 0);
     }
 
     #[test]

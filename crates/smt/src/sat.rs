@@ -118,17 +118,24 @@ impl Budget {
     }
 }
 
-/// A plain CNF formula: a variable count and a list of clauses.
+/// A plain CNF formula: a variable count and a list of clauses, stored
+/// flat — every clause's literals back to back in one vector, plus the
+/// offset where each clause ends — so emitting a clause allocates
+/// nothing of its own.
 ///
-/// [`SatSolver::add_clause`] simplifies eagerly (level-0 subsumption,
-/// satisfied-clause dropping), which is lossy: the original clause list
-/// cannot be recovered from a solver. The bit-blaster therefore emits
-/// into a `Cnf` first, so the query cache can preprocess, canonicalize,
-/// and fingerprint the exact formula before any solver ever sees it.
+/// [`SatSolver::add_clause`] simplifies eagerly: it drops clauses already
+/// satisfied at level 0, false literals, duplicate literals and
+/// tautologies. That is lossy: the original clause list cannot be
+/// recovered from a solver. The bit-blaster therefore emits into a `Cnf`
+/// first, so the query cache can preprocess, canonicalize, and
+/// fingerprint the exact formula before any solver ever sees it.
 #[derive(Clone, Debug, Default)]
 pub struct Cnf {
     num_vars: u32,
-    clauses: Vec<Vec<Lit>>,
+    /// Every clause's literals, in clause order.
+    lits: Vec<Lit>,
+    /// Clause `i` is `lits[ends[i - 1]..ends[i]]` (from 0 for the first).
+    ends: Vec<u32>,
 }
 
 impl Cnf {
@@ -151,12 +158,25 @@ impl Cnf {
 
     /// Appends a clause verbatim (no simplification).
     pub fn add_clause(&mut self, lits: &[Lit]) {
-        self.clauses.push(lits.to_vec());
+        self.lits.extend_from_slice(lits);
+        let end = u32::try_from(self.lits.len()).expect("a CNF holds fewer than 2^32 literals");
+        self.ends.push(end);
     }
 
-    /// The clause list.
-    pub fn clauses(&self) -> &[Vec<Lit>] {
-        &self.clauses
+    /// Number of clauses.
+    pub fn num_clauses(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// The literals of clause `i`, in the order they were added.
+    pub fn clause(&self, i: usize) -> &[Lit] {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] as usize };
+        &self.lits[start..self.ends[i] as usize]
+    }
+
+    /// The clauses in the order they were added.
+    pub fn clauses(&self) -> impl ExactSizeIterator<Item = &[Lit]> + '_ {
+        (0..self.ends.len()).map(|i| self.clause(i))
     }
 
     /// Builds a fresh [`SatSolver`] holding this formula.
@@ -165,33 +185,34 @@ impl Cnf {
         for _ in 0..self.num_vars {
             s.new_var();
         }
-        for c in &self.clauses {
+        for c in self.clauses() {
             s.add_clause(c);
         }
         s
     }
 }
 
-#[derive(Clone)]
-struct Clause {
-    lits: Vec<Lit>,
-    learnt: bool,
-    deleted: bool,
-    activity: f64,
-    /// Literal-block distance (glue): the number of distinct decision
-    /// levels in the clause when it was learned. Low-LBD clauses encode
-    /// tight cross-level dependencies and are kept through database
-    /// reductions (Glucose's heuristic); original clauses carry 0.
-    lbd: u32,
-}
+/// A clause handle: the offset of the clause's header in the arena.
+type ClauseRef = u32;
 
-type ClauseRef = usize;
+/// Words of a clause header: the packed length and flags, then the id.
+const HEADER: usize = 2;
+/// Header flag: the clause is a tombstone.
+const DELETED: u32 = 1;
+/// Header flag: the clause was learnt (not an original or promoted one).
+const LEARNT: u32 = 2;
+/// The clause length sits above the two flag bits.
+const LEN_SHIFT: u32 = 2;
 
 #[derive(Clone, Copy)]
 struct Watcher {
     clause: ClauseRef,
     blocker: Lit,
 }
+
+// Watch lists are the hottest memory of the search: keep a watcher at
+// two words.
+const _: () = assert!(std::mem::size_of::<Watcher>() == 8);
 
 /// Statistics from the most recent `solve` call.
 #[derive(Clone, Copy, Debug, Default)]
@@ -204,6 +225,8 @@ pub struct SatStats {
     pub propagations: u64,
     /// Number of restarts performed.
     pub restarts: u64,
+    /// Number of learned-clause database reductions.
+    pub reductions: u64,
 }
 
 /// The CDCL solver.
@@ -222,7 +245,24 @@ pub struct SatStats {
 /// assert_eq!(s.value(b), Some(true));
 /// ```
 pub struct SatSolver {
-    clauses: Vec<Clause>,
+    /// The clause arena (MiniSat's layout): each clause is a header —
+    /// `len << LEN_SHIFT | flags`, then its id — followed by its literal
+    /// codes, in allocation order. Shrinking a clause rewrites its
+    /// length in place; deleting one only sets `DELETED`, and tombstones
+    /// are never compacted.
+    arena: Vec<u32>,
+    /// Clause id → header offset. Ids follow allocation order, so this
+    /// walks the database in the order clauses were attached.
+    crefs: Vec<ClauseRef>,
+    /// Clause id → activity.
+    clause_activity: Vec<f64>,
+    /// Clause id → literal-block distance (glue): the number of distinct
+    /// decision levels in the clause when it was learned. Low-LBD clauses
+    /// encode tight cross-level dependencies and are kept through
+    /// database reductions (Glucose's heuristic); original clauses carry 0.
+    clause_lbd: Vec<u32>,
+    /// `add_clause`'s reusable sort-and-filter buffer.
+    add_buf: Vec<Lit>,
     watches: Vec<Vec<Watcher>>,
     assigns: Vec<LBool>,
     phase: Vec<bool>,
@@ -239,7 +279,7 @@ pub struct SatSolver {
     seen: Vec<bool>,
     ok: bool,
     learned_lits: usize,
-    /// Live (not deleted) clauses in `clauses`, learnt ones included.
+    /// Live (not deleted) clauses in the arena, learnt ones included.
     /// Kept in step by `attach_clause`, `delete_clause` and the
     /// learnt→original promotion in `subsume_bounded`, so nothing per
     /// decision, per conflict or per check has to scan the database.
@@ -266,16 +306,27 @@ impl std::fmt::Debug for SatSolver {
             f,
             "SatSolver {{ vars: {}, clauses: {} }}",
             self.assigns.len(),
-            self.clauses.len()
+            self.crefs.len()
         )
     }
+}
+
+/// A 64-bit set of the variables of `lits` (literal codes), one bit per
+/// variable modulo 64. If C's variables are not all in D's signature, C
+/// cannot subsume D, even with one literal flipped (SatELite's filter).
+fn signature(lits: &[u32]) -> u64 {
+    lits.iter().fold(0, |sig, &w| sig | 1 << (w >> 1 & 63))
 }
 
 impl SatSolver {
     /// Creates an empty solver.
     pub fn new() -> Self {
         SatSolver {
-            clauses: Vec::new(),
+            arena: Vec::new(),
+            crefs: Vec::new(),
+            clause_activity: Vec::new(),
+            clause_lbd: Vec::new(),
+            add_buf: Vec::new(),
             watches: Vec::new(),
             assigns: Vec::new(),
             phase: Vec::new(),
@@ -314,12 +365,50 @@ impl SatSolver {
         self.live_learnts
     }
 
-    /// Recounts `(live clauses, live learnts)` from the clause vector:
-    /// the reference the incremental counters must always equal. A full
+    /// Recounts `(live clauses, live learnts)` from the arena: the
+    /// reference the incremental counters must always equal. A full
     /// scan, so only for whole-database passes and tests.
     fn recount(&self) -> (usize, usize) {
-        let live = self.clauses.iter().filter(|c| !c.deleted);
-        (live.clone().count(), live.filter(|c| c.learnt).count())
+        let live = self.crefs.iter().filter(|&&cr| !self.is_deleted(cr));
+        (
+            live.clone().count(),
+            live.filter(|&&cr| self.is_learnt(cr)).count(),
+        )
+    }
+
+    // ---- clause arena ---------------------------------------------------
+
+    fn is_deleted(&self, cr: ClauseRef) -> bool {
+        self.arena[cr as usize] & DELETED != 0
+    }
+
+    fn is_learnt(&self, cr: ClauseRef) -> bool {
+        self.arena[cr as usize] & LEARNT != 0
+    }
+
+    fn clause_len(&self, cr: ClauseRef) -> usize {
+        (self.arena[cr as usize] >> LEN_SHIFT) as usize
+    }
+
+    /// Shrinks a clause in place; its tail words become dead space.
+    fn set_clause_len(&mut self, cr: ClauseRef, len: usize) {
+        debug_assert!(len <= self.clause_len(cr));
+        let hdr = &mut self.arena[cr as usize];
+        *hdr = (len as u32) << LEN_SHIFT | *hdr & (DELETED | LEARNT);
+    }
+
+    fn clause_id(&self, cr: ClauseRef) -> usize {
+        self.arena[cr as usize + 1] as usize
+    }
+
+    /// The literal codes of a clause.
+    fn clause_words(&self, cr: ClauseRef) -> &[u32] {
+        let start = cr as usize + HEADER;
+        &self.arena[start..start + self.clause_len(cr)]
+    }
+
+    fn clause_lit(&self, cr: ClauseRef, k: usize) -> Lit {
+        Lit(self.arena[cr as usize + HEADER + k])
     }
 
     /// The failed-assumption core of the most recent
@@ -416,57 +505,71 @@ impl SatSolver {
             return false;
         }
         self.backtrack(0);
-        let mut c: Vec<Lit> = Vec::with_capacity(lits.len());
-        let mut sorted = lits.to_vec();
-        sorted.sort();
-        sorted.dedup();
-        for &l in &sorted {
+        self.add_buf.clear();
+        self.add_buf.extend_from_slice(lits);
+        self.add_buf.sort_unstable();
+        self.add_buf.dedup();
+        // Keep the unassigned literals in place. Sorted, a literal and its
+        // negation are adjacent, so a tautology shows as the last kept
+        // literal being the negation of the next.
+        let mut kept = 0;
+        for i in 0..self.add_buf.len() {
+            let l = self.add_buf[i];
             match self.lit_value(l) {
                 LBool::True => return true, // satisfied at level 0
                 LBool::False => continue,   // falsified at level 0: drop
                 LBool::Undef => {}
             }
-            if c.contains(&l.negate()) {
+            if kept > 0 && self.add_buf[kept - 1] == l.negate() {
                 return true; // tautology
             }
-            c.push(l);
+            self.add_buf[kept] = l;
+            kept += 1;
         }
-        match c.len() {
+        match kept {
             0 => {
                 self.ok = false;
                 false
             }
             1 => {
-                self.enqueue(c[0], None);
+                self.enqueue(self.add_buf[0], None);
                 if self.propagate().is_some() {
                     self.ok = false;
                 }
                 self.ok
             }
             _ => {
-                self.attach_clause(c, false, 0);
+                let c = std::mem::take(&mut self.add_buf);
+                self.attach_clause(&c[..kept], false, 0);
+                self.add_buf = c;
                 true
             }
         }
     }
 
-    fn attach_clause(&mut self, lits: Vec<Lit>, learnt: bool, lbd: u32) -> ClauseRef {
+    fn attach_clause(&mut self, lits: &[Lit], learnt: bool, lbd: u32) -> ClauseRef {
         debug_assert!(lits.len() >= 2);
-        let cref = self.clauses.len();
+        let cref = ClauseRef::try_from(self.arena.len())
+            .expect("the clause arena holds fewer than 2^32 words");
+        // Each clause takes at least four words, so its id fits too.
+        let id = self.crefs.len() as u32;
+        let len = u32::try_from(lits.len())
+            .ok()
+            .filter(|&n| n < 1 << (32 - LEN_SHIFT))
+            .expect("a clause holds fewer than 2^30 literals");
+        self.arena
+            .push(len << LEN_SHIFT | if learnt { LEARNT } else { 0 });
+        self.arena.push(id);
+        self.arena.extend(lits.iter().map(|l| l.0));
+        self.crefs.push(cref);
+        self.clause_activity.push(0.0);
+        self.clause_lbd.push(lbd);
         self.live_clauses += 1;
         if learnt {
             self.live_learnts += 1;
             self.learned_lits += lits.len();
         }
-        let w0 = lits[0];
-        let w1 = lits[1];
-        self.clauses.push(Clause {
-            lits,
-            learnt,
-            deleted: false,
-            activity: 0.0,
-            lbd,
-        });
+        let (w0, w1) = (lits[0], lits[1]);
         self.watches[w0.negate().code()].push(Watcher {
             clause: cref,
             blocker: w1,
@@ -501,6 +604,7 @@ impl SatSolver {
             let p = self.trail[self.qhead];
             self.qhead += 1;
             self.stats.propagations += 1;
+            let false_lit = p.negate();
             let mut i = 0;
             let mut j = 0;
             let mut ws = std::mem::take(&mut self.watches[p.code()]);
@@ -514,16 +618,18 @@ impl SatSolver {
                     continue;
                 }
                 let cref = w.clause;
-                if self.clauses[cref].deleted {
+                let hdr = self.arena[cref as usize];
+                if hdr & DELETED != 0 {
                     continue;
                 }
+                let lits = cref as usize + HEADER;
+                let len = (hdr >> LEN_SHIFT) as usize;
                 // Make sure the false literal is at position 1.
-                let false_lit = p.negate();
-                if self.clauses[cref].lits[0] == false_lit {
-                    self.clauses[cref].lits.swap(0, 1);
+                if self.arena[lits] == false_lit.0 {
+                    self.arena.swap(lits, lits + 1);
                 }
-                debug_assert_eq!(self.clauses[cref].lits[1], false_lit);
-                let first = self.clauses[cref].lits[0];
+                debug_assert_eq!(self.arena[lits + 1], false_lit.0);
+                let first = Lit(self.arena[lits]);
                 if first != w.blocker && self.lit_value(first) == LBool::True {
                     ws[j] = Watcher {
                         clause: cref,
@@ -533,10 +639,10 @@ impl SatSolver {
                     continue;
                 }
                 // Look for a new literal to watch.
-                for k in 2..self.clauses[cref].lits.len() {
-                    let lk = self.clauses[cref].lits[k];
+                for k in 2..len {
+                    let lk = Lit(self.arena[lits + k]);
                     if self.lit_value(lk) != LBool::False {
-                        self.clauses[cref].lits.swap(1, k);
+                        self.arena.swap(lits + 1, lits + k);
                         self.watches[lk.negate().code()].push(Watcher {
                             clause: cref,
                             blocker: first,
@@ -588,10 +694,11 @@ impl SatSolver {
     }
 
     fn bump_clause(&mut self, c: ClauseRef) {
-        self.clauses[c].activity += self.cla_inc;
-        if self.clauses[c].activity > 1e20 {
-            for cl in &mut self.clauses {
-                cl.activity *= 1e-20;
+        let id = self.clause_id(c);
+        self.clause_activity[id] += self.cla_inc;
+        if self.clause_activity[id] > 1e20 {
+            for a in &mut self.clause_activity {
+                *a *= 1e-20;
             }
             self.cla_inc *= 1e-20;
         }
@@ -705,8 +812,8 @@ impl SatSolver {
         loop {
             self.bump_clause(cref);
             let start = if p.is_some() { 1 } else { 0 };
-            for k in start..self.clauses[cref].lits.len() {
-                let q = self.clauses[cref].lits[k];
+            for k in start..self.clause_len(cref) {
+                let q = self.clause_lit(cref, k);
                 let v = q.var().0 as usize;
                 if !self.seen[v] && self.level[v] > 0 {
                     self.seen[v] = true;
@@ -741,9 +848,10 @@ impl SatSolver {
         for &l in &learnt[1..] {
             let v = l.var().0 as usize;
             let redundant = match self.reason[v] {
-                Some(r) => self.clauses[r].lits[1..]
-                    .iter()
-                    .all(|&q| self.seen[q.var().0 as usize] || self.level[q.var().0 as usize] == 0),
+                Some(r) => self.clause_words(r)[1..].iter().all(|&w| {
+                    let qv = Lit(w).var().0 as usize;
+                    self.seen[qv] || self.level[qv] == 0
+                }),
                 None => false,
             };
             if !redundant {
@@ -778,32 +886,39 @@ impl SatSolver {
     /// glue clauses is what lets a long-lived incremental solver retain
     /// the valuable part of its database across many `solve` calls.
     fn reduce_db(&mut self) {
-        let mut learnt_refs: Vec<ClauseRef> = (0..self.clauses.len())
-            .filter(|&i| self.clauses[i].learnt && !self.clauses[i].deleted)
+        self.stats.reductions += 1;
+        // Ids in allocation order; the stable sort keeps that order
+        // among equally ranked clauses.
+        let mut learnt_ids: Vec<usize> = (0..self.crefs.len())
+            .filter(|&id| {
+                let cr = self.crefs[id];
+                self.is_learnt(cr) && !self.is_deleted(cr)
+            })
             .collect();
-        learnt_refs.sort_by(|&a, &b| {
-            let (ca, cb) = (&self.clauses[a], &self.clauses[b]);
-            cb.lbd
-                .cmp(&ca.lbd)
-                .then(ca.activity.partial_cmp(&cb.activity).unwrap())
+        learnt_ids.sort_by(|&a, &b| {
+            self.clause_lbd[b].cmp(&self.clause_lbd[a]).then(
+                self.clause_activity[a]
+                    .partial_cmp(&self.clause_activity[b])
+                    .unwrap(),
+            )
         });
         let locked: std::collections::HashSet<ClauseRef> =
             self.reason.iter().flatten().copied().collect();
-        let target = learnt_refs.len() / 2;
+        let target = learnt_ids.len() / 2;
         let mut removed = 0;
-        for &cref in &learnt_refs {
+        for &id in &learnt_ids {
             if removed >= target {
                 break;
             }
-            let c = &self.clauses[cref];
-            if locked.contains(&cref) || c.lits.len() <= 2 || c.lbd <= 2 {
+            let cref = self.crefs[id];
+            if locked.contains(&cref) || self.clause_len(cref) <= 2 || self.clause_lbd[id] <= 2 {
                 continue;
             }
             self.delete_clause(cref);
             removed += 1;
         }
         for ws in &mut self.watches {
-            ws.retain(|w| !self.clauses[w.clause].deleted);
+            ws.retain(|w| self.arena[w.clause as usize] & DELETED == 0);
         }
         debug_assert_eq!(self.recount(), (self.live_clauses, self.live_learnts));
     }
@@ -820,14 +935,14 @@ impl SatSolver {
         levels.len() as u32
     }
 
-    fn delete_clause(&mut self, ci: ClauseRef) {
-        debug_assert!(!self.clauses[ci].deleted);
+    fn delete_clause(&mut self, cr: ClauseRef) {
+        debug_assert!(!self.is_deleted(cr));
         self.live_clauses -= 1;
-        if self.clauses[ci].learnt {
+        if self.is_learnt(cr) {
             self.live_learnts -= 1;
-            self.learned_lits -= self.clauses[ci].lits.len();
+            self.learned_lits -= self.clause_len(cr);
         }
-        self.clauses[ci].deleted = true;
+        self.arena[cr as usize] |= DELETED;
     }
 
     /// Rebuilds every watch list from scratch. Only valid at level 0
@@ -837,63 +952,72 @@ impl SatSolver {
         for ws in &mut self.watches {
             ws.clear();
         }
-        for ci in 0..self.clauses.len() {
-            if self.clauses[ci].deleted {
+        for id in 0..self.crefs.len() {
+            let cref = self.crefs[id];
+            if self.is_deleted(cref) {
                 continue;
             }
-            debug_assert!(self.clauses[ci].lits.len() >= 2);
-            let w0 = self.clauses[ci].lits[0];
-            let w1 = self.clauses[ci].lits[1];
+            debug_assert!(self.clause_len(cref) >= 2);
+            let w0 = self.clause_lit(cref, 0);
+            let w1 = self.clause_lit(cref, 1);
             self.watches[w0.negate().code()].push(Watcher {
-                clause: ci,
+                clause: cref,
                 blocker: w1,
             });
             self.watches[w1.negate().code()].push(Watcher {
-                clause: ci,
+                clause: cref,
                 blocker: w0,
             });
         }
     }
 
     /// One pass of level-0 clause simplification: drops satisfied
-    /// clauses, strips false literals, and returns any clauses reduced
-    /// to units (deleted here, to be re-enqueued by the caller).
+    /// clauses, strips false literals in place, and returns any clauses
+    /// reduced to units (deleted here, to be re-enqueued by the caller).
     /// Returns `None` if a clause became empty (formula unsat).
     fn strip_level0(&mut self) -> Option<Vec<Lit>> {
         let mut units = Vec::new();
-        for ci in 0..self.clauses.len() {
-            if self.clauses[ci].deleted {
+        for id in 0..self.crefs.len() {
+            let cref = self.crefs[id];
+            if self.is_deleted(cref) {
                 continue;
             }
+            let lits = cref as usize + HEADER;
+            let len = self.clause_len(cref);
+            // Unassigned literals move down over false ones. A satisfied
+            // clause is deleted, so what moved before the break is moot.
+            let mut kept = 0;
             let mut satisfied = false;
-            let mut kept: Vec<Lit> = Vec::with_capacity(self.clauses[ci].lits.len());
-            for k in 0..self.clauses[ci].lits.len() {
-                let l = self.clauses[ci].lits[k];
+            for k in 0..len {
+                let l = Lit(self.arena[lits + k]);
                 match self.lit_value(l) {
                     LBool::True => {
                         satisfied = true;
                         break;
                     }
                     LBool::False => {}
-                    LBool::Undef => kept.push(l),
+                    LBool::Undef => {
+                        self.arena[lits + kept] = l.0;
+                        kept += 1;
+                    }
                 }
             }
             if satisfied {
-                self.delete_clause(ci);
+                self.delete_clause(cref);
                 continue;
             }
-            match kept.len() {
+            match kept {
                 0 => return None,
                 1 => {
-                    units.push(kept[0]);
-                    self.delete_clause(ci);
+                    units.push(Lit(self.arena[lits]));
+                    self.delete_clause(cref);
                 }
                 _ => {
-                    if kept.len() < self.clauses[ci].lits.len() {
-                        if self.clauses[ci].learnt {
-                            self.learned_lits -= self.clauses[ci].lits.len() - kept.len();
+                    if kept < len {
+                        if self.is_learnt(cref) {
+                            self.learned_lits -= len - kept;
                         }
-                        self.clauses[ci].lits = kept;
+                        self.set_clause_len(cref, kept);
                     }
                 }
             }
@@ -904,27 +1028,28 @@ impl SatSolver {
     /// Checks whether (sorted) `c` subsumes (sorted) `d` exactly
     /// (`Some(None)`), subsumes it modulo one flipped literal — the
     /// self-subsuming-resolution case, returning the literal to remove
-    /// from `d` (`Some(Some(l))`) — or neither (`None`).
-    fn subsumes(c: &[Lit], d: &[Lit]) -> Option<Option<Lit>> {
+    /// from `d` (`Some(Some(l))`) — or neither (`None`). Both are
+    /// literal codes.
+    fn subsumes(c: &[u32], d: &[u32]) -> Option<Option<Lit>> {
         let mut flip: Option<Lit> = None;
         let mut j = 0;
         for &lc in c {
-            let vc = lc.var();
+            let vc = lc >> 1;
             loop {
                 if j >= d.len() {
                     return None;
                 }
                 let ld = d[j];
-                if ld.var() == vc {
+                if ld >> 1 == vc {
                     if ld != lc {
                         if flip.is_some() {
                             return None;
                         }
-                        flip = Some(ld);
+                        flip = Some(Lit(ld));
                     }
                     j += 1;
                     break;
-                } else if ld.var().0 < vc.0 {
+                } else if ld >> 1 < vc {
                     j += 1;
                 } else {
                     return None;
@@ -938,68 +1063,111 @@ impl SatSolver {
     /// clause database. Clause literals must be sorted (the caller sorts
     /// once). Returns clauses strengthened down to units. `work` caps
     /// the total literal comparisons so a huge database cannot stall an
-    /// incremental check.
+    /// incremental check; a candidate costs the same whether or not its
+    /// signature already rules it out.
     fn subsume_bounded(&mut self, work: &mut i64) -> Vec<Lit> {
         let mut units = Vec::new();
         let nlits = 2 * self.num_vars();
-        let mut occ: Vec<Vec<ClauseRef>> = vec![Vec::new(); nlits];
-        let mut live: Vec<ClauseRef> = Vec::new();
-        for ci in 0..self.clauses.len() {
-            if self.clauses[ci].deleted {
+        // Per clause id, the variable signature and current length of the
+        // clause (0 once deleted), side by side so that rejecting a
+        // candidate touches one entry and not the arena.
+        let mut meta = vec![(0u64, 0u32); self.crefs.len()];
+        // Occurrence lists, flattened: the ids of the live clauses holding
+        // literal code `l` are `occ[occ_start[l]..occ_start[l + 1]]`, in
+        // allocation order.
+        let mut live: Vec<usize> = Vec::new();
+        let mut occ_start = vec![0usize; nlits + 1];
+        for (id, &cref) in self.crefs.iter().enumerate() {
+            if self.is_deleted(cref) {
                 continue;
             }
-            live.push(ci);
-            for &l in &self.clauses[ci].lits {
-                occ[l.code()].push(ci);
+            live.push(id);
+            let words = self.clause_words(cref);
+            meta[id] = (signature(words), words.len() as u32);
+            for &w in words {
+                occ_start[w as usize + 1] += 1;
+            }
+        }
+        for l in 0..nlits {
+            occ_start[l + 1] += occ_start[l];
+        }
+        let mut occ = vec![0u32; occ_start[nlits]];
+        let mut fill = occ_start.clone();
+        for &id in &live {
+            for &w in self.clause_words(self.crefs[id]) {
+                occ[fill[w as usize]] = id as u32;
+                fill[w as usize] += 1;
             }
         }
         // Small clauses first: they subsume the most.
-        live.sort_by_key(|&ci| self.clauses[ci].lits.len());
+        live.sort_by_key(|&id| meta[id].1);
+        let mut c: Vec<u32> = Vec::new();
         for &ci in &live {
             if *work <= 0 {
                 break;
             }
-            if self.clauses[ci].deleted || self.clauses[ci].lits.len() > 8 {
+            let (c_sig, c_len) = meta[ci];
+            if c_len == 0 || c_len > 8 {
                 continue;
             }
-            let c = self.clauses[ci].lits.clone();
+            let cref = self.crefs[ci];
+            c.clear();
+            c.extend_from_slice(self.clause_words(cref));
             // Candidates must share a variable with C; scanning every
             // occurrence list of C's literals (both polarities) covers
             // subsumption and the one-flip strengthening case.
             for &lc in &c {
-                for code in [lc.code(), lc.negate().code()] {
-                    for di in 0..occ[code].len() {
-                        let dj = occ[code][di];
-                        if dj == ci || self.clauses[dj].deleted {
+                for code in [lc as usize, (lc ^ 1) as usize] {
+                    for &dj in &occ[occ_start[code]..occ_start[code + 1]] {
+                        let dj = dj as usize;
+                        let (d_sig, dlen) = meta[dj];
+                        if dj == ci || dlen == 0 || dlen < c_len {
                             continue;
                         }
-                        if self.clauses[dj].lits.len() < c.len() {
-                            continue;
-                        }
-                        *work -= self.clauses[dj].lits.len() as i64;
-                        match Self::subsumes(&c, &self.clauses[dj].lits) {
+                        *work -= i64::from(dlen);
+                        let dref = self.crefs[dj];
+                        let verdict = if c_sig & !d_sig != 0 {
+                            None
+                        } else {
+                            Self::subsumes(&c, self.clause_words(dref))
+                        };
+                        match verdict {
                             Some(None) => {
                                 // C ⊆ D: drop D. If a learnt clause
                                 // subsumes an original one, promote it —
                                 // reduce_db must never delete the only
                                 // clause standing in for an original.
-                                if !self.clauses[dj].learnt && self.clauses[ci].learnt {
-                                    self.clauses[ci].learnt = false;
+                                if !self.is_learnt(dref) && self.is_learnt(cref) {
+                                    self.arena[cref as usize] &= !LEARNT;
                                     self.live_learnts -= 1;
-                                    self.learned_lits -= self.clauses[ci].lits.len();
+                                    self.learned_lits -= c_len as usize;
                                 }
-                                self.delete_clause(dj);
+                                self.delete_clause(dref);
+                                meta[dj].1 = 0;
                             }
                             Some(Some(flip)) => {
                                 // Self-subsuming resolution: D loses the
-                                // flipped literal.
-                                if self.clauses[dj].learnt {
+                                // flipped literal, in place.
+                                if self.is_learnt(dref) {
                                     self.learned_lits -= 1;
                                 }
-                                self.clauses[dj].lits.retain(|&l| l != flip);
-                                if self.clauses[dj].lits.len() == 1 {
-                                    units.push(self.clauses[dj].lits[0]);
-                                    self.delete_clause(dj);
+                                let lits = dref as usize + HEADER;
+                                let dlen = dlen as usize;
+                                let pos = self
+                                    .clause_words(dref)
+                                    .iter()
+                                    .position(|&w| w == flip.0)
+                                    .expect("the flipped literal is in D");
+                                self.arena
+                                    .copy_within(lits + pos + 1..lits + dlen, lits + pos);
+                                self.set_clause_len(dref, dlen - 1);
+                                if dlen - 1 == 1 {
+                                    units.push(Lit(self.arena[lits]));
+                                    self.delete_clause(dref);
+                                    meta[dj] = (0, 0);
+                                } else {
+                                    let words = self.clause_words(dref);
+                                    meta[dj] = (signature(words), words.len() as u32);
                                 }
                             }
                             None => {}
@@ -1061,9 +1229,12 @@ impl SatSolver {
             if round > 0 || work <= 0 {
                 break; // subsumption already ran and found no new units
             }
-            for ci in 0..self.clauses.len() {
-                if !self.clauses[ci].deleted {
-                    self.clauses[ci].lits.sort_unstable();
+            for id in 0..self.crefs.len() {
+                let cref = self.crefs[id];
+                if !self.is_deleted(cref) {
+                    let lits = cref as usize + HEADER;
+                    let len = self.clause_len(cref);
+                    self.arena[lits..lits + len].sort_unstable();
                 }
             }
             let sub_units = self.subsume_bounded(&mut work);
@@ -1131,8 +1302,8 @@ impl SatSolver {
                 Some(cref) => {
                     // lits[0] is the propagated literal; the rest are its
                     // antecedents.
-                    for k in 1..self.clauses[cref].lits.len() {
-                        let q = self.clauses[cref].lits[k];
+                    for k in 1..self.clause_len(cref) {
+                        let q = self.clause_lit(cref, k);
                         let qv = q.var().0 as usize;
                         if !self.seen[qv] && self.level[qv] > 0 {
                             self.seen[qv] = true;
@@ -1187,9 +1358,9 @@ impl SatSolver {
         let start = Instant::now();
         let mut restart_num = 1u64;
         let mut conflicts_until_restart = 32 * Self::luby(restart_num);
-        // `clauses.len()` counts tombstones too; basing the limit on the
-        // live count instead would change the search.
-        let mut max_learnts = (self.clauses.len() / 3).max(1000);
+        // Every clause ever attached counts, tombstones too; basing the
+        // limit on the live count instead would change the search.
+        let mut max_learnts = (self.crefs.len() / 3).max(1000);
         let mut decisions = 0u64;
         loop {
             if let Some(conflict) = self.propagate() {
@@ -1205,7 +1376,7 @@ impl SatSolver {
                 } else {
                     let uip = learnt[0];
                     let lbd = self.compute_lbd(&learnt);
-                    let cref = self.attach_clause(learnt, true, lbd);
+                    let cref = self.attach_clause(&learnt, true, lbd);
                     self.bump_clause(cref);
                     self.enqueue(uip, Some(cref));
                 }
@@ -1637,7 +1808,7 @@ mod tests {
     fn clause_counters_match_recount_on_every_path() {
         // `num_clauses` and `num_learnts` are kept incrementally; every
         // path that adds, deletes or promotes a clause must leave them
-        // equal to a full recount of the clause vector.
+        // equal to a full recount of the clause arena.
         fn check(s: &SatSolver) -> (usize, usize) {
             let counts = (s.num_clauses(), s.num_learnts());
             assert_eq!(counts, s.recount());
@@ -1652,9 +1823,9 @@ mod tests {
         s.add_clause(&[v[3], v[4], v[5]]);
         assert_eq!(check(&s), (3, 0));
         // Learnt attach: one binary plus twenty reducible ternaries.
-        s.attach_clause(vec![v[3], v[4]], true, 2);
+        s.attach_clause(&[v[3], v[4]], true, 2);
         for i in 10..30 {
-            s.attach_clause(vec![v[i], v[i + 1], v[i + 2]], true, 3);
+            s.attach_clause(&[v[i], v[i + 1], v[i + 2]], true, 3);
         }
         assert_eq!(check(&s), (24, 21));
         // reduce_db deletes half of the ternaries and keeps the binary.
@@ -1665,15 +1836,16 @@ mod tests {
         assert!(s.simplify());
         assert_eq!(check(&s), (12, 10));
         let promoted = s
-            .clauses
+            .crefs
             .iter()
-            .find(|c| !c.deleted && c.lits.contains(&v[3]));
-        assert!(!promoted.expect("(3 4) kept").learnt);
+            .copied()
+            .find(|&cr| !s.is_deleted(cr) && s.clause_words(cr).contains(&v[3].0));
+        assert!(!s.is_learnt(promoted.expect("(3 4) kept")));
         // Level-0 stripping: with 6 true, the learnt (7 8 6) is satisfied
         // and the learnt (9 ¬6) reduces to the unit 9; both are deleted.
         s.add_clause(&[v[6]]);
-        s.attach_clause(vec![v[7], v[8], v[6]], true, 3);
-        s.attach_clause(vec![v[9], v[6].negate()], true, 2);
+        s.attach_clause(&[v[7], v[8], v[6]], true, 3);
+        s.attach_clause(&[v[9], v[6].negate()], true, 2);
         assert_eq!(check(&s), (14, 12));
         assert!(s.simplify());
         assert_eq!(check(&s), (12, 10));
@@ -1753,5 +1925,155 @@ mod tests {
             let got = warm.solve(Budget::unlimited());
             assert_eq!(got, fresh, "batch {batch} diverged: {all:?}");
         }
+    }
+
+    /// A deterministic xorshift stream for the randomized tests.
+    fn xorshift(mut state: u64) -> impl FnMut() -> u64 {
+        move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        }
+    }
+
+    /// A clause of `len` literals over distinct variables below `nvars`,
+    /// as sorted literal codes.
+    fn random_clause(rng: &mut impl FnMut() -> u64, nvars: u64, len: usize) -> Vec<u32> {
+        let mut vars: Vec<u64> = Vec::new();
+        while vars.len() < len {
+            let v = rng() % nvars;
+            if !vars.contains(&v) {
+                vars.push(v);
+            }
+        }
+        let mut c: Vec<u32> = vars
+            .iter()
+            .map(|&v| Lit::new(SatVar(v as u32), rng().is_multiple_of(2)).0)
+            .collect();
+        c.sort_unstable();
+        c
+    }
+
+    #[test]
+    fn signature_rejection_implies_no_subsumption() {
+        // 160 variables share the 64 signature bits, so signatures alias:
+        // the filter may pass a pair the merge then rejects, but it must
+        // never reject a pair the merge would accept.
+        let mut rng = xorshift(0x51A7_0E1D);
+        let (mut rejected, mut aliased, mut merged) = (0, 0, 0);
+        for _ in 0..20_000 {
+            let c_len = 1 + (rng() % 8) as usize;
+            let c = random_clause(&mut rng, 160, c_len);
+            let d = if rng().is_multiple_of(2) {
+                let d_len = 1 + (rng() % 12) as usize;
+                random_clause(&mut rng, 160, d_len)
+            } else {
+                // C's literals, perhaps one flipped, plus extra variables.
+                let mut d = c.clone();
+                if rng().is_multiple_of(2) {
+                    let k = (rng() % d.len() as u64) as usize;
+                    d[k] ^= 1;
+                }
+                let extra = (rng() % 6) as usize;
+                for w in random_clause(&mut rng, 160, extra) {
+                    if !d.iter().any(|&x| x >> 1 == w >> 1) {
+                        d.push(w);
+                    }
+                }
+                d.sort_unstable();
+                d
+            };
+            let result = SatSolver::subsumes(&c, &d);
+            if signature(&c) & !signature(&d) != 0 {
+                assert_eq!(result, None, "signature rejected {c:?} vs {d:?}");
+                rejected += 1;
+            } else if result.is_none() {
+                aliased += 1;
+            } else {
+                merged += 1;
+            }
+        }
+        assert!(rejected > 0 && aliased > 0 && merged > 0);
+    }
+
+    #[test]
+    fn long_lived_solver_agrees_with_fresh_through_reductions() {
+        // Random 3-SAT near the threshold, kept in one solver across
+        // rounds: the learnt database is reduced at least twice, a unit
+        // added before each simplify shrinks clauses in place, and every
+        // round solves under assumptions. Each round must match a fresh
+        // solver given the same clauses and assumptions.
+        let mut rng = xorshift(0x0DDB_A11E);
+        let (n, m) = (200u64, 852);
+        // A hidden model keeps the clauses satisfiable without assumptions.
+        let planted: Vec<bool> = (0..n).map(|_| rng().is_multiple_of(2)).collect();
+        let satisfied = |c: &[Lit]| {
+            c.iter()
+                .any(|l| planted[l.var().0 as usize] == l.is_positive())
+        };
+        let mut clauses: Vec<Vec<Lit>> = Vec::new();
+        while clauses.len() < m {
+            let c: Vec<Lit> = random_clause(&mut rng, n, 3).into_iter().map(Lit).collect();
+            if satisfied(&c) {
+                clauses.push(c);
+            }
+        }
+        let mut warm = SatSolver::new();
+        for _ in 0..n {
+            warm.new_var();
+        }
+        for c in &clauses {
+            warm.add_clause(c);
+        }
+        let (mut reductions, mut shrunk, mut sat_rounds, mut unsat_rounds) = (0, 0, 0, 0);
+        for round in 0..40 {
+            let assumptions: Vec<Lit> =
+                random_clause(&mut rng, n, 4).into_iter().map(Lit).collect();
+            let got = warm.solve_assuming(&assumptions, Budget::unlimited());
+            reductions += warm.stats().reductions;
+            let mut fresh = SatSolver::new();
+            for _ in 0..n {
+                fresh.new_var();
+            }
+            for c in &clauses {
+                fresh.add_clause(c);
+            }
+            let want = fresh.solve_assuming(&assumptions, Budget::unlimited());
+            assert_eq!(got, want, "round {round}");
+            let holds = |l: &Lit| warm.value(l.var()) == Some(l.is_positive());
+            match got {
+                SatOutcome::Sat => {
+                    sat_rounds += 1;
+                    assert!(assumptions.iter().all(holds), "round {round}");
+                    for c in &clauses {
+                        assert!(c.iter().any(holds), "round {round}: {c:?} false");
+                    }
+                }
+                SatOutcome::Unsat => {
+                    unsat_rounds += 1;
+                    for l in warm.failed_assumptions() {
+                        assert!(assumptions.contains(l), "round {round}");
+                    }
+                }
+                other => panic!("round {round}: {other:?} without a budget"),
+            }
+            // A unit of the hidden model, then a simplify that strips its
+            // negation out of live clauses.
+            let v = SatVar((rng() % n) as u32);
+            let unit = Lit::new(v, planted[v.0 as usize]);
+            clauses.push(vec![unit]);
+            warm.add_clause(&[unit]);
+            let lens: Vec<usize> = warm.crefs.iter().map(|&cr| warm.clause_len(cr)).collect();
+            warm.simplify();
+            shrunk += warm.crefs[..lens.len()]
+                .iter()
+                .zip(&lens)
+                .filter(|&(&cr, &len)| !warm.is_deleted(cr) && warm.clause_len(cr) < len)
+                .count();
+        }
+        assert!(reductions >= 2, "reduce_db ran {reductions} times");
+        assert!(shrunk > 0, "simplify shrank no clause in place");
+        assert!(sat_rounds > 0 && unsat_rounds > 0);
     }
 }

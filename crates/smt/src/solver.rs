@@ -575,9 +575,8 @@ impl<'a> IncrementalSolver<'a> {
             self.sat.new_var();
             self.synced_vars += 1;
         }
-        let clauses = self.bb.cnf.clauses();
-        while self.synced_clauses < clauses.len() {
-            self.sat.add_clause(&clauses[self.synced_clauses]);
+        while self.synced_clauses < self.bb.cnf.num_clauses() {
+            self.sat.add_clause(self.bb.cnf.clause(self.synced_clauses));
             self.synced_clauses += 1;
         }
         reused
