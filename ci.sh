@@ -16,9 +16,9 @@ ALIVE2_FULL_CORPUS=1 cargo test -q --offline --workspace
 # blows a deliberately small term-memory budget. The run must complete
 # every remaining job and exit 0 with one crash and one oom in the
 # summary; verdict counts must be identical at --jobs 1 and --jobs 4 and
-# across a killed-then-resumed journal.
-cargo build --release --offline --example alive_tv
-TV=target/release/examples/alive_tv
+# across a killed-then-resumed journal. The `alive2_tv` bin comes from
+# the workspace build above.
+TV=target/release/alive2_tv
 SMOKE=$(mktemp -d)
 trap 'rm -rf "$SMOKE"' EXIT
 
@@ -90,6 +90,22 @@ counters() {
 counters "$SMOKE/par.out" > "$SMOKE/par.cnt"
 counters "$SMOKE/seq.out" > "$SMOKE/seq.cnt"
 cmp "$SMOKE/par.cnt" "$SMOKE/seq.cnt"
+
+# ---- examples smoke ----
+# The examples finish their runs through the same driver tail as the
+# bins: validate_app must print the --stats report, write a trace with
+# balanced B/E events, and end its profile with the rule-fires trailer.
+cargo build --release --offline -q --example validate_app
+target/release/examples/validate_app bzip2 --jobs 2 --stats \
+    --trace "$SMOKE/app_trace.json" --profile "$SMOKE/app_prof.jsonl" \
+    > "$SMOKE/app.out" 2> "$SMOKE/app.err"
+grep -q 'phase breakdown' "$SMOKE/app.out"
+grep -q 'rule fires' "$SMOKE/app.out"
+B=$(grep -c '"ph":"B"' "$SMOKE/app_trace.json")
+E=$(grep -c '"ph":"E"' "$SMOKE/app_trace.json")
+test "$B" -gt 0
+test "$B" -eq "$E"
+tail -n 1 "$SMOKE/app_prof.jsonl" | grep -q '"rule_fires"'
 
 # ---- query-cache smoke (see DESIGN.md, "Query caching") ----
 # Cold run populates the on-disk tier; the warm rerun must reach the

@@ -83,7 +83,7 @@ fn main() {
         );
         grand.add(total);
     }
-    finish_obs(&obs, &grand);
+    finish_obs(&obs, &grand.stats, grand.millis * 1_000);
     print_summary_json("fig6", &grand);
     println!("\nPaper shape: #correct decreases slightly with the factor (timeouts),");
     println!("#incorrect grows as deeper iterations come into scope, and wall-clock");

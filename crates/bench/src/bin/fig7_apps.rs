@@ -47,7 +47,7 @@ fn main() {
         grand.add(counts);
     }
     print_fig7_row("TOTAL", &grand);
-    finish_obs(&obs, &grand);
+    finish_obs(&obs, &grand.stats, grand.millis * 1_000);
     print_summary_json("fig7", &grand);
     println!("\nPaper shape: most pairs validate; a small number of genuine");
     println!("refinement failures (the select canonicalization); the rest split");

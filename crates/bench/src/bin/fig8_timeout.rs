@@ -64,7 +64,7 @@ fn main() {
         );
         grand.add(total);
     }
-    finish_obs(&obs, &grand);
+    finish_obs(&obs, &grand.stats, grand.millis * 1_000);
     print_summary_json("fig8", &grand);
     println!("\nPaper shape: the number of definitive results plateaus once the");
     println!("timeout is large enough, while running time keeps growing with it.");

@@ -83,7 +83,7 @@ fn main() {
     }
     engine.fold_supervision_into(&mut counts.stats);
     counts.millis = started.elapsed().as_millis() as u64;
-    finish_obs(&obs, &counts);
+    finish_obs(&obs, &counts.stats, counts.millis * 1_000);
     print_summary_json("known_bugs", &counts);
     println!("\n{detected} detected / {missed} missed (paper: 29 / 7)");
     if detected != 29 || missed != 7 {

@@ -1,28 +1,11 @@
-//! `serve_bench` — the validation-as-a-service experiment (BENCH_pr10).
-//!
-//! Measures what the daemon's warm state buys on the §8.5 known-bugs
-//! corpus: a cold one-shot CLI run (spawn `known_bugs`, pay process
-//! startup + a fresh query cache) against a warm `alive2-serve` daemon
-//! re-validating the same 36 pairs as its second batch (startup
-//! amortized, in-memory query cache populated by batch 1). Both sides
-//! run `--no-incremental` so every discharge flows through the
-//! cache-eligible one-shot solver path, and both run the same
-//! `--jobs` so the delta is warm state, not thread count.
-//!
-//! Prints one BENCH-shaped JSON object (`alive2-report` compatible:
-//! labeled passes with `wall_ms` + `summary`) carrying the derived
-//! rates, the warm/cold live-solve split, and the acceptance flags
-//! (verdict parity, warm cache hits, memory under budget).
-//!
-//! `--emit-requests` instead prints the corpus as two `validate`
-//! request lines (ids `batch-1`, `batch-2`) for piping into a daemon —
-//! ci.sh uses this for the serve smoke.
+//! `serve_bench --emit-requests` — prints the §8.5 known-bugs corpus as
+//! two `validate` request lines (ids `batch-1`, `batch-2`) for piping
+//! into an `alive2-serve` daemon. ci.sh's serve smoke and the benchmark
+//! README use it; the daemon's warm-cache latency is measured by the
+//! benchmark's `warm_serve` workload.
 
 use alive2_testgen::known_bugs::known_bugs;
-use std::io::{BufRead, BufReader, Write};
-use std::path::PathBuf;
-use std::process::{Command, Stdio};
-use std::time::Instant;
+use std::process::ExitCode;
 
 fn esc(s: &str) -> String {
     s.replace('\\', "\\\\")
@@ -49,200 +32,12 @@ fn batch_line(id: &str) -> String {
     )
 }
 
-/// Extracts an integer field from a JSON line by name.
-fn num_field(line: &str, name: &str) -> u64 {
-    let key = format!("\"{name}\":");
-    let at = line
-        .find(&key)
-        .unwrap_or_else(|| panic!("no {name} in {line}"));
-    line[at + key.len()..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect::<String>()
-        .parse()
-        .unwrap()
-}
-
-/// Extracts a balanced `"name":{...}` object from a JSON line by brace
-/// counting (the stats object nests histograms).
-fn obj_field(line: &str, name: &str) -> String {
-    let key = format!("\"{name}\":{{");
-    let at = line
-        .find(&key)
-        .unwrap_or_else(|| panic!("no {name} in {line}"));
-    let start = at + key.len() - 1;
-    let mut depth = 0usize;
-    for (i, c) in line[start..].char_indices() {
-        match c {
-            '{' => depth += 1,
-            '}' => {
-                depth -= 1;
-                if depth == 0 {
-                    return line[start..=start + i].to_string();
-                }
-            }
-            _ => {}
-        }
+fn main() -> ExitCode {
+    if !std::env::args().skip(1).any(|a| a == "--emit-requests") {
+        eprintln!("usage: serve_bench --emit-requests");
+        return ExitCode::from(2);
     }
-    panic!("unbalanced {name} in {line}");
-}
-
-/// Live SAT work: fresh one-shot solves plus incremental-solver calls.
-fn live_solves(line: &str) -> u64 {
-    num_field(line, "sat_solves") + num_field(line, "incremental_solves")
-}
-
-const VERDICT_COLS: [&str; 7] = [
-    "pairs",
-    "correct",
-    "incorrect",
-    "timeout",
-    "oom",
-    "unsupported",
-    "crash",
-];
-
-/// Sibling binary in the same target directory as this one.
-fn sibling(name: &str) -> PathBuf {
-    std::env::current_exe()
-        .expect("current_exe")
-        .parent()
-        .expect("target dir")
-        .join(name)
-}
-
-/// A BENCH pass record: `alive2-report` reads `wall_ms`, the live-solve
-/// split, and the `summary` verdict columns.
-fn pass_record(wall_ms: u64, summary: &str) -> String {
-    format!(
-        "{{\"wall_ms\":{wall_ms},\"sat_solves\":{},\"incremental_solves\":{},\
-         \"cache_hits\":{},\"summary\":{summary}}}",
-        num_field(summary, "sat_solves"),
-        num_field(summary, "incremental_solves"),
-        num_field(summary, "cache_hits"),
-    )
-}
-
-/// Rebuilds a summary object (verdict columns + stats) from a daemon
-/// batch-done line, named like the CLI harness so `alive2-report`'s
-/// cross-file parity check groups them with known_bugs rows.
-fn summary_of_done(done: &str) -> String {
-    let cols: Vec<String> = VERDICT_COLS
-        .iter()
-        .map(|c| format!("\"{c}\":{}", num_field(done, c)))
-        .collect();
-    format!(
-        "{{\"name\":\"known_bugs\",{},\"stats\":{}}}",
-        cols.join(","),
-        obj_field(done, "stats")
-    )
-}
-
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--emit-requests") {
-        println!("{}", batch_line("batch-1"));
-        println!("{}", batch_line("batch-2"));
-        return;
-    }
-    let jobs = alive2_core::cli::flag_value::<usize>(&args, "--jobs")
-        .unwrap_or(1)
-        .to_string();
-
-    // Cold side: the one-shot CLI, timed spawn-to-exit (process startup,
-    // parsing, and a fresh query cache are all part of what the daemon
-    // amortizes). Exit 0 certifies the 29/7 detected/missed split.
-    let started = Instant::now();
-    let out = Command::new(sibling("known_bugs"))
-        .args(["--jobs", &jobs, "--no-incremental"])
-        .output()
-        .expect("spawn known_bugs (build it into the same target dir first)");
-    let cli_wall = started.elapsed().as_millis().max(1) as u64;
-    assert!(out.status.success(), "known_bugs must report 29/7: {out:?}");
-    let text = String::from_utf8_lossy(&out.stdout);
-    let cli_sum = text
-        .lines()
-        .filter(|l| l.contains("\"name\":\"known_bugs\""))
-        .next_back()
-        .expect("known_bugs summary line")
-        .to_string();
-
-    // Warm side: one daemon, the same corpus twice. Batch 1 populates
-    // the in-memory query cache; batch 2 is the warm measurement. The
-    // stats request goes in only after both batches are done so the
-    // scrape sees the post-work cache meters.
-    let mut child = Command::new(sibling("alive2-serve"))
-        .args([
-            "--jobs",
-            &jobs,
-            "--no-incremental",
-            "--mem-budget-mb",
-            "512",
-        ])
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("spawn alive2-serve (build it into the same target dir first)");
-    let mut stdin = Some(child.stdin.take().unwrap());
-    let mut reader = BufReader::new(child.stdout.take().unwrap());
-    {
-        let w = stdin.as_mut().unwrap();
-        writeln!(w, "{}", batch_line("batch-1")).unwrap();
-        writeln!(w, "{}", batch_line("batch-2")).unwrap();
-        w.flush().unwrap();
-    }
-    let mut done: Vec<String> = Vec::new();
-    let mut stats_scrape = String::new();
-    loop {
-        let mut line = String::new();
-        if reader.read_line(&mut line).expect("read daemon stdout") == 0 {
-            break;
-        }
-        if line.contains("\"done\":true") {
-            done.push(line.trim().to_string());
-            if done.len() == 2 {
-                let w = stdin.as_mut().unwrap();
-                writeln!(w, "{{\"id\":\"scrape\",\"op\":\"stats\"}}").unwrap();
-                w.flush().unwrap();
-            }
-        } else if line.contains("\"op\":\"stats\"") {
-            stats_scrape = line.trim().to_string();
-            // EOF drains the (empty) queue and exits the daemon cleanly.
-            stdin = None;
-        }
-    }
-    assert!(child.wait().expect("wait daemon").success(), "daemon exit");
-    assert_eq!(done.len(), 2, "two batch-done lines: {done:#?}");
-    let (b1, b2) = (&done[0], &done[1]);
-
-    // Acceptance meters.
-    let parity = VERDICT_COLS.iter().all(|c| {
-        num_field(&cli_sum, c) == num_field(b1, c) && num_field(&cli_sum, c) == num_field(b2, c)
-    });
-    let warm_hits = num_field(b2, "cache_hits");
-    let warm_wall = num_field(b2, "wall_ms").max(1);
-    let pairs = num_field(&cli_sum, "pairs");
-    let budget_bytes = 512u64 << 20;
-    let cache_mem = num_field(&stats_scrape, "cache_mem_bytes");
-
-    println!(
-        "{{\"cold_cli\":{},\"warm_daemon_batch1\":{},\"warm_daemon_batch2\":{},\
-         \"pairs_per_sec\":{{\"cold_cli\":{:.2},\"warm_daemon\":{:.2}}},\
-         \"speedup_warm_vs_cold\":{:.2},\
-         \"live_solves\":{{\"cold_cli\":{},\"warm_daemon_batch2\":{}}},\
-         \"warm_fewer_live_solves\":{},\"warm_cache_hits\":{warm_hits},\
-         \"cache_mem_bytes\":{cache_mem},\"mem_budget_mb\":512,\"mem_under_budget\":{},\
-         \"verdict_parity\":{parity}}}",
-        pass_record(cli_wall, &cli_sum),
-        pass_record(num_field(b1, "wall_ms").max(1), &summary_of_done(b1)),
-        pass_record(warm_wall, &summary_of_done(b2)),
-        pairs as f64 * 1000.0 / cli_wall as f64,
-        pairs as f64 * 1000.0 / warm_wall as f64,
-        cli_wall as f64 / warm_wall as f64,
-        live_solves(&cli_sum),
-        live_solves(b2),
-        live_solves(b2) < live_solves(&cli_sum),
-        cache_mem < budget_bytes,
-    );
+    println!("{}", batch_line("batch-1"));
+    println!("{}", batch_line("batch-2"));
+    ExitCode::SUCCESS
 }

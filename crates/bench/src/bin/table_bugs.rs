@@ -120,7 +120,7 @@ fn main() {
     }
     engine.fold_supervision_into(&mut counts.stats);
     counts.millis = started.elapsed().as_millis() as u64;
-    finish_obs(&obs, &counts);
+    finish_obs(&obs, &counts.stats, counts.millis * 1_000);
     print_summary_json("table_bugs", &counts);
 
     println!("§8.2: refinement violations by category\n");

@@ -25,57 +25,9 @@ pub use alive2_core::engine::Counts;
 // same engine on both sides of the fork; re-exported here so the bench
 // bins and external users keep their import paths.
 pub use alive2_core::cli::{
-    cache_from_args, config_from_args, engine_from_args, flag_value, obs_from_args, ObsConfig,
+    cache_from_args, config_from_args, engine_from_args, finish_obs, flag_value, obs_from_args,
+    ObsConfig,
 };
-
-/// Emits the post-run observability artifacts: the `--stats` report on
-/// stdout and the `--trace` Chrome JSON file. Call after the run
-/// completes and *before* [`print_summary_json`], so the summary stays
-/// the last line of output (the contract `ci.sh` relies on).
-pub fn finish_obs(obs: &ObsConfig, c: &Counts) {
-    if obs.stats {
-        print!(
-            "{}",
-            alive2_core::obs::report::render_phase_table(c.millis * 1_000)
-        );
-        print!("{}", alive2_core::obs::report::render_counters(&c.stats));
-        print!(
-            "{}",
-            alive2_core::obs::report::render_top_queries(&alive2_core::obs::profile::summary())
-        );
-    }
-    if obs.profile.is_some() {
-        match alive2_core::obs::profile::finish_sink(&c.stats) {
-            Ok(Some((path, lines))) => {
-                eprintln!(
-                    "profile: wrote {lines} query profiles to {}",
-                    path.display()
-                );
-            }
-            Ok(None) => {}
-            Err(e) => {
-                eprintln!("error: cannot finish profile sink: {e}");
-                std::process::exit(2);
-            }
-        }
-    }
-    if let Some(path) = &obs.trace {
-        match alive2_core::obs::trace::write_chrome(path) {
-            Ok(n) => {
-                let dropped = alive2_core::obs::trace::dropped();
-                if dropped > 0 {
-                    eprintln!("trace: wrote {n} events to {path} ({dropped} dropped)");
-                } else {
-                    eprintln!("trace: wrote {n} events to {path}");
-                }
-            }
-            Err(e) => {
-                eprintln!("error: cannot write trace `{path}`: {e}");
-                std::process::exit(2);
-            }
-        }
-    }
-}
 
 /// Prints the machine-readable run summary consumed by `ci.sh` and the
 /// resume-parity checks: a single JSON line holding the full [`Counts`],
@@ -83,18 +35,11 @@ pub fn finish_obs(obs: &ObsConfig, c: &Counts) {
 /// times (`phases`, all zero unless `--stats`/`--trace` armed timing).
 pub fn print_summary_json(name: &str, c: &Counts) {
     println!(
-        "{{\"name\":\"{}\",\"pairs\":{},\"diff\":{},\"correct\":{},\"incorrect\":{},\
-         \"timeout\":{},\"oom\":{},\"unsupported\":{},\"crash\":{},\
-         \"stats\":{},\"phases\":{}}}",
+        "{{\"name\":\"{}\",\"pairs\":{},\"diff\":{},{},\"stats\":{},\"phases\":{}}}",
         name,
         c.pairs,
         c.diff,
-        c.correct,
-        c.incorrect,
-        c.timeout,
-        c.oom,
-        c.unsupported,
-        c.crash,
+        c.verdicts_json(),
         c.stats.to_json_obj(),
         alive2_core::obs::report::phases_json_obj(c.millis * 1_000)
     );
@@ -259,62 +204,6 @@ mod tests {
         assert!(seq.same_verdicts(&par));
         assert_eq!(seq.pairs, par.pairs);
         assert_eq!(seq.diff, par.diff);
-    }
-
-    #[test]
-    fn engine_from_args_parses_flags() {
-        let args: Vec<String> = ["--jobs", "3", "--deadline-ms", "250"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let e = engine_from_args(&args);
-        assert_eq!(e.workers, 3);
-        assert_eq!(e.deadline_ms, Some(250));
-        let e2 = engine_from_args(&[]);
-        assert!(e2.workers >= 1);
-        assert_eq!(e2.deadline_ms, None);
-    }
-
-    #[test]
-    fn config_from_args_parses_mem_budget() {
-        let args: Vec<String> = ["--mem-budget-mb", "64"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let cfg = config_from_args(&args, EncodeConfig::default());
-        assert_eq!(cfg.mem_budget_mb, Some(64));
-        let base = EncodeConfig::with_mem_budget_mb(8);
-        let kept = config_from_args(&[], base);
-        assert_eq!(kept.mem_budget_mb, Some(8));
-    }
-
-    #[test]
-    fn config_from_args_parses_no_incremental() {
-        let cfg = config_from_args(&[], EncodeConfig::default());
-        assert!(cfg.incremental, "incremental is the default");
-        let args = vec!["--no-incremental".to_string()];
-        let cfg = config_from_args(&args, EncodeConfig::default());
-        assert!(!cfg.incremental);
-        // A base that already disabled it stays disabled.
-        let base = EncodeConfig {
-            incremental: false,
-            ..EncodeConfig::default()
-        };
-        assert!(!config_from_args(&[], base).incremental);
-    }
-
-    #[test]
-    fn config_from_args_parses_no_rewrite() {
-        let cfg = config_from_args(&[], EncodeConfig::default());
-        assert!(cfg.rewrite, "rewriting is the default");
-        let args = vec!["--no-rewrite".to_string()];
-        let cfg = config_from_args(&args, EncodeConfig::default());
-        assert!(!cfg.rewrite);
-        let base = EncodeConfig {
-            rewrite: false,
-            ..EncodeConfig::default()
-        };
-        assert!(!config_from_args(&[], base).rewrite);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! The shared CLI convention for every driver (bench bins, examples, the
-//! `alive2_tv` binary): engine construction, encoder configuration,
-//! observability flags, and the persistent query cache.
+//! `alive2_tv` and `alive2-serve` binaries): engine construction, encoder
+//! configuration, observability flags and the post-run tail that honours
+//! them ([`finish_obs`]), and the persistent query cache.
 //!
 //! This lives in `alive2-core` (rather than the bench crate) because the
 //! process supervisor needs it on both sides of the fork: the parent
@@ -12,6 +13,7 @@
 use crate::engine::ValidationEngine;
 use crate::journal::{Journal, ResumeLog};
 use crate::supervisor::{SuperviseSpec, WorkerShard};
+use alive2_obs::StatsTotals;
 use alive2_sema::config::EncodeConfig;
 use std::sync::Arc;
 
@@ -67,7 +69,7 @@ pub fn sanitize_child_args(args: &[String]) -> Vec<String> {
 
 /// Returns the positional (non-flag) arguments: everything left after
 /// skipping the shared convention's flags and their values. Drivers with
-/// extra value-taking flags of their own (e.g. `alive_tv`'s `--unroll`)
+/// extra value-taking flags of their own (e.g. `alive2_tv`'s `--unroll`)
 /// list them in `extra_valued`.
 pub fn positional_args(args: &[String], extra_valued: &[&str]) -> Vec<String> {
     const VALUED: &[&str] = &[
@@ -259,6 +261,51 @@ pub fn obs_from_args(args: &[String]) -> ObsConfig {
     }
 }
 
+/// Emits the observability artifacts a driver owes its flags once the
+/// run is over: the `--stats` report on stdout, the `--profile` trailer
+/// (which also flushes the sink), and the `--trace` Chrome JSON file.
+/// Call it before printing the summary line, which must stay the last
+/// line of stdout (the contract `ci.sh` relies on). `wall_us` is the
+/// run's wall time in microseconds.
+///
+/// Exits with a diagnostic if the profile or trace file cannot be
+/// written — a half-written triage artifact must not look complete.
+pub fn finish_obs(obs: &ObsConfig, stats: &StatsTotals, wall_us: u64) {
+    use alive2_obs::{profile, report, trace};
+    if obs.stats {
+        print!("{}", report::render_phase_table(wall_us));
+        print!("{}", report::render_counters(stats));
+        print!("{}", report::render_top_queries(&profile::summary()));
+    }
+    if obs.profile.is_some() {
+        match profile::finish_sink(stats) {
+            Ok(Some((path, lines))) => {
+                eprintln!(
+                    "profile: wrote {lines} query profiles to {}",
+                    path.display()
+                );
+            }
+            Ok(None) => {}
+            Err(e) => {
+                eprintln!("error: cannot finish profile sink: {e}");
+                std::process::exit(2);
+            }
+        }
+    }
+    if let Some(path) = &obs.trace {
+        match trace::write_chrome(path) {
+            Ok(n) => match trace::dropped() {
+                0 => eprintln!("trace: wrote {n} events to {path}"),
+                dropped => eprintln!("trace: wrote {n} events to {path} ({dropped} dropped)"),
+            },
+            Err(e) => {
+                eprintln!("error: cannot write trace `{path}`: {e}");
+                std::process::exit(2);
+            }
+        }
+    }
+}
+
 /// Arms the persistent query-cache tier from the shared CLI convention:
 /// `--cache DIR` loads every cache file in `DIR` into the in-process
 /// query cache and appends new canonical-CNF results to this process's
@@ -399,5 +446,13 @@ mod tests {
         );
         assert!(config_from_args(&[], EncodeConfig::default()).rewrite);
         assert!(!config_from_args(&argv(&["--no-rewrite"]), EncodeConfig::default()).rewrite);
+        // A base that already disabled either one keeps it disabled.
+        let off = EncodeConfig {
+            incremental: false,
+            rewrite: false,
+            ..EncodeConfig::default()
+        };
+        assert!(!config_from_args(&[], off).incremental);
+        assert!(!config_from_args(&[], off).rewrite);
     }
 }

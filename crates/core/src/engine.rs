@@ -138,6 +138,17 @@ impl Counts {
             && self.unsupported == other.unsupported
             && self.crash == other.crash
     }
+
+    /// The verdict columns as a JSON fragment, `"correct":N,…,"crash":N`
+    /// without braces: every summary and daemon line that reports them
+    /// writes them through here, in this order.
+    pub fn verdicts_json(&self) -> String {
+        format!(
+            "\"correct\":{},\"incorrect\":{},\"timeout\":{},\"oom\":{},\"unsupported\":{},\
+             \"crash\":{}",
+            self.correct, self.incorrect, self.timeout, self.oom, self.unsupported, self.crash
+        )
+    }
 }
 
 /// Source of engine identities in the query cache's term tier: every

@@ -593,9 +593,8 @@ impl Daemon {
         format!(
             "{{\"id\":\"{}\",\"op\":\"stats\",\"uptime_ms\":{},\"batches\":{},\"pairs\":{},\
              \"queued_pairs\":{},\"rejected\":{},\"malformed\":{},\"gc_resets\":{},\
-             \"cache_entries\":{},\"cache_mem_bytes\":{},\"mem_budget_mb\":{},\
-             \"correct\":{},\"incorrect\":{},\"timeout\":{},\"oom\":{},\"unsupported\":{},\
-             \"crash\":{},\"stats\":{},\"phases\":{}}}",
+             \"cache_entries\":{},\"cache_mem_bytes\":{},\"mem_budget_mb\":{},{},\
+             \"stats\":{},\"phases\":{}}}",
             esc(id),
             uptime_us / 1_000,
             self.batches.load(Ordering::Relaxed),
@@ -607,12 +606,7 @@ impl Daemon {
             cache.len(),
             cache.mem_bytes(),
             self.opts.mem_budget_mb.unwrap_or(0),
-            totals.correct,
-            totals.incorrect,
-            totals.timeout,
-            totals.oom,
-            totals.unsupported,
-            totals.crash,
+            totals.verdicts_json(),
             totals.stats.to_json_obj(),
             alive2_obs::report::phases_json_obj(uptime_us),
         )
@@ -767,18 +761,12 @@ fn pair_line(id: &str, pair: &str, o: &Outcome) -> String {
 
 fn batch_done_line(id: &str, client: &str, c: &Counts) -> String {
     format!(
-        "{{\"id\":\"{}\",\"client\":\"{}\",\"done\":true,\"pairs\":{},\"correct\":{},\
-         \"incorrect\":{},\"timeout\":{},\"oom\":{},\"unsupported\":{},\"crash\":{},\
+        "{{\"id\":\"{}\",\"client\":\"{}\",\"done\":true,\"pairs\":{},{},\
          \"wall_ms\":{},\"stats\":{}}}",
         esc(id),
         esc(client),
         c.pairs,
-        c.correct,
-        c.incorrect,
-        c.timeout,
-        c.oom,
-        c.unsupported,
-        c.crash,
+        c.verdicts_json(),
         c.millis,
         c.stats.to_json_obj()
     )

@@ -3,7 +3,7 @@
 
 use crate::profile::ProfileSummary;
 use crate::span::{phase_total_ns, Phase, BREAKDOWN};
-use crate::stats::StatsTotals;
+use crate::stats::{Group, StatsTotals, COUNTERS};
 
 /// Renders the summary-JSON `phases` object: per-phase busy time plus
 /// the run's wall time, all in microseconds. At `--jobs 1` the phase
@@ -59,7 +59,9 @@ fn mib(bytes: u64) -> f64 {
     bytes as f64 / (1024.0 * 1024.0)
 }
 
-/// Renders the `--stats` counter-totals block.
+/// Renders the `--stats` counter-totals block: one line per counter
+/// group, walking the table's rows, plus the derived figures (the SMT
+/// check total, hit rates, the memory peak) and the hand-written fields.
 pub fn render_counters(t: &StatsTotals) -> String {
     let mut out = String::new();
     out.push_str("-- counters -------------------------------------\n");
@@ -67,62 +69,33 @@ pub fn render_counters(t: &StatsTotals) -> String {
         "  jobs {}, refinement queries {}\n",
         t.jobs, t.queries
     ));
-    out.push_str(&format!(
-        "  smt checks {} (sat {} / unsat {} / unknown {})\n",
-        t.smt_sat + t.smt_unsat + t.smt_unknown,
-        t.smt_sat,
-        t.smt_unsat,
-        t.smt_unknown
-    ));
-    out.push_str(&format!(
-        "  cegqi iterations {} (iteration cap exhausted {})\n",
-        t.cegqi_iters, t.cegqi_iter_exhausted
-    ));
-    let probes = t.cache_hits + t.cache_misses;
-    let hit_rate = if probes == 0 {
-        0.0
-    } else {
-        100.0 * t.cache_hits as f64 / probes as f64
-    };
-    out.push_str(&format!(
-        "  query cache: hits {} ({:.1}%), misses {}, revalidation misses {}; live SAT solves {}\n",
-        t.cache_hits, hit_rate, t.cache_misses, t.cache_reval, t.sat_solves
-    ));
-    out.push_str(&format!(
-        "  incremental solver: checks {}, clauses reused {}, learnts kept {}, assumption cores {}\n",
-        t.incremental_solves, t.clauses_reused, t.learnts_kept, t.assumption_cores
-    ));
-    out.push_str(&format!(
-        "  term rewriting: discharged {}, residue {}, rule steps {}\n",
-        t.rewrite_discharged, t.rewrite_residue, t.rewrite_steps
-    ));
-    out.push_str(&format!(
-        "    rule fires: sum-normalize {}, bitwise-absorb {}, shift/extract {}, \
-         ite/cmp {}, eq-cancel {}, div-fold {}\n",
-        t.rw_sum_normalize,
-        t.rw_bitwise_absorb,
-        t.rw_shift_extract,
-        t.rw_ite_cmp,
-        t.rw_eq_cancel,
-        t.rw_div_fold
-    ));
-    out.push_str(&format!(
-        "  instructions encoded {}, approximations {}\n",
-        t.insts_encoded, t.approx
-    ));
-    out.push_str(&format!(
-        "  term nodes {}, hash-cons hits {} ({:.1}%), peak term mem {:.2} MiB\n",
-        t.terms,
-        t.hc_hits,
-        100.0 * t.hc_hit_rate(),
-        mib(t.mem_peak_bytes)
-    ));
-    out.push_str(&format!(
-        "  per-job busy: encode {:.1} ms, solve {:.1} ms; queue wait {} ms total\n",
-        t.encode_us as f64 / 1_000.0,
-        t.solve_us as f64 / 1_000.0,
-        t.queue_ms
-    ));
+    let values = t.values();
+    for group in Group::ALL {
+        let rows: Vec<String> = COUNTERS
+            .iter()
+            .zip(values)
+            .filter(|(c, _)| c.group == group)
+            .map(|(c, v)| format!("{} {v}", c.label))
+            .collect();
+        let derived = match group {
+            Group::Smt => format!(" ({} in total)", t.smt_sat + t.smt_unsat + t.smt_unknown),
+            Group::Cache => format!(
+                " ({:.1}% hits)",
+                pct(t.cache_hits, t.cache_hits + t.cache_misses)
+            ),
+            Group::Terms => format!(
+                " ({:.1}% hits), peak term mem {:.2} MiB",
+                pct(t.hc_hits, t.hc_hits + t.hc_misses),
+                mib(t.mem_peak_bytes)
+            ),
+            _ => String::new(),
+        };
+        out.push_str(&format!(
+            "  {}: {}{derived}\n",
+            group.title(),
+            rows.join(", ")
+        ));
+    }
     out.push_str(&format!(
         "  supervision: pairs quarantined {} (watchdog kills {}), worker restarts {}, shards retried {}\n",
         t.pairs_quarantined, t.watchdog_kills, t.worker_restarts, t.shards_retried

@@ -33,9 +33,10 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Instant;
 
 /// A point in the validation lifecycle; doubles as the span taxonomy.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum Phase {
     /// Waiting in the engine's work queue (job-phase only; no spans).
+    #[default]
     Queued,
     /// IR text -> module (`ir::parser`).
     Parse,

@@ -13,48 +13,357 @@
 //! [`Outcome`](../../alive2_core/engine/struct.Outcome.html));
 //! [`StatsTotals`] is the run-level aggregate embedded in `Counts` and in
 //! every driver's summary JSON.
+//!
+//! Every counter is declared once, as one row of the `counters!` table
+//! below. The row generates its thread-local slot, its recorder, its
+//! field in both records, its share of the snapshot delta, the
+//! aggregation and the parity check, its JSON key in both encoders and
+//! decoders, and its line in the `--stats` report. The fields a row
+//! cannot express (the job header, the nested histograms, the memory
+//! peak, and the supervision counters whose totals keys differ from
+//! their job keys) are written by hand next to the table.
 
 use crate::hist::Hist;
 use crate::json::JsonValue;
 use crate::span::Phase;
 use std::cell::{Cell, RefCell};
+use std::fmt::Write as _;
+
+/// Whether a counter must agree between runs that differ only in
+/// scheduling: `--jobs N` against `--jobs 1`, `--procs N` against
+/// `--procs 1`, and a resumed run against an uninterrupted one.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Class {
+    /// Deterministic per job; compared by [`StatsTotals::same_counters`].
+    Det,
+    /// Query-cache traffic: with a cache shared across jobs, whichever
+    /// job solves a formula first takes the miss.
+    Sched,
+    /// Wall-clock and queue time.
+    Time,
+    /// Supervision events, fault-dependent by construction. The
+    /// supervision counters are hand-written beside the table (their
+    /// totals keys differ from their job keys), and like every
+    /// non-`Det` counter they are left out of `same_counters`.
+    Fault,
+}
+
+/// The `--stats` report line a counter is printed on.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Group {
+    Smt,
+    Cegqi,
+    Cache,
+    Incremental,
+    Rewrite,
+    RuleFires,
+    Encode,
+    Terms,
+    Busy,
+}
+
+impl Group {
+    /// Every group, in report order.
+    pub const ALL: [Group; 9] = [
+        Group::Smt,
+        Group::Cegqi,
+        Group::Cache,
+        Group::Incremental,
+        Group::Rewrite,
+        Group::RuleFires,
+        Group::Encode,
+        Group::Terms,
+        Group::Busy,
+    ];
+
+    /// The report line's title.
+    pub fn title(self) -> &'static str {
+        match self {
+            Group::Smt => "smt checks",
+            Group::Cegqi => "cegqi",
+            Group::Cache => "query cache",
+            Group::Incremental => "incremental solver",
+            Group::Rewrite => "term rewriting",
+            Group::RuleFires => "rule fires",
+            Group::Encode => "encoding",
+            Group::Terms => "term context",
+            Group::Busy => "per-job busy",
+        }
+    }
+}
+
+/// One row of the counter table, as the report and the tests see it.
+#[derive(Clone, Copy, Debug)]
+pub struct Counter {
+    /// Key in the journal and summary `stats` objects.
+    pub key: &'static str,
+    pub class: Class,
+    pub group: Group,
+    /// Name on the `--stats` report line.
+    pub label: &'static str,
+}
+
+/// Where a row's per-job value comes from.
+enum Source {
+    /// A thread-local counter, bumped by the row's recorder (the rule
+    /// families by [`record_rewrite_family`]).
+    Thread,
+    /// Nanoseconds that span close adds to a thread-local
+    /// ([`add_phase_ns`]); the job keeps microseconds.
+    Span,
+    /// Set on the record by the validator or the engine.
+    Job,
+}
+
+/// Declares the counter table. A row reads
+///
+/// ```text
+/// /// doc
+/// field: u32 = "json_key", Class, Group "report label", Source recorder(n);
+/// ```
+///
+/// where the recorder is optional and takes `n: u64` when written with
+/// an argument (else it counts one). Rows come in runs, `fn name { … }`:
+/// the named method writes the run's keys to JSON, so the encoders can
+/// place the hand-written keys between runs, in the order the journal
+/// has always used.
+macro_rules! counters {
+    (@recorder $field:ident [$($doc:tt)*]) => {};
+    (@recorder $field:ident [$($doc:tt)*] $rec:ident()) => {
+        $($doc)*
+        pub fn $rec() {
+            bump(Row::$field, 1);
+        }
+    };
+    (@recorder $field:ident [$($doc:tt)*] $rec:ident($n:ident)) => {
+        $($doc)*
+        pub fn $rec($n: u64) {
+            bump(Row::$field, $n);
+        }
+    };
+    ($(fn $run:ident {$(
+        $(#[$doc:meta])*
+        $field:ident: $ty:ident = $key:literal, $class:ident, $group:ident $label:literal,
+            $src:ident $($rec:ident($($n:ident)?))?;
+    )*})*) => {
+        /// Row indices, which are also the thread-local slots.
+        #[allow(non_camel_case_types)]
+        enum Row {
+            $($($field,)*)*
+        }
+
+        const ROWS: usize = [$($(Row::$field,)*)*].len();
+
+        /// The table's rows, in row order (which is JSON order).
+        pub const COUNTERS: [Counter; ROWS] = [$($(Counter {
+            key: $key,
+            class: Class::$class,
+            group: Group::$group,
+            label: $label,
+        },)*)*];
+
+        $($(counters!(@recorder $field [$(#[$doc])*] $($rec($($n)?))?);)*)*
+
+        /// Statistics for one validation job. Journaled alongside the
+        /// verdict (so `--resume` reconstructs run telemetry) and attached
+        /// to crash outcomes as the partial record of how far the job got.
+        #[derive(Clone, Copy, Debug, Default)]
+        pub struct JobStats {
+            /// Refinement queries dispatched (§5.3 steps).
+            pub queries: u32,
+            /// Wall-clock milliseconds for the job.
+            pub millis: u64,
+            /// Furthest lifecycle phase reached; `Done` for conclusive
+            /// verdicts, the firing phase for Timeout/OOM/Crash.
+            pub phase: Phase,
+            $($($(#[$doc])* pub $field: $ty,)*)*
+            /// Query-metric histograms: wall latency per check (µs),
+            /// canonical CNF clauses per check, CDCL conflicts per live
+            /// solve. Journaled with the job, so they survive `--resume`
+            /// and shard merge. Only the CNF histogram is deterministic
+            /// across parallelism (it is recorded before any cache
+            /// lookup), so only its buckets are compared by
+            /// [`StatsTotals::same_counters`].
+            pub h_latency_us: Hist,
+            pub h_cnf_clauses: Hist,
+            pub h_conflicts: Hist,
+            /// Peak estimated term memory (the `Ctx` allocation meter).
+            pub mem_bytes: u64,
+            /// 1 when the process supervisor quarantined the pair (its
+            /// worker process kept dying or hanging on it), else 0.
+            /// Quarantined pairs carry a synthesized Crash/Timeout verdict.
+            pub quarantined: u32,
+            /// 1 when the quarantine was caused by the per-shard watchdog
+            /// SIGKILLing a hung worker (the verdict is Timeout), else 0.
+            pub watchdog_kill: u32,
+        }
+
+        /// Run-level aggregate of [`JobStats`], embedded in `Counts` and
+        /// in the drivers' summary JSON.
+        #[derive(Clone, Copy, Debug, Default)]
+        pub struct StatsTotals {
+            /// Jobs aggregated (incl. synthesized outcomes for skipped pairs).
+            pub jobs: u64,
+            pub queries: u64,
+            $($($(#[$doc])* pub $field: u64,)*)*
+            /// Merged query histograms (bucket-wise sums of the per-job ones).
+            pub h_latency_us: Hist,
+            pub h_cnf_clauses: Hist,
+            pub h_conflicts: Hist,
+            /// Maximum per-job peak term memory seen.
+            pub mem_peak_bytes: u64,
+            /// Pairs quarantined by the supervisor (`--procs N`).
+            pub pairs_quarantined: u64,
+            /// Quarantined pairs whose worker the watchdog SIGKILLed.
+            pub watchdog_kills: u64,
+            /// Replacement worker processes spawned after an abnormal
+            /// child exit (a run-level event the engine folds in).
+            pub worker_restarts: u64,
+            /// Shard retry events: backoff requeues and crash bisections.
+            pub shards_retried: u64,
+        }
+
+        impl JobStats {
+            fn absorb_rows(&mut self, now: &[u64; ROWS], snap: &[u64; ROWS]) {
+                $($(
+                    let d = now[Row::$field as usize].saturating_sub(snap[Row::$field as usize]);
+                    match Source::$src {
+                        Source::Thread => self.$field = d as $ty,
+                        Source::Span => self.$field = (d / 1_000) as $ty,
+                        Source::Job => {}
+                    }
+                )*)*
+            }
+
+            fn read_rows(&mut self, v: &JsonValue) {
+                $($(self.$field = v.num($key) as $ty;)*)*
+            }
+
+            $(fn $run(&self, out: &mut String) {
+                $(let _ = write!(out, concat!(",\"", $key, "\":{}"), self.$field);)*
+            })*
+        }
+
+        impl StatsTotals {
+            fn add_rows(&mut self, job: &JobStats) {
+                $($(self.$field += u64::from(job.$field);)*)*
+            }
+
+            fn merge_rows(&mut self, other: &StatsTotals) {
+                $($(self.$field += other.$field;)*)*
+            }
+
+            fn same_rows(&self, other: &StatsTotals) -> bool {
+                true $($(&& (Class::$class != Class::Det || self.$field == other.$field))*)*
+            }
+
+            fn read_rows(&mut self, v: &JsonValue) {
+                $($(self.$field = v.num($key);)*)*
+            }
+
+            /// The table's counters in row order, matching [`COUNTERS`].
+            pub fn values(&self) -> [u64; ROWS] {
+                [$($(self.$field,)*)*]
+            }
+
+            $(fn $run(&self, out: &mut String) {
+                $(let _ = write!(out, concat!(",\"", $key, "\":{}"), self.$field);)*
+            })*
+        }
+    };
+}
+
+counters! {
+    fn write_solver_rows {
+        /// SMT checks answered `Sat`.
+        smt_sat: u32 = "sat", Det, Smt "sat", Thread record_smt_sat();
+        /// SMT checks answered `Unsat`.
+        smt_unsat: u32 = "unsat", Det, Smt "unsat", Thread record_smt_unsat();
+        /// SMT checks with no answer (timeout or memory exhaustion).
+        smt_unknown: u32 = "unknown", Det, Smt "unknown", Thread record_smt_unknown();
+        /// CEGQI refinement-loop iterations, across all queries.
+        cegqi_iters: u32 = "cegqi", Det, Cegqi "iterations", Thread record_cegqi_iter();
+        /// IR instructions encoded (source + target).
+        insts_encoded: u32 = "insts", Det, Encode "instructions",
+            Thread record_insts_encoded(n);
+        /// §3.8 over-approximations applied while encoding.
+        approx: u32 = "approx", Det, Encode "approximations", Thread record_approx();
+        /// Live one-shot SAT solves: checks not answered from the query cache.
+        sat_solves: u32 = "sat_solves", Sched, Cache "live SAT solves",
+            Thread record_sat_solve();
+        /// SMT checks answered from the query cache.
+        cache_hits: u32 = "cache_hits", Sched, Cache "hits", Thread record_cache_hit();
+        /// SMT checks that missed the query cache and solved live.
+        cache_misses: u32 = "cache_misses", Sched, Cache "misses", Thread record_cache_miss();
+        /// Cached `Sat` models that failed re-validation and fell back to a
+        /// live solve (counted in addition to the miss-path live solve).
+        cache_reval: u32 = "cache_reval", Sched, Cache "revalidation misses",
+            Thread record_cache_reval();
+        /// Checks dispatched on a live incremental solver, which is private
+        /// to its job (not counted as a live one-shot solve).
+        incremental_solves: u32 = "incremental_solves", Det, Incremental "checks",
+            Thread record_incremental_solve();
+        /// Clauses already resident in a warm incremental solver that a
+        /// check reused instead of re-blasting and re-loading them.
+        clauses_reused: u64 = "clauses_reused", Det, Incremental "clauses reused",
+            Thread record_clauses_reused(n);
+        /// Learned clauses alive in a warm solver at the start of an
+        /// incremental check (the warm-start payload).
+        learnts_kept: u64 = "learnts_kept", Det, Incremental "learnts kept",
+            Thread record_learnts_kept(n);
+        /// Incremental checks that came back unsat under assumptions with a
+        /// non-trivial failed-assumption core.
+        assumption_cores: u32 = "assumption_cores", Det, Incremental "assumption cores",
+            Thread record_assumption_core();
+        /// CEGQI loops that gave up at their iteration cap (a timeout
+        /// verdict, distinct from a wall-clock timeout).
+        cegqi_iter_exhausted: u32 = "cegqi_iter_exhausted", Det, Cegqi "iteration cap exhausted",
+            Thread record_cegqi_iter_exhausted();
+        /// Obligations the term-rewrite pass reduced to a boolean literal:
+        /// no CNF was built and no solver ran.
+        rewrite_discharged: u32 = "rewrite_discharged", Det, Rewrite "discharged",
+            Thread record_rewrite_discharged();
+        /// Rewrite rules fired while simplifying obligations.
+        rewrite_steps: u64 = "rewrite_steps", Det, Rewrite "rule steps",
+            Thread record_rewrite_steps(n);
+        /// Rewritten obligations that did not reach a literal and fell
+        /// through to bit-blasting.
+        rewrite_residue: u32 = "rewrite_residue", Det, Rewrite "residue",
+            Thread record_rewrite_residue();
+        /// Rule fires per [`RewriteFamily`]; the six partition the rule steps.
+        rw_sum_normalize: u64 = "rw_sum", Det, RuleFires "sum-normalize", Thread;
+        rw_bitwise_absorb: u64 = "rw_bitwise", Det, RuleFires "bitwise-absorb", Thread;
+        rw_shift_extract: u64 = "rw_shift", Det, RuleFires "shift/extract", Thread;
+        rw_ite_cmp: u64 = "rw_itecmp", Det, RuleFires "ite/cmp", Thread;
+        rw_eq_cancel: u64 = "rw_eq", Det, RuleFires "eq-cancel", Thread;
+        rw_div_fold: u64 = "rw_div", Det, RuleFires "div-fold", Thread;
+    }
+    // The nested `hist` object comes here.
+    fn write_term_rows {
+        /// Term-DAG nodes live in the job's context at completion.
+        terms: u32 = "terms", Det, Terms "nodes", Job;
+        /// Hash-cons lookups that hit an existing node.
+        hc_hits: u64 = "hc_hits", Det, Terms "hash-cons hits", Job;
+        /// Hash-cons lookups that allocated a new node.
+        hc_misses: u64 = "hc_misses", Det, Terms "hash-cons misses", Job;
+    }
+    // The memory peak comes here.
+    fn write_busy_rows {
+        /// Busy time inside encode spans, µs (0 unless `--stats`/`--trace`).
+        encode_us: u64 = "encode_us", Time, Busy "encode us", Span;
+        /// Busy time inside solve spans, µs (0 unless `--stats`/`--trace`).
+        solve_us: u64 = "solve_us", Time, Busy "solve us", Span;
+        /// Milliseconds between run start and the job's pickup.
+        queue_ms: u64 = "queue_ms", Time, Busy "queue wait ms", Job;
+    }
+    // The supervision counters come last.
+}
 
 // ---- thread-local monotonic counters -------------------------------------
 
-#[derive(Clone, Copy, Default)]
-struct Block {
-    smt_sat: u64,
-    smt_unsat: u64,
-    smt_unknown: u64,
-    cegqi_iters: u64,
-    insts_encoded: u64,
-    approx: u64,
-    sat_solves: u64,
-    cache_hits: u64,
-    cache_misses: u64,
-    cache_reval: u64,
-    incremental_solves: u64,
-    clauses_reused: u64,
-    learnts_kept: u64,
-    assumption_cores: u64,
-    cegqi_iter_exhausted: u64,
-    rewrite_discharged: u64,
-    rewrite_steps: u64,
-    rewrite_residue: u64,
-    rw_sum_normalize: u64,
-    rw_bitwise_absorb: u64,
-    rw_shift_extract: u64,
-    rw_ite_cmp: u64,
-    rw_eq_cancel: u64,
-    rw_div_fold: u64,
-    encode_ns: u64,
-    solve_ns: u64,
-}
-
-/// The per-thread query histograms. Kept out of [`Block`] (which is
-/// copied whole on every counter bump) and updated in place: a
-/// histogram record touches one bucket, not 1.5 KB of array.
-#[derive(Clone, Copy, Default)]
+/// The per-thread query histograms, updated in place: a histogram record
+/// touches one bucket, not 1.5 KB of array.
+#[derive(Clone, Copy, Debug, Default)]
 struct HistBlock {
     latency_us: Hist,
     cnf_clauses: Hist,
@@ -62,155 +371,26 @@ struct HistBlock {
 }
 
 thread_local! {
-    static BLOCK: Cell<Block> = const {
-        Cell::new(Block {
-            smt_sat: 0,
-            smt_unsat: 0,
-            smt_unknown: 0,
-            cegqi_iters: 0,
-            insts_encoded: 0,
-            approx: 0,
-            sat_solves: 0,
-            cache_hits: 0,
-            cache_misses: 0,
-            cache_reval: 0,
-            incremental_solves: 0,
-            clauses_reused: 0,
-            learnts_kept: 0,
-            assumption_cores: 0,
-            cegqi_iter_exhausted: 0,
-            rewrite_discharged: 0,
-            rewrite_steps: 0,
-            rewrite_residue: 0,
-            rw_sum_normalize: 0,
-            rw_bitwise_absorb: 0,
-            rw_shift_extract: 0,
-            rw_ite_cmp: 0,
-            rw_eq_cancel: 0,
-            rw_div_fold: 0,
-            encode_ns: 0,
-            solve_ns: 0,
-        })
-    };
-
+    static COUNTS: [Cell<u64>; ROWS] = const { [const { Cell::new(0) }; ROWS] };
     static HISTS: RefCell<HistBlock> = RefCell::new(HistBlock::default());
 }
 
-fn bump(f: impl FnOnce(&mut Block)) {
-    BLOCK.with(|b| {
-        let mut block = b.get();
-        f(&mut block);
-        b.set(block);
+fn bump(row: Row, n: u64) {
+    COUNTS.with(|c| {
+        let slot = &c[row as usize];
+        slot.set(slot.get() + n);
     });
 }
 
-/// One SMT check answered `Sat`.
-pub fn record_smt_sat() {
-    bump(|b| b.smt_sat += 1);
-}
-
-/// One SMT check answered `Unsat`.
-pub fn record_smt_unsat() {
-    bump(|b| b.smt_unsat += 1);
-}
-
-/// One SMT check gave no answer (timeout or memory exhaustion).
-pub fn record_smt_unknown() {
-    bump(|b| b.smt_unknown += 1);
-}
-
-/// One CEGQI refinement-loop iteration ran.
-pub fn record_cegqi_iter() {
-    bump(|b| b.cegqi_iters += 1);
-}
-
-/// `n` IR instructions were encoded.
-pub fn record_insts_encoded(n: u64) {
-    bump(|b| b.insts_encoded += n);
-}
-
-/// One §3.8 over-approximation was applied.
-pub fn record_approx() {
-    bump(|b| b.approx += 1);
-}
-
-/// One live SAT solve ran (a query that was not answered from the cache).
-pub fn record_sat_solve() {
-    bump(|b| b.sat_solves += 1);
-}
-
-/// One SMT check was answered from the query cache.
-pub fn record_cache_hit() {
-    bump(|b| b.cache_hits += 1);
-}
-
-/// One SMT check missed the query cache and solved live.
-pub fn record_cache_miss() {
-    bump(|b| b.cache_misses += 1);
-}
-
-/// One cached `Sat` model failed re-validation and fell back to a live
-/// solve (counted in addition to the miss-path live solve).
-pub fn record_cache_reval() {
-    bump(|b| b.cache_reval += 1);
-}
-
-/// One check was dispatched on a live incremental solver (as opposed to
-/// a fresh one-shot solve of a canonical CNF, which `sat_solves` counts).
-pub fn record_incremental_solve() {
-    bump(|b| b.incremental_solves += 1);
-}
-
-/// `n` clauses already resident in a warm incremental solver were reused
-/// by a check instead of being re-blasted and re-loaded.
-pub fn record_clauses_reused(n: u64) {
-    bump(|b| b.clauses_reused += n);
-}
-
-/// `n` learned clauses were still alive in a warm solver at the start of
-/// an incremental check (the warm-start payload).
-pub fn record_learnts_kept(n: u64) {
-    bump(|b| b.learnts_kept += n);
-}
-
-/// One incremental check came back unsat-under-assumptions with a
-/// non-trivial failed-assumption core.
-pub fn record_assumption_core() {
-    bump(|b| b.assumption_cores += 1);
-}
-
-/// One CEGQI loop gave up by exhausting its iteration cap (reported as a
-/// timeout verdict, but distinct from a wall-clock timeout).
-pub fn record_cegqi_iter_exhausted() {
-    bump(|b| b.cegqi_iter_exhausted += 1);
-}
-
-/// One refinement obligation was rewritten to a boolean literal by the
-/// term-level saturation pass — no CNF was built and no solver ran.
-pub fn record_rewrite_discharged() {
-    bump(|b| b.rewrite_discharged += 1);
-}
-
-/// `n` rewrite rules fired while simplifying obligations.
-pub fn record_rewrite_steps(n: u64) {
-    bump(|b| b.rewrite_steps += n);
-}
-
-/// The current thread's monotonic `rewrite_steps` total. The profiling
+/// The current thread's monotonic rule-step total. The profiling
 /// layer brackets a simplify call with two reads to attribute rule
 /// firings to one query.
 pub fn rewrite_steps_now() -> u64 {
-    BLOCK.with(|b| b.get().rewrite_steps)
-}
-
-/// One rewritten obligation did not reach a literal and fell through to
-/// bit-blasting (the rewrite pass's residue).
-pub fn record_rewrite_residue() {
-    bump(|b| b.rewrite_residue += 1);
+    COUNTS.with(|c| c[Row::rewrite_steps as usize].get())
 }
 
 /// The rewrite rule families tracked per fire (satellite of the
-/// profiling layer). The family sums partition `rewrite_steps` exactly:
+/// profiling layer). The family sums partition the rule steps exactly:
 /// every dispatch arm of `rewrite_node` maps to one family.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RewriteFamily {
@@ -234,14 +414,17 @@ pub fn record_rewrite_family(family: RewriteFamily, n: u64) {
     if n == 0 {
         return;
     }
-    bump(|b| match family {
-        RewriteFamily::SumNormalize => b.rw_sum_normalize += n,
-        RewriteFamily::BitwiseAbsorb => b.rw_bitwise_absorb += n,
-        RewriteFamily::ShiftExtract => b.rw_shift_extract += n,
-        RewriteFamily::IteCmp => b.rw_ite_cmp += n,
-        RewriteFamily::EqCancel => b.rw_eq_cancel += n,
-        RewriteFamily::DivFold => b.rw_div_fold += n,
-    });
+    bump(
+        match family {
+            RewriteFamily::SumNormalize => Row::rw_sum_normalize,
+            RewriteFamily::BitwiseAbsorb => Row::rw_bitwise_absorb,
+            RewriteFamily::ShiftExtract => Row::rw_shift_extract,
+            RewriteFamily::IteCmp => Row::rw_ite_cmp,
+            RewriteFamily::EqCancel => Row::rw_eq_cancel,
+            RewriteFamily::DivFold => Row::rw_div_fold,
+        },
+        n,
+    );
 }
 
 /// One query took `us` µs of wall time (histogram sample).
@@ -265,8 +448,8 @@ pub fn record_query_conflicts(n: u64) {
 /// thread's per-job encode/solve time (only those two are job-attributed).
 pub(crate) fn add_phase_ns(phase: Phase, ns: u64) {
     match phase {
-        Phase::Encode => bump(|b| b.encode_ns += ns),
-        Phase::Solve => bump(|b| b.solve_ns += ns),
+        Phase::Encode => bump(Row::encode_us, ns),
+        Phase::Solve => bump(Row::solve_us, ns),
         _ => {}
     }
 }
@@ -274,637 +457,194 @@ pub(crate) fn add_phase_ns(phase: Phase, ns: u64) {
 /// An opaque snapshot of this thread's counters; see [`JobStats::absorb_since`].
 #[derive(Clone, Copy, Debug)]
 pub struct CounterSnapshot {
-    block: Block,
+    counts: [u64; ROWS],
     hists: HistBlock,
 }
 
-impl std::fmt::Debug for Block {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Block").finish_non_exhaustive()
-    }
-}
-
-impl std::fmt::Debug for HistBlock {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("HistBlock").finish_non_exhaustive()
-    }
+fn counts_now() -> [u64; ROWS] {
+    COUNTS.with(|c| std::array::from_fn(|i| c[i].get()))
 }
 
 /// Snapshots the current thread's monotonic counters and histograms.
 pub fn counters_snapshot() -> CounterSnapshot {
     CounterSnapshot {
-        block: BLOCK.with(|b| b.get()),
+        counts: counts_now(),
         hists: HISTS.with(|h| *h.borrow()),
     }
 }
 
+// ---- JSON helpers --------------------------------------------------------
+
+/// Writes the nested `hist` object (latency, CNF size, conflicts).
+fn write_hists(out: &mut String, [latency, cnf, conflicts]: [&Hist; 3]) {
+    let _ = write!(
+        out,
+        ",\"hist\":{{\"latency_us\":{},\"cnf_clauses\":{},\"conflicts\":{}}}",
+        latency.to_json_obj(),
+        cnf.to_json_obj(),
+        conflicts.to_json_obj()
+    );
+}
+
+/// Reads the nested `hist` object; a missing histogram is empty, so
+/// pre-histogram journals stay loadable.
+fn read_hists(v: &JsonValue) -> [Hist; 3] {
+    ["latency_us", "cnf_clauses", "conflicts"].map(|name| {
+        v.get("hist")
+            .and_then(|h| h.get(name))
+            .map(Hist::from_json)
+            .unwrap_or_default()
+    })
+}
+
 // ---- per-job stats -------------------------------------------------------
-
-/// Statistics for one validation job. Journaled alongside the verdict
-/// (so `--resume` reconstructs run telemetry) and attached to crash
-/// outcomes as the partial record of how far the job got.
-#[derive(Clone, Copy, Debug)]
-pub struct JobStats {
-    /// Refinement queries dispatched (§5.3 steps).
-    pub queries: u32,
-    /// Wall-clock milliseconds for the job.
-    pub millis: u64,
-    /// Furthest lifecycle phase reached; `Done` for conclusive verdicts,
-    /// the firing phase for Timeout/OOM/Crash.
-    pub phase: Phase,
-    /// SMT checks answered sat / unsat / unknown (timeout, OOM).
-    pub smt_sat: u32,
-    pub smt_unsat: u32,
-    pub smt_unknown: u32,
-    /// CEGQI loop iterations across all queries.
-    pub cegqi_iters: u32,
-    /// IR instructions encoded (source + target).
-    pub insts_encoded: u32,
-    /// §3.8 over-approximations applied while encoding.
-    pub approx: u32,
-    /// Live SAT solves (checks not answered from the query cache).
-    pub sat_solves: u32,
-    /// SMT checks answered from the query cache / missed it. These are
-    /// *scheduling-dependent* with a shared cross-job cache (whichever
-    /// job runs a formula first takes the miss), unlike the smt_* splits.
-    pub cache_hits: u32,
-    pub cache_misses: u32,
-    /// Cached `Sat` models that failed re-validation (fell back to live).
-    pub cache_reval: u32,
-    /// Checks dispatched on a live incremental solver (not counted in
-    /// `sat_solves`, which stays "fresh one-shot canonical-CNF solves").
-    pub incremental_solves: u32,
-    /// Clauses already resident in a warm solver when a check reused it.
-    pub clauses_reused: u64,
-    /// Learned clauses alive at the start of warm incremental checks.
-    pub learnts_kept: u64,
-    /// Incremental checks that failed with a non-trivial assumption core.
-    pub assumption_cores: u32,
-    /// CEGQI loops that exhausted their iteration cap (vs. wall clock).
-    pub cegqi_iter_exhausted: u32,
-    /// Obligations the term-rewrite pass reduced to a literal (no solve).
-    pub rewrite_discharged: u32,
-    /// Rewrite rules fired while simplifying this job's obligations.
-    pub rewrite_steps: u64,
-    /// Rewritten obligations that still needed bit-blasting.
-    pub rewrite_residue: u32,
-    /// Per-family rewrite fire counts; they partition `rewrite_steps`
-    /// (see [`RewriteFamily`]). Deterministic, like the aggregate.
-    pub rw_sum_normalize: u64,
-    pub rw_bitwise_absorb: u64,
-    pub rw_shift_extract: u64,
-    pub rw_ite_cmp: u64,
-    pub rw_eq_cancel: u64,
-    pub rw_div_fold: u64,
-    /// Query-metric histograms: wall latency per check (µs), canonical
-    /// CNF clauses per check, CDCL conflicts per live solve. Journaled
-    /// with the job, so they survive `--resume` and shard-merge. The
-    /// CNF histogram is recorded before any cache lookup and is
-    /// deterministic across parallelism; latency is time-based and
-    /// conflicts depend on cache traffic, so only the CNF buckets are
-    /// compared by `StatsTotals::same_counters`.
-    pub h_latency_us: Hist,
-    pub h_cnf_clauses: Hist,
-    pub h_conflicts: Hist,
-    /// Term-DAG nodes live in the job's context at completion.
-    pub terms: u32,
-    /// Hash-cons lookups that hit an existing node / allocated a new one.
-    pub hc_hits: u64,
-    pub hc_misses: u64,
-    /// Peak estimated term memory (the `Ctx` allocation meter).
-    pub mem_bytes: u64,
-    /// Busy time inside encode / solve spans (µs; 0 unless `--stats`/`--trace`).
-    pub encode_us: u64,
-    pub solve_us: u64,
-    /// Milliseconds between run start and this job's pickup.
-    pub queue_ms: u64,
-    /// 1 when the pair was quarantined by the process supervisor (its
-    /// worker process kept dying or hanging on it), else 0. Quarantined
-    /// pairs carry a synthesized Crash/Timeout verdict.
-    pub quarantined: u32,
-    /// 1 when the quarantine was caused by the per-shard watchdog
-    /// SIGKILLing a hung worker (the pair's verdict is Timeout), else 0.
-    pub watchdog_kill: u32,
-}
-
-impl Default for JobStats {
-    fn default() -> Self {
-        JobStats {
-            queries: 0,
-            millis: 0,
-            phase: Phase::Queued,
-            smt_sat: 0,
-            smt_unsat: 0,
-            smt_unknown: 0,
-            cegqi_iters: 0,
-            insts_encoded: 0,
-            approx: 0,
-            sat_solves: 0,
-            cache_hits: 0,
-            cache_misses: 0,
-            cache_reval: 0,
-            incremental_solves: 0,
-            clauses_reused: 0,
-            learnts_kept: 0,
-            assumption_cores: 0,
-            cegqi_iter_exhausted: 0,
-            rewrite_discharged: 0,
-            rewrite_steps: 0,
-            rewrite_residue: 0,
-            rw_sum_normalize: 0,
-            rw_bitwise_absorb: 0,
-            rw_shift_extract: 0,
-            rw_ite_cmp: 0,
-            rw_eq_cancel: 0,
-            rw_div_fold: 0,
-            h_latency_us: Hist::default(),
-            h_cnf_clauses: Hist::default(),
-            h_conflicts: Hist::default(),
-            terms: 0,
-            hc_hits: 0,
-            hc_misses: 0,
-            mem_bytes: 0,
-            encode_us: 0,
-            solve_us: 0,
-            queue_ms: 0,
-            quarantined: 0,
-            watchdog_kill: 0,
-        }
-    }
-}
 
 impl JobStats {
     /// Fills the counter fields from the difference between the current
     /// thread counters and `snap` (taken when the job started). The
     /// deltas *overwrite*; call once, at job end (or at the crash site).
     pub fn absorb_since(&mut self, snap: &CounterSnapshot) {
-        let now = BLOCK.with(|b| b.get());
-        let d = |cur: u64, old: u64| cur.saturating_sub(old);
-        self.smt_sat = d(now.smt_sat, snap.block.smt_sat) as u32;
-        self.smt_unsat = d(now.smt_unsat, snap.block.smt_unsat) as u32;
-        self.smt_unknown = d(now.smt_unknown, snap.block.smt_unknown) as u32;
-        self.cegqi_iters = d(now.cegqi_iters, snap.block.cegqi_iters) as u32;
-        self.insts_encoded = d(now.insts_encoded, snap.block.insts_encoded) as u32;
-        self.approx = d(now.approx, snap.block.approx) as u32;
-        self.sat_solves = d(now.sat_solves, snap.block.sat_solves) as u32;
-        self.cache_hits = d(now.cache_hits, snap.block.cache_hits) as u32;
-        self.cache_misses = d(now.cache_misses, snap.block.cache_misses) as u32;
-        self.cache_reval = d(now.cache_reval, snap.block.cache_reval) as u32;
-        self.incremental_solves = d(now.incremental_solves, snap.block.incremental_solves) as u32;
-        self.clauses_reused = d(now.clauses_reused, snap.block.clauses_reused);
-        self.learnts_kept = d(now.learnts_kept, snap.block.learnts_kept);
-        self.assumption_cores = d(now.assumption_cores, snap.block.assumption_cores) as u32;
-        self.cegqi_iter_exhausted =
-            d(now.cegqi_iter_exhausted, snap.block.cegqi_iter_exhausted) as u32;
-        self.rewrite_discharged = d(now.rewrite_discharged, snap.block.rewrite_discharged) as u32;
-        self.rewrite_steps = d(now.rewrite_steps, snap.block.rewrite_steps);
-        self.rewrite_residue = d(now.rewrite_residue, snap.block.rewrite_residue) as u32;
-        self.rw_sum_normalize = d(now.rw_sum_normalize, snap.block.rw_sum_normalize);
-        self.rw_bitwise_absorb = d(now.rw_bitwise_absorb, snap.block.rw_bitwise_absorb);
-        self.rw_shift_extract = d(now.rw_shift_extract, snap.block.rw_shift_extract);
-        self.rw_ite_cmp = d(now.rw_ite_cmp, snap.block.rw_ite_cmp);
-        self.rw_eq_cancel = d(now.rw_eq_cancel, snap.block.rw_eq_cancel);
-        self.rw_div_fold = d(now.rw_div_fold, snap.block.rw_div_fold);
+        self.absorb_rows(&counts_now(), &snap.counts);
         let hists = HISTS.with(|h| *h.borrow());
         self.h_latency_us = hists.latency_us.delta_since(&snap.hists.latency_us);
         self.h_cnf_clauses = hists.cnf_clauses.delta_since(&snap.hists.cnf_clauses);
         self.h_conflicts = hists.conflicts.delta_since(&snap.hists.conflicts);
-        self.encode_us = d(now.encode_ns, snap.block.encode_ns) / 1_000;
-        self.solve_us = d(now.solve_ns, snap.block.solve_ns) / 1_000;
     }
 
     /// Renders the journal/summary `stats` object.
     pub fn to_json_obj(&self) -> String {
-        format!(
-            "{{\"phase\":\"{}\",\"queries\":{},\"millis\":{},\"sat\":{},\"unsat\":{},\
-             \"unknown\":{},\"cegqi\":{},\"insts\":{},\"approx\":{},\"sat_solves\":{},\
-             \"cache_hits\":{},\"cache_misses\":{},\"cache_reval\":{},\
-             \"incremental_solves\":{},\"clauses_reused\":{},\"learnts_kept\":{},\
-             \"assumption_cores\":{},\"cegqi_iter_exhausted\":{},\
-             \"rewrite_discharged\":{},\"rewrite_steps\":{},\"rewrite_residue\":{},\
-             \"rw_sum\":{},\"rw_bitwise\":{},\"rw_shift\":{},\"rw_itecmp\":{},\
-             \"rw_eq\":{},\"rw_div\":{},\
-             \"hist\":{{\"latency_us\":{},\"cnf_clauses\":{},\"conflicts\":{}}},\
-             \"terms\":{},\
-             \"hc_hits\":{},\"hc_misses\":{},\"mem_bytes\":{},\"encode_us\":{},\
-             \"solve_us\":{},\"queue_ms\":{},\"quarantined\":{},\"watchdog_kill\":{}}}",
+        let mut out = String::with_capacity(1024);
+        let _ = write!(
+            out,
+            "{{\"phase\":\"{}\",\"queries\":{},\"millis\":{}",
             self.phase.as_str(),
             self.queries,
-            self.millis,
-            self.smt_sat,
-            self.smt_unsat,
-            self.smt_unknown,
-            self.cegqi_iters,
-            self.insts_encoded,
-            self.approx,
-            self.sat_solves,
-            self.cache_hits,
-            self.cache_misses,
-            self.cache_reval,
-            self.incremental_solves,
-            self.clauses_reused,
-            self.learnts_kept,
-            self.assumption_cores,
-            self.cegqi_iter_exhausted,
-            self.rewrite_discharged,
-            self.rewrite_steps,
-            self.rewrite_residue,
-            self.rw_sum_normalize,
-            self.rw_bitwise_absorb,
-            self.rw_shift_extract,
-            self.rw_ite_cmp,
-            self.rw_eq_cancel,
-            self.rw_div_fold,
-            self.h_latency_us.to_json_obj(),
-            self.h_cnf_clauses.to_json_obj(),
-            self.h_conflicts.to_json_obj(),
-            self.terms,
-            self.hc_hits,
-            self.hc_misses,
-            self.mem_bytes,
-            self.encode_us,
-            self.solve_us,
-            self.queue_ms,
-            self.quarantined,
-            self.watchdog_kill,
-        )
+            self.millis
+        );
+        self.write_solver_rows(&mut out);
+        write_hists(
+            &mut out,
+            [&self.h_latency_us, &self.h_cnf_clauses, &self.h_conflicts],
+        );
+        self.write_term_rows(&mut out);
+        let _ = write!(out, ",\"mem_bytes\":{}", self.mem_bytes);
+        self.write_busy_rows(&mut out);
+        let _ = write!(
+            out,
+            ",\"quarantined\":{},\"watchdog_kill\":{}}}",
+            self.quarantined, self.watchdog_kill
+        );
+        out
     }
 
     /// Rebuilds stats from a parsed `stats` object. Tolerant: absent
     /// fields default to zero so old journals stay loadable.
     pub fn from_json(v: &JsonValue) -> JobStats {
-        JobStats {
+        let [h_latency_us, h_cnf_clauses, h_conflicts] = read_hists(v);
+        let mut s = JobStats {
             queries: v.num("queries") as u32,
             millis: v.num("millis"),
             phase: v
                 .get("phase")
                 .and_then(JsonValue::as_str)
                 .and_then(Phase::from_name)
-                .unwrap_or(Phase::Queued),
-            smt_sat: v.num("sat") as u32,
-            smt_unsat: v.num("unsat") as u32,
-            smt_unknown: v.num("unknown") as u32,
-            cegqi_iters: v.num("cegqi") as u32,
-            insts_encoded: v.num("insts") as u32,
-            approx: v.num("approx") as u32,
-            sat_solves: v.num("sat_solves") as u32,
-            cache_hits: v.num("cache_hits") as u32,
-            cache_misses: v.num("cache_misses") as u32,
-            cache_reval: v.num("cache_reval") as u32,
-            incremental_solves: v.num("incremental_solves") as u32,
-            clauses_reused: v.num("clauses_reused"),
-            learnts_kept: v.num("learnts_kept"),
-            assumption_cores: v.num("assumption_cores") as u32,
-            cegqi_iter_exhausted: v.num("cegqi_iter_exhausted") as u32,
-            rewrite_discharged: v.num("rewrite_discharged") as u32,
-            rewrite_steps: v.num("rewrite_steps"),
-            rewrite_residue: v.num("rewrite_residue") as u32,
-            rw_sum_normalize: v.num("rw_sum"),
-            rw_bitwise_absorb: v.num("rw_bitwise"),
-            rw_shift_extract: v.num("rw_shift"),
-            rw_ite_cmp: v.num("rw_itecmp"),
-            rw_eq_cancel: v.num("rw_eq"),
-            rw_div_fold: v.num("rw_div"),
-            h_latency_us: hist_field(v, "latency_us"),
-            h_cnf_clauses: hist_field(v, "cnf_clauses"),
-            h_conflicts: hist_field(v, "conflicts"),
-            terms: v.num("terms") as u32,
-            hc_hits: v.num("hc_hits"),
-            hc_misses: v.num("hc_misses"),
+                .unwrap_or_default(),
+            h_latency_us,
+            h_cnf_clauses,
+            h_conflicts,
             mem_bytes: v.num("mem_bytes"),
-            encode_us: v.num("encode_us"),
-            solve_us: v.num("solve_us"),
-            queue_ms: v.num("queue_ms"),
             quarantined: v.num("quarantined") as u32,
             watchdog_kill: v.num("watchdog_kill") as u32,
-        }
+            ..JobStats::default()
+        };
+        s.read_rows(v);
+        s
     }
 }
 
-/// Pulls one histogram out of a stats object's `hist` sub-object;
-/// empty when absent (pre-histogram journals stay loadable).
-fn hist_field(v: &JsonValue, name: &str) -> Hist {
-    v.get("hist")
-        .and_then(|h| h.get(name))
-        .map(Hist::from_json)
-        .unwrap_or_default()
-}
-
 // ---- run-level totals ----------------------------------------------------
-
-/// Run-level aggregate of [`JobStats`], embedded in `Counts` and in the
-/// drivers' summary JSON.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct StatsTotals {
-    /// Jobs aggregated (incl. synthesized outcomes for skipped pairs).
-    pub jobs: u64,
-    pub queries: u64,
-    pub smt_sat: u64,
-    pub smt_unsat: u64,
-    pub smt_unknown: u64,
-    pub cegqi_iters: u64,
-    pub insts_encoded: u64,
-    pub approx: u64,
-    /// Live SAT solves / query-cache traffic. Scheduling-dependent with a
-    /// shared cross-job cache, so excluded from `same_counters`.
-    pub sat_solves: u64,
-    pub cache_hits: u64,
-    pub cache_misses: u64,
-    pub cache_reval: u64,
-    /// Incremental-solver activity. Deterministic per job (a live solver
-    /// is private to its job, never shared), so these *are* compared by
-    /// `same_counters`.
-    pub incremental_solves: u64,
-    pub clauses_reused: u64,
-    pub learnts_kept: u64,
-    pub assumption_cores: u64,
-    /// CEGQI loops ended by the iteration cap (vs. wall-clock timeout).
-    pub cegqi_iter_exhausted: u64,
-    /// Term-rewrite activity. The pass runs before the query cache and
-    /// inside per-job contexts, so these are deterministic per job and
-    /// *are* compared by `same_counters`.
-    pub rewrite_discharged: u64,
-    pub rewrite_steps: u64,
-    pub rewrite_residue: u64,
-    /// Per-family rewrite fire counts (partition `rewrite_steps`);
-    /// deterministic, compared by `same_counters`.
-    pub rw_sum_normalize: u64,
-    pub rw_bitwise_absorb: u64,
-    pub rw_shift_extract: u64,
-    pub rw_ite_cmp: u64,
-    pub rw_eq_cancel: u64,
-    pub rw_div_fold: u64,
-    /// Merged query histograms (bucket-wise sums of the per-job ones).
-    /// Only the CNF-size buckets are deterministic across parallelism
-    /// (latency is time-based; conflict counts depend on which checks
-    /// the shared query cache absorbs), so `same_counters` compares
-    /// `h_cnf_clauses` alone.
-    pub h_latency_us: Hist,
-    pub h_cnf_clauses: Hist,
-    pub h_conflicts: Hist,
-    pub terms: u64,
-    pub hc_hits: u64,
-    pub hc_misses: u64,
-    /// Maximum per-job peak term memory seen.
-    pub mem_peak_bytes: u64,
-    pub encode_us: u64,
-    pub solve_us: u64,
-    pub queue_ms: u64,
-    /// Process-supervision counters (`--procs N`). The first two are
-    /// per-pair (summed from journaled [`JobStats`], so `--resume`
-    /// reconstructs them); the last two are run-level events folded in by
-    /// the supervising engine. All are scheduling/fault-dependent and
-    /// excluded from `same_counters`.
-    ///
-    /// Pairs quarantined by the supervisor (worker kept dying on them).
-    pub pairs_quarantined: u64,
-    /// Quarantined pairs whose worker was SIGKILLed by the watchdog.
-    pub watchdog_kills: u64,
-    /// Replacement worker processes spawned after an abnormal child exit.
-    pub worker_restarts: u64,
-    /// Shard retry events (backoff requeues and crash bisections).
-    pub shards_retried: u64,
-}
 
 impl StatsTotals {
     /// Folds one job's stats in.
     pub fn add_job(&mut self, s: &JobStats) {
         self.jobs += 1;
-        self.queries += s.queries as u64;
-        self.smt_sat += s.smt_sat as u64;
-        self.smt_unsat += s.smt_unsat as u64;
-        self.smt_unknown += s.smt_unknown as u64;
-        self.cegqi_iters += s.cegqi_iters as u64;
-        self.insts_encoded += s.insts_encoded as u64;
-        self.approx += s.approx as u64;
-        self.sat_solves += s.sat_solves as u64;
-        self.cache_hits += s.cache_hits as u64;
-        self.cache_misses += s.cache_misses as u64;
-        self.cache_reval += s.cache_reval as u64;
-        self.incremental_solves += s.incremental_solves as u64;
-        self.clauses_reused += s.clauses_reused;
-        self.learnts_kept += s.learnts_kept;
-        self.assumption_cores += s.assumption_cores as u64;
-        self.cegqi_iter_exhausted += s.cegqi_iter_exhausted as u64;
-        self.rewrite_discharged += s.rewrite_discharged as u64;
-        self.rewrite_steps += s.rewrite_steps;
-        self.rewrite_residue += s.rewrite_residue as u64;
-        self.rw_sum_normalize += s.rw_sum_normalize;
-        self.rw_bitwise_absorb += s.rw_bitwise_absorb;
-        self.rw_shift_extract += s.rw_shift_extract;
-        self.rw_ite_cmp += s.rw_ite_cmp;
-        self.rw_eq_cancel += s.rw_eq_cancel;
-        self.rw_div_fold += s.rw_div_fold;
+        self.queries += u64::from(s.queries);
+        self.add_rows(s);
         self.h_latency_us.merge(&s.h_latency_us);
         self.h_cnf_clauses.merge(&s.h_cnf_clauses);
         self.h_conflicts.merge(&s.h_conflicts);
-        self.terms += s.terms as u64;
-        self.hc_hits += s.hc_hits;
-        self.hc_misses += s.hc_misses;
         self.mem_peak_bytes = self.mem_peak_bytes.max(s.mem_bytes);
-        self.encode_us += s.encode_us;
-        self.solve_us += s.solve_us;
-        self.queue_ms += s.queue_ms;
-        self.pairs_quarantined += s.quarantined as u64;
-        self.watchdog_kills += s.watchdog_kill as u64;
+        self.pairs_quarantined += u64::from(s.quarantined);
+        self.watchdog_kills += u64::from(s.watchdog_kill);
     }
 
     /// Merges another total (multi-run drivers).
     pub fn merge(&mut self, other: &StatsTotals) {
         self.jobs += other.jobs;
         self.queries += other.queries;
-        self.smt_sat += other.smt_sat;
-        self.smt_unsat += other.smt_unsat;
-        self.smt_unknown += other.smt_unknown;
-        self.cegqi_iters += other.cegqi_iters;
-        self.insts_encoded += other.insts_encoded;
-        self.approx += other.approx;
-        self.sat_solves += other.sat_solves;
-        self.cache_hits += other.cache_hits;
-        self.cache_misses += other.cache_misses;
-        self.cache_reval += other.cache_reval;
-        self.incremental_solves += other.incremental_solves;
-        self.clauses_reused += other.clauses_reused;
-        self.learnts_kept += other.learnts_kept;
-        self.assumption_cores += other.assumption_cores;
-        self.cegqi_iter_exhausted += other.cegqi_iter_exhausted;
-        self.rewrite_discharged += other.rewrite_discharged;
-        self.rewrite_steps += other.rewrite_steps;
-        self.rewrite_residue += other.rewrite_residue;
-        self.rw_sum_normalize += other.rw_sum_normalize;
-        self.rw_bitwise_absorb += other.rw_bitwise_absorb;
-        self.rw_shift_extract += other.rw_shift_extract;
-        self.rw_ite_cmp += other.rw_ite_cmp;
-        self.rw_eq_cancel += other.rw_eq_cancel;
-        self.rw_div_fold += other.rw_div_fold;
+        self.merge_rows(other);
         self.h_latency_us.merge(&other.h_latency_us);
         self.h_cnf_clauses.merge(&other.h_cnf_clauses);
         self.h_conflicts.merge(&other.h_conflicts);
-        self.terms += other.terms;
-        self.hc_hits += other.hc_hits;
-        self.hc_misses += other.hc_misses;
         self.mem_peak_bytes = self.mem_peak_bytes.max(other.mem_peak_bytes);
-        self.encode_us += other.encode_us;
-        self.solve_us += other.solve_us;
-        self.queue_ms += other.queue_ms;
         self.pairs_quarantined += other.pairs_quarantined;
         self.watchdog_kills += other.watchdog_kills;
         self.worker_restarts += other.worker_restarts;
         self.shards_retried += other.shards_retried;
     }
 
-    /// True when every *deterministic* counter matches `other` — the time
-    /// and queue fields, the query-cache traffic (`sat_solves`,
-    /// `cache_*`: whichever job solves a shared formula first takes the
-    /// miss, so these depend on scheduling), and the supervision counters
-    /// (`pairs_quarantined`/`watchdog_kills`/`worker_restarts`/
-    /// `shards_retried`: fault-dependent by construction) are excluded.
-    /// This is the invariant `--jobs N` preserves against `--jobs 1`,
-    /// `--procs N` against `--procs 1`, and a resumed run against an
-    /// uninterrupted one.
+    /// True when every deterministic counter matches `other`: the `Det`
+    /// rows plus the job and query counts, the CNF-size buckets and the
+    /// memory peak. This is the invariant `--jobs N` preserves against
+    /// `--jobs 1`, `--procs N` against `--procs 1`, and a resumed run
+    /// against an uninterrupted one.
     pub fn same_counters(&self, other: &StatsTotals) -> bool {
         self.jobs == other.jobs
             && self.queries == other.queries
-            && self.smt_sat == other.smt_sat
-            && self.smt_unsat == other.smt_unsat
-            && self.smt_unknown == other.smt_unknown
-            && self.cegqi_iters == other.cegqi_iters
-            && self.insts_encoded == other.insts_encoded
-            && self.approx == other.approx
-            && self.incremental_solves == other.incremental_solves
-            && self.clauses_reused == other.clauses_reused
-            && self.learnts_kept == other.learnts_kept
-            && self.assumption_cores == other.assumption_cores
-            && self.cegqi_iter_exhausted == other.cegqi_iter_exhausted
-            && self.rewrite_discharged == other.rewrite_discharged
-            && self.rewrite_steps == other.rewrite_steps
-            && self.rewrite_residue == other.rewrite_residue
-            && self.rw_sum_normalize == other.rw_sum_normalize
-            && self.rw_bitwise_absorb == other.rw_bitwise_absorb
-            && self.rw_shift_extract == other.rw_shift_extract
-            && self.rw_ite_cmp == other.rw_ite_cmp
-            && self.rw_eq_cancel == other.rw_eq_cancel
-            && self.rw_div_fold == other.rw_div_fold
+            && self.same_rows(other)
             && self.h_cnf_clauses.buckets() == other.h_cnf_clauses.buckets()
-            && self.terms == other.terms
-            && self.hc_hits == other.hc_hits
-            && self.hc_misses == other.hc_misses
             && self.mem_peak_bytes == other.mem_peak_bytes
-    }
-
-    /// Hash-cons hit rate in [0, 1]; 0 when no lookups happened.
-    pub fn hc_hit_rate(&self) -> f64 {
-        let total = self.hc_hits + self.hc_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hc_hits as f64 / total as f64
-        }
     }
 
     /// Renders the summary-JSON `stats` object.
     pub fn to_json_obj(&self) -> String {
-        format!(
-            "{{\"jobs\":{},\"queries\":{},\"sat\":{},\"unsat\":{},\"unknown\":{},\
-             \"cegqi\":{},\"insts\":{},\"approx\":{},\"sat_solves\":{},\
-             \"cache_hits\":{},\"cache_misses\":{},\"cache_reval\":{},\
-             \"incremental_solves\":{},\"clauses_reused\":{},\"learnts_kept\":{},\
-             \"assumption_cores\":{},\"cegqi_iter_exhausted\":{},\
-             \"rewrite_discharged\":{},\"rewrite_steps\":{},\"rewrite_residue\":{},\
-             \"rw_sum\":{},\"rw_bitwise\":{},\"rw_shift\":{},\"rw_itecmp\":{},\
-             \"rw_eq\":{},\"rw_div\":{},\
-             \"hist\":{{\"latency_us\":{},\"cnf_clauses\":{},\"conflicts\":{}}},\
-             \"terms\":{},\
-             \"hc_hits\":{},\"hc_misses\":{},\"mem_peak_bytes\":{},\"encode_us\":{},\
-             \"solve_us\":{},\"queue_ms\":{},\"pairs_quarantined\":{},\
-             \"watchdog_kills\":{},\"worker_restarts\":{},\"shards_retried\":{}}}",
-            self.jobs,
-            self.queries,
-            self.smt_sat,
-            self.smt_unsat,
-            self.smt_unknown,
-            self.cegqi_iters,
-            self.insts_encoded,
-            self.approx,
-            self.sat_solves,
-            self.cache_hits,
-            self.cache_misses,
-            self.cache_reval,
-            self.incremental_solves,
-            self.clauses_reused,
-            self.learnts_kept,
-            self.assumption_cores,
-            self.cegqi_iter_exhausted,
-            self.rewrite_discharged,
-            self.rewrite_steps,
-            self.rewrite_residue,
-            self.rw_sum_normalize,
-            self.rw_bitwise_absorb,
-            self.rw_shift_extract,
-            self.rw_ite_cmp,
-            self.rw_eq_cancel,
-            self.rw_div_fold,
-            self.h_latency_us.to_json_obj(),
-            self.h_cnf_clauses.to_json_obj(),
-            self.h_conflicts.to_json_obj(),
-            self.terms,
-            self.hc_hits,
-            self.hc_misses,
-            self.mem_peak_bytes,
-            self.encode_us,
-            self.solve_us,
-            self.queue_ms,
-            self.pairs_quarantined,
-            self.watchdog_kills,
-            self.worker_restarts,
-            self.shards_retried,
-        )
+        let mut out = String::with_capacity(1024);
+        let _ = write!(out, "{{\"jobs\":{},\"queries\":{}", self.jobs, self.queries);
+        self.write_solver_rows(&mut out);
+        write_hists(
+            &mut out,
+            [&self.h_latency_us, &self.h_cnf_clauses, &self.h_conflicts],
+        );
+        self.write_term_rows(&mut out);
+        let _ = write!(out, ",\"mem_peak_bytes\":{}", self.mem_peak_bytes);
+        self.write_busy_rows(&mut out);
+        let _ = write!(
+            out,
+            ",\"pairs_quarantined\":{},\"watchdog_kills\":{},\"worker_restarts\":{},\
+             \"shards_retried\":{}}}",
+            self.pairs_quarantined, self.watchdog_kills, self.worker_restarts, self.shards_retried
+        );
+        out
     }
 
     /// Rebuilds totals from a parsed summary `stats` object (tolerant).
     pub fn from_json(v: &JsonValue) -> StatsTotals {
-        StatsTotals {
+        let [h_latency_us, h_cnf_clauses, h_conflicts] = read_hists(v);
+        let mut t = StatsTotals {
             jobs: v.num("jobs"),
             queries: v.num("queries"),
-            smt_sat: v.num("sat"),
-            smt_unsat: v.num("unsat"),
-            smt_unknown: v.num("unknown"),
-            cegqi_iters: v.num("cegqi"),
-            insts_encoded: v.num("insts"),
-            approx: v.num("approx"),
-            sat_solves: v.num("sat_solves"),
-            cache_hits: v.num("cache_hits"),
-            cache_misses: v.num("cache_misses"),
-            cache_reval: v.num("cache_reval"),
-            incremental_solves: v.num("incremental_solves"),
-            clauses_reused: v.num("clauses_reused"),
-            learnts_kept: v.num("learnts_kept"),
-            assumption_cores: v.num("assumption_cores"),
-            cegqi_iter_exhausted: v.num("cegqi_iter_exhausted"),
-            rewrite_discharged: v.num("rewrite_discharged"),
-            rewrite_steps: v.num("rewrite_steps"),
-            rewrite_residue: v.num("rewrite_residue"),
-            rw_sum_normalize: v.num("rw_sum"),
-            rw_bitwise_absorb: v.num("rw_bitwise"),
-            rw_shift_extract: v.num("rw_shift"),
-            rw_ite_cmp: v.num("rw_itecmp"),
-            rw_eq_cancel: v.num("rw_eq"),
-            rw_div_fold: v.num("rw_div"),
-            h_latency_us: hist_field(v, "latency_us"),
-            h_cnf_clauses: hist_field(v, "cnf_clauses"),
-            h_conflicts: hist_field(v, "conflicts"),
-            terms: v.num("terms"),
-            hc_hits: v.num("hc_hits"),
-            hc_misses: v.num("hc_misses"),
+            h_latency_us,
+            h_cnf_clauses,
+            h_conflicts,
             mem_peak_bytes: v.num("mem_peak_bytes"),
-            encode_us: v.num("encode_us"),
-            solve_us: v.num("solve_us"),
-            queue_ms: v.num("queue_ms"),
             pairs_quarantined: v.num("pairs_quarantined"),
             watchdog_kills: v.num("watchdog_kills"),
             worker_restarts: v.num("worker_restarts"),
             shards_retried: v.num("shards_retried"),
-        }
+            ..StatsTotals::default()
+        };
+        t.read_rows(v);
+        t
     }
 }
 
@@ -933,91 +673,98 @@ mod tests {
         assert_eq!(whole.smt_unsat, 2);
     }
 
-    #[test]
-    fn job_stats_json_round_trip() {
-        let s = JobStats {
-            queries: 7,
-            millis: 42,
-            phase: Phase::Solve,
-            smt_sat: 1,
-            smt_unsat: 5,
-            smt_unknown: 1,
-            cegqi_iters: 3,
-            insts_encoded: 19,
-            approx: 2,
-            sat_solves: 4,
-            cache_hits: 6,
-            cache_misses: 4,
-            cache_reval: 1,
-            incremental_solves: 9,
-            clauses_reused: 1500,
-            learnts_kept: 80,
-            assumption_cores: 2,
-            cegqi_iter_exhausted: 1,
-            rewrite_discharged: 11,
-            rewrite_steps: 230,
-            rewrite_residue: 5,
-            rw_sum_normalize: 100,
-            rw_bitwise_absorb: 90,
-            rw_shift_extract: 20,
-            rw_ite_cmp: 12,
-            rw_eq_cancel: 7,
-            rw_div_fold: 1,
-            h_latency_us: {
-                let mut h = Hist::default();
-                h.record(120);
-                h.record(4000);
-                h
-            },
-            h_cnf_clauses: {
-                let mut h = Hist::default();
-                h.record(300);
-                h
-            },
-            h_conflicts: Hist::default(),
-            terms: 1234,
-            hc_hits: 999,
-            hc_misses: 321,
-            mem_bytes: 65536,
-            encode_us: 1500,
-            solve_us: 2500,
-            queue_ms: 4,
-            quarantined: 1,
-            watchdog_kill: 1,
+    /// The hand-written keys of a job `stats` object, with distinct values.
+    const JOB_KEYS: &str = "\"phase\":\"solve\",\"queries\":7,\"millis\":42,\
+        \"hist\":{\"latency_us\":{\"n\":2,\"b\":[[7,1],[12,1]]},\
+        \"cnf_clauses\":{\"n\":1,\"b\":[[9,1]]},\"conflicts\":{\"n\":0,\"b\":[]}},\
+        \"mem_bytes\":65536,\"quarantined\":1,\"watchdog_kill\":1";
+
+    /// The hand-written keys of a summary `stats` object.
+    const TOTALS_KEYS: &str = "\"jobs\":3,\"queries\":9,\
+        \"hist\":{\"latency_us\":{\"n\":1,\"b\":[[4,1]]},\
+        \"cnf_clauses\":{\"n\":2,\"b\":[[3,2]]},\"conflicts\":{\"n\":1,\"b\":[[1,1]]}},\
+        \"mem_peak_bytes\":4096,\"pairs_quarantined\":2,\"watchdog_kills\":1,\
+        \"worker_restarts\":3,\"shards_retried\":5";
+
+    /// A `stats` object holding `hand` plus every row, row `i` set to
+    /// `value(i)`.
+    fn object(hand: &str, value: impl Fn(usize) -> u64) -> JsonValue {
+        let mut text = format!("{{{hand}");
+        for (i, c) in COUNTERS.iter().enumerate() {
+            let _ = write!(text, ",\"{}\":{}", c.key, value(i));
+        }
+        text.push('}');
+        JsonValue::parse(&text).expect("valid JSON")
+    }
+
+    fn distinct(i: usize) -> u64 {
+        1_000 + i as u64
+    }
+
+    /// Every key of `hand` and every row survives into `text` with its
+    /// value, and decoding `text` re-encodes it byte for byte.
+    fn assert_round_trip(hand: &str, text: &str, decode_encode: impl Fn(&JsonValue) -> String) {
+        let v = JsonValue::parse(text).expect("valid JSON");
+        for (i, c) in COUNTERS.iter().enumerate() {
+            assert_eq!(v.num(c.key), distinct(i), "row `{}` in {text}", c.key);
+        }
+        let want = JsonValue::parse(&format!("{{{hand}}}")).unwrap();
+        let JsonValue::Obj(fields) = &want else {
+            unreachable!()
         };
-        let v = JsonValue::parse(&s.to_json_obj()).expect("valid JSON");
-        let back = JobStats::from_json(&v);
-        assert_eq!(back.queries, 7);
-        assert_eq!(back.millis, 42);
-        assert_eq!(back.phase, Phase::Solve);
-        assert_eq!(back.smt_unsat, 5);
-        assert_eq!(back.sat_solves, 4);
-        assert_eq!(back.cache_hits, 6);
-        assert_eq!(back.cache_misses, 4);
-        assert_eq!(back.cache_reval, 1);
-        assert_eq!(back.incremental_solves, 9);
-        assert_eq!(back.clauses_reused, 1500);
-        assert_eq!(back.learnts_kept, 80);
-        assert_eq!(back.assumption_cores, 2);
-        assert_eq!(back.cegqi_iter_exhausted, 1);
-        assert_eq!(back.rewrite_discharged, 11);
-        assert_eq!(back.rewrite_steps, 230);
-        assert_eq!(back.rewrite_residue, 5);
-        assert_eq!(back.rw_sum_normalize, 100);
-        assert_eq!(back.rw_bitwise_absorb, 90);
-        assert_eq!(back.rw_shift_extract, 20);
-        assert_eq!(back.rw_ite_cmp, 12);
-        assert_eq!(back.rw_eq_cancel, 7);
-        assert_eq!(back.rw_div_fold, 1);
-        assert_eq!(back.h_latency_us.buckets(), s.h_latency_us.buckets());
-        assert_eq!(back.h_cnf_clauses.buckets(), s.h_cnf_clauses.buckets());
-        assert!(back.h_conflicts.is_empty());
-        assert_eq!(back.terms, 1234);
-        assert_eq!(back.hc_hits, 999);
-        assert_eq!(back.mem_bytes, 65536);
-        assert_eq!(back.queue_ms, 4);
-        assert_eq!(back.quarantined, 1);
-        assert_eq!(back.watchdog_kill, 1);
+        for (key, value) in fields {
+            assert_eq!(v.get(key), Some(value), "key `{key}` in {text}");
+        }
+        assert_eq!(decode_encode(&v), text);
+    }
+
+    #[test]
+    fn every_row_round_trips_byte_for_byte() {
+        let job = JobStats::from_json(&object(JOB_KEYS, distinct)).to_json_obj();
+        assert_round_trip(JOB_KEYS, &job, |v| JobStats::from_json(v).to_json_obj());
+        let totals = StatsTotals::from_json(&object(TOTALS_KEYS, distinct)).to_json_obj();
+        assert_round_trip(TOTALS_KEYS, &totals, |v| {
+            StatsTotals::from_json(v).to_json_obj()
+        });
+    }
+
+    #[test]
+    fn changing_a_row_breaks_parity_exactly_when_it_is_det() {
+        let base = StatsTotals::from_json(&object(TOTALS_KEYS, distinct));
+        for (i, c) in COUNTERS.iter().enumerate() {
+            let changed =
+                StatsTotals::from_json(&object(TOTALS_KEYS, |j| distinct(j) + u64::from(j == i)));
+            assert_eq!(
+                base.same_counters(&changed),
+                c.class != Class::Det,
+                "row `{}` ({:?})",
+                c.key,
+                c.class
+            );
+        }
+    }
+
+    #[test]
+    fn add_job_and_merge_sum_every_row() {
+        let job = JobStats::from_json(&object(JOB_KEYS, distinct));
+        let mut added = StatsTotals::default();
+        added.add_job(&job);
+        added.add_job(&job);
+        let mut merged = added;
+        merged.merge(&added);
+        for (i, c) in COUNTERS.iter().enumerate() {
+            assert_eq!(added.values()[i], 2 * distinct(i), "add_job `{}`", c.key);
+            assert_eq!(merged.values()[i], 4 * distinct(i), "merge `{}`", c.key);
+        }
+        assert_eq!((added.jobs, added.queries), (2, 14));
+        assert_eq!((merged.jobs, merged.queries), (4, 28));
+        assert_eq!((merged.pairs_quarantined, merged.watchdog_kills), (4, 4));
+        assert_eq!(merged.h_latency_us.count(), 8);
+        // The memory peak is the one field that takes the maximum.
+        assert_eq!(
+            (added.mem_peak_bytes, merged.mem_peak_bytes),
+            (65536, 65536)
+        );
     }
 
     #[test]

@@ -942,8 +942,7 @@ impl QueryCache {
     /// writes once a line exceeds the kernel's atomic-append granularity
     /// (Sat models run to ~1 MiB), silently corrupting both records.
     /// With private files there is no cross-process interleaving to
-    /// reason about; readers merge `cache.jsonl` (the legacy shared name,
-    /// still read for old cache dirs) plus every `cache-*.jsonl`, and the
+    /// reason about; readers merge every `cache-*.jsonl`, and the
     /// in-memory map's first-write-wins dedup collapses duplicates.
     pub fn attach_dir(&self, dir: &Path) -> std::io::Result<usize> {
         self.attach_dir_tagged(dir, &std::process::id().to_string())
@@ -954,7 +953,7 @@ impl QueryCache {
     /// process) simulate distinct writer processes sharing a directory.
     pub fn attach_dir_tagged(&self, dir: &Path, tag: &str) -> std::io::Result<usize> {
         std::fs::create_dir_all(dir)?;
-        let mut paths: Vec<std::path::PathBuf> = vec![dir.join("cache.jsonl")];
+        let mut paths: Vec<std::path::PathBuf> = Vec::new();
         if let Ok(rd) = std::fs::read_dir(dir) {
             for entry in rd.flatten() {
                 let name = entry.file_name();
@@ -964,11 +963,9 @@ impl QueryCache {
                 }
             }
         }
-        // Deterministic load order (and drop the legacy-name duplicate if
-        // read_dir happened to return it — it can't match `cache-*`, but
-        // sorting keeps the merge order stable across platforms anyway).
+        // Deterministic load order: the merge keeps the first entry per
+        // fingerprint, whatever order the platform lists the files in.
         paths.sort();
-        paths.dedup();
         let mut loaded = 0usize;
         for path in &paths {
             if let Ok(text) = std::fs::read_to_string(path) {
@@ -1411,15 +1408,15 @@ mod tests {
         drop(c1);
 
         // Drop two forged lines (a count past u32::MAX, missing counts) and
-        // a torn line into the legacy shared-name file (which the loader
-        // must still merge alongside the per-process files), then reload
-        // into a fresh cache.
+        // a torn line into another writer's file (which the loader must
+        // merge alongside this process's own), then reload into a fresh
+        // cache.
         {
             use std::io::Write as _;
             let mut f = std::fs::OpenOptions::new()
                 .create(true)
                 .append(true)
-                .open(dir.join("cache.jsonl"))
+                .open(dir.join("cache-forged.jsonl"))
                 .unwrap();
             f.write_all(
                 b"{\"fp\":\"0000000000000005-0000000000000006\",\"vars\":4294967299,\

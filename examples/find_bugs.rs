@@ -6,10 +6,14 @@
 //! Run with `cargo run --example find_bugs` (add `--release` for speed).
 //! Validation fans out on the shared engine, so the standard flags apply:
 //! `--jobs N`, `--procs N` (supervised worker processes),
-//! `--deadline-ms MS`, `--no-incremental`, `--no-rewrite`, `--journal`/`--resume`.
+//! `--deadline-ms MS`, `--no-incremental`, `--no-rewrite`, `--journal`/`--resume`,
+//! `--stats`, `--trace FILE`, `--profile FILE`.
 
-use alive2::core::cli::{cache_from_args, config_from_args, engine_from_args, obs_from_args};
+use alive2::core::cli::{
+    cache_from_args, config_from_args, engine_from_args, finish_obs, obs_from_args,
+};
 use alive2::core::engine::Job;
+use alive2::core::obs::StatsTotals;
 use alive2::core::validator::Verdict;
 use alive2::ir::function::Function;
 use alive2::ir::module::Module;
@@ -18,6 +22,7 @@ use alive2::opt::bugs::{BugCategory, BugId, BugSet};
 use alive2::opt::pass::PassManager;
 use alive2::testgen::corpus::corpus;
 use std::collections::HashMap;
+use std::time::Instant;
 
 /// One before/after snapshot with the metadata needed to attribute a
 /// violation back to its seeded bug, corpus case, and pass.
@@ -32,7 +37,8 @@ struct Candidate {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    obs_from_args(&args);
+    let obs = obs_from_args(&args);
+    let started = Instant::now();
     cache_from_args(&args);
     let engine = engine_from_args(&args);
     let cfg = config_from_args(&args, alive2::sema::config::EncodeConfig::default());
@@ -72,6 +78,11 @@ fn main() {
         })
         .collect();
     let outcomes = engine.run(&jobs);
+    let mut stats = StatsTotals::default();
+    for o in &outcomes {
+        stats.add_job(&o.stats);
+    }
+    engine.fold_supervision_into(&mut stats);
 
     let mut found: HashMap<&'static str, Vec<String>> = HashMap::new();
     for (c, o) in candidates.iter().zip(&outcomes) {
@@ -112,4 +123,5 @@ fn main() {
             by_cat.get(&cat).copied().unwrap_or(0)
         );
     }
+    finish_obs(&obs, &stats, started.elapsed().as_micros() as u64);
 }

@@ -7,7 +7,7 @@
 //! ```text
 //! cargo run --release --example validate_app -- [bzip2|gzip|oggenc|ph7|sqlite3] \
 //!     [--jobs N] [--procs N] [--deadline-ms MS] [--no-incremental] [--no-rewrite] \
-//!     [--journal PATH] [--resume PATH] [--stats]
+//!     [--journal PATH] [--resume PATH] [--stats] [--trace FILE] [--profile FILE]
 //! ```
 //!
 //! Flags follow the shared convention in [`alive2::core::cli`]; with
@@ -15,7 +15,7 @@
 //! processes (this example re-invokes itself in worker-shard mode).
 
 use alive2::core::cli::{
-    cache_from_args, config_from_args, engine_from_args, obs_from_args, positional_args,
+    cache_from_args, config_from_args, engine_from_args, finish_obs, obs_from_args, positional_args,
 };
 use alive2::core::engine::Job;
 use alive2::opt::bugs::BugSet;
@@ -26,7 +26,7 @@ use std::time::Instant;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    obs_from_args(&args);
+    let obs = obs_from_args(&args);
     cache_from_args(&args);
     let engine = engine_from_args(&args);
     let cfg = config_from_args(&args, EncodeConfig::default());
@@ -71,7 +71,8 @@ fn main() {
     let (_, mut counts) = engine.run_counts(&jobs);
     counts.pairs = pairs;
     counts.diff = jobs.len() as u32;
-    counts.millis = start.elapsed().as_millis() as u64;
+    let wall_us = start.elapsed().as_micros() as u64;
+    counts.millis = wall_us / 1_000;
 
     println!();
     println!(
@@ -90,6 +91,7 @@ fn main() {
         counts.oom,
         counts.unsupported
     );
+    finish_obs(&obs, &counts.stats, wall_us);
     if counts.incorrect > 0 {
         println!("\nNOTE: refinement failures with a bug-free pipeline indicate a validator or optimizer defect.");
         std::process::exit(1);

@@ -1,8 +1,8 @@
 //! `alive2_tv`: the installable `alive-tv` binary (§8.1).
 //!
-//! Same driver as the `alive_tv` example (see [`alive2::cli`]); shipping
-//! it as a real `[[bin]]` gives the supervision integration tests a
-//! `CARGO_BIN_EXE_alive2_tv` path to spawn as parent and worker child.
+//! The driver lives in [`alive2::cli`]; as a real `[[bin]]` it gives the
+//! supervision integration tests a `CARGO_BIN_EXE_alive2_tv` path to
+//! spawn as parent and worker child.
 
 use std::process::ExitCode;
 

@@ -1,5 +1,5 @@
-//! The `alive-tv` driver (§8.1), shared by the `alive2_tv` binary and
-//! the `alive_tv` example.
+//! The `alive-tv` driver (§8.1) behind the `alive2_tv` binary, and the
+//! `alive2-serve` daemon's entry point.
 //!
 //! Takes two LLVM IR files and checks refinement between each function
 //! present in both, printing Alive2-style reports. With no files, runs on
@@ -17,7 +17,7 @@
 //! including the crash/oom columns and supervision counters.
 
 use alive2_core::cli as core_cli;
-use alive2_core::engine::Counts;
+use alive2_core::engine::{Counts, ValidationEngine};
 use alive2_core::obs;
 use alive2_core::report::verdict_line;
 use alive2_core::validator::Verdict;
@@ -56,19 +56,40 @@ entry:
 }
 "#;
 
+/// The setup both drivers share: arms the observability flags and the
+/// `--cache` tier, and builds the engine and the encoder configuration
+/// (`--unroll N` and `--timeout MS` on top of the shared convention).
+fn setup(args: &[String]) -> (core_cli::ObsConfig, ValidationEngine, EncodeConfig) {
+    let obs_cfg = core_cli::obs_from_args(args);
+    core_cli::cache_from_args(args);
+    let engine = core_cli::engine_from_args(args);
+    let mut cfg = core_cli::config_from_args(args, EncodeConfig::default());
+    if let Some(unroll) = core_cli::flag_value(args, "--unroll") {
+        cfg.unroll_factor = unroll;
+    }
+    if let Some(timeout) = core_cli::flag_value(args, "--timeout") {
+        cfg.solver_timeout_ms = timeout;
+    }
+    (obs_cfg, engine, cfg)
+}
+
+/// The shared driver tail: the observability artifacts, then the
+/// machine-readable summary as the LAST stdout line (ci.sh tails it).
+fn finish(name: &str, obs_cfg: &core_cli::ObsConfig, counts: &Counts, wall_us: u64) {
+    core_cli::finish_obs(obs_cfg, &counts.stats, wall_us);
+    println!(
+        "{{\"name\":\"{name}\",\"pairs\":{},{},\"stats\":{},\"phases\":{}}}",
+        counts.pairs,
+        counts.verdicts_json(),
+        counts.stats.to_json_obj(),
+        obs::report::phases_json_obj(wall_us)
+    );
+}
+
 /// Runs the `alive-tv` workflow over `std::env::args`.
 pub fn alive_tv_main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let obs_cfg = core_cli::obs_from_args(&args);
-    core_cli::cache_from_args(&args);
-    let engine = core_cli::engine_from_args(&args);
-    let mut cfg = core_cli::config_from_args(&args, EncodeConfig::default());
-    if let Some(unroll) = core_cli::flag_value(&args, "--unroll") {
-        cfg.unroll_factor = unroll;
-    }
-    if let Some(timeout) = core_cli::flag_value(&args, "--timeout") {
-        cfg.solver_timeout_ms = timeout;
-    }
+    let (obs_cfg, engine, cfg) = setup(&args);
     let files = core_cli::positional_args(&args, &["--unroll", "--timeout"]);
 
     let (src_text, tgt_text) = match files.as_slice() {
@@ -76,12 +97,18 @@ pub fn alive_tv_main() -> ExitCode {
             println!("(no files given; running the built-in demo pair)\n");
             (DEMO_SRC.to_string(), DEMO_TGT.to_string())
         }
-        [s, t] => (
-            std::fs::read_to_string(s).expect("cannot read source file"),
-            std::fs::read_to_string(t).expect("cannot read target file"),
-        ),
+        [s, t] => {
+            let read = |path: &String| {
+                std::fs::read_to_string(path)
+                    .map_err(|e| eprintln!("error: cannot read {path}: {e}"))
+            };
+            match (read(s), read(t)) {
+                (Ok(s), Ok(t)) => (s, t),
+                _ => return ExitCode::FAILURE,
+            }
+        }
         _ => {
-            eprintln!("usage: alive_tv <src.ll> <tgt.ll> [--unroll N] [--timeout MS] [--procs N]");
+            eprintln!("usage: alive2_tv <src.ll> <tgt.ll> [--unroll N] [--timeout MS] [--procs N]");
             return ExitCode::FAILURE;
         }
     };
@@ -124,58 +151,12 @@ pub fn alive_tv_main() -> ExitCode {
         }
     }
     engine.fold_supervision_into(&mut counts.stats);
-    // Microsecond wall precision: the 5% busy-vs-wall CI bound is tighter
+    // Microsecond wall precision: the busy-vs-wall CI bound is tighter
     // than millisecond rounding on a fast run.
     let wall_us = started.elapsed().as_micros() as u64;
     counts.millis = wall_us / 1_000;
     println!("----------------------------------------");
-    if obs_cfg.stats {
-        print!("{}", obs::report::render_phase_table(wall_us));
-        print!("{}", obs::report::render_counters(&counts.stats));
-        print!(
-            "{}",
-            obs::report::render_top_queries(&obs::profile::summary())
-        );
-    }
-    if obs_cfg.profile.is_some() {
-        match obs::profile::finish_sink(&counts.stats) {
-            Ok(Some((path, lines))) => {
-                eprintln!(
-                    "profile: wrote {lines} query profiles to {}",
-                    path.display()
-                );
-            }
-            Ok(None) => {}
-            Err(e) => {
-                eprintln!("error: cannot finish profile sink: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    if let Some(path) = &obs_cfg.trace {
-        match obs::trace::write_chrome(path) {
-            Ok(n) => eprintln!("trace: wrote {n} events to {path}"),
-            Err(e) => {
-                eprintln!("error: cannot write trace `{path}`: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    // The summary JSON stays the LAST stdout line (ci.sh tails it).
-    println!(
-        "{{\"name\":\"alive_tv\",\"pairs\":{},\"correct\":{},\"incorrect\":{},\
-         \"timeout\":{},\"oom\":{},\"unsupported\":{},\"crash\":{},\
-         \"stats\":{},\"phases\":{}}}",
-        counts.pairs,
-        counts.correct,
-        counts.incorrect,
-        counts.timeout,
-        counts.oom,
-        counts.unsupported,
-        counts.crash,
-        counts.stats.to_json_obj(),
-        obs::report::phases_json_obj(wall_us)
-    );
+    finish("alive_tv", &obs_cfg, &counts, wall_us);
     // Contained faults (crash/oom, incl. quarantined pairs) do not fail
     // the run; genuine refinement violations do.
     if counts.incorrect > 0 {
@@ -188,7 +169,7 @@ pub fn alive_tv_main() -> ExitCode {
 /// Runs the `alive2-serve` daemon over `std::env::args` (see DESIGN.md,
 /// "Validation as a service").
 ///
-/// Shares the whole CLI convention with `alive_tv` — `--jobs`,
+/// Shares the whole CLI convention with `alive2_tv` — `--jobs`,
 /// `--deadline-ms`, `--unroll`, `--timeout`, `--mem-budget-mb`,
 /// `--cache`, `--journal`/`--resume`, `--stats`/`--trace`/`--profile`,
 /// `--no-incremental`/`--no-rewrite` — plus the daemon knobs:
@@ -212,16 +193,7 @@ pub fn alive2_serve_main() -> ExitCode {
         eprintln!("error: alive2-serve does not support --procs (the daemon is the long-lived process; use --jobs for parallelism)");
         return ExitCode::FAILURE;
     }
-    let obs_cfg = core_cli::obs_from_args(&args);
-    core_cli::cache_from_args(&args);
-    let engine = core_cli::engine_from_args(&args);
-    let mut cfg = core_cli::config_from_args(&args, EncodeConfig::default());
-    if let Some(unroll) = core_cli::flag_value(&args, "--unroll") {
-        cfg.unroll_factor = unroll;
-    }
-    if let Some(timeout) = core_cli::flag_value(&args, "--timeout") {
-        cfg.solver_timeout_ms = timeout;
-    }
+    let (obs_cfg, engine, cfg) = setup(&args);
     let mut opts = serve::ServeOptions {
         mem_budget_mb: core_cli::flag_value(&args, "--mem-budget-mb"),
         ..serve::ServeOptions::default()
@@ -265,54 +237,13 @@ pub fn alive2_serve_main() -> ExitCode {
         None => serve::serve_stdio(&daemon),
     };
 
-    let wall_us = started.elapsed().as_micros() as u64;
-    if obs_cfg.stats {
-        print!("{}", obs::report::render_phase_table(wall_us));
-        print!("{}", obs::report::render_counters(&counts.stats));
-        print!(
-            "{}",
-            obs::report::render_top_queries(&obs::profile::summary())
-        );
-    }
-    if obs_cfg.profile.is_some() {
-        match obs::profile::finish_sink(&counts.stats) {
-            Ok(Some((path, lines))) => {
-                eprintln!(
-                    "profile: wrote {lines} query profiles to {}",
-                    path.display()
-                );
-            }
-            Ok(None) => {}
-            Err(e) => {
-                eprintln!("error: cannot finish profile sink: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    if let Some(path) = &obs_cfg.trace {
-        match obs::trace::write_chrome(path) {
-            Ok(n) => eprintln!("trace: wrote {n} events to {path}"),
-            Err(e) => {
-                eprintln!("error: cannot write trace `{path}`: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    // Exit summary, same shape and last-stdout-line contract as the
-    // other drivers (over the daemon's whole lifetime).
-    println!(
-        "{{\"name\":\"alive2_serve\",\"pairs\":{},\"correct\":{},\"incorrect\":{},\
-         \"timeout\":{},\"oom\":{},\"unsupported\":{},\"crash\":{},\
-         \"stats\":{},\"phases\":{}}}",
-        counts.pairs,
-        counts.correct,
-        counts.incorrect,
-        counts.timeout,
-        counts.oom,
-        counts.unsupported,
-        counts.crash,
-        counts.stats.to_json_obj(),
-        obs::report::phases_json_obj(wall_us)
+    // Exit summary over the daemon's whole lifetime, in the same shape
+    // as the other drivers'.
+    finish(
+        "alive2_serve",
+        &obs_cfg,
+        &counts,
+        started.elapsed().as_micros() as u64,
     );
     ExitCode::SUCCESS
 }

@@ -353,3 +353,77 @@ fn crash_outcome_carries_partial_stats() {
     assert_eq!(oom.stats.phase, Phase::Encode, "{:?}", oom.stats);
     assert!(oom.stats.terms > 0, "{:?}", oom.stats);
 }
+
+/// Journal and summary lines written before the counters were declared
+/// in one table: `known_bugs --jobs 1 --stats --journal` lines, the
+/// fault corpus's `alive2_tv` journal, and the `known_bugs` summary.
+const GOLDEN: &str = include_str!("fixtures/stats_pr14.jsonl");
+
+/// The `stats` object of a journal or summary line, as written.
+fn stats_obj(line: &str) -> &str {
+    let start = line.find("\"stats\":{").expect("a stats object") + "\"stats\":".len();
+    let mut depth = 0usize;
+    for (i, c) in line[start..].char_indices() {
+        match c {
+            '{' => depth += 1,
+            '}' => {
+                depth -= 1;
+                if depth == 0 {
+                    return &line[start..=start + i];
+                }
+            }
+            _ => {}
+        }
+    }
+    panic!("unbalanced stats object in {line}");
+}
+
+#[test]
+fn golden_stats_objects_reserialize_byte_for_byte() {
+    let mut objects = 0;
+    for line in GOLDEN.lines() {
+        let text = stats_obj(line);
+        let v = JsonValue::parse(text).expect("valid JSON");
+        let again = if line.starts_with("{\"run\":") {
+            obs::JobStats::from_json(&v).to_json_obj()
+        } else {
+            obs::StatsTotals::from_json(&v).to_json_obj()
+        };
+        assert_eq!(again, text);
+        objects += 1;
+    }
+    assert_eq!(objects, 40);
+}
+
+#[test]
+fn golden_fault_journal_resumes_to_an_uninterrupted_run() {
+    let _g = obs_guard(false, false);
+    let (src, tgt) = corpus();
+    let jobs = jobs_of(&src, &tgt, tight_cfg());
+    let fault_lines: Vec<&str> = GOLDEN
+        .lines()
+        .filter(|l| {
+            src.functions
+                .iter()
+                .any(|f| l.contains(&format!("\"name\":\"{}\",\"verdict\"", f.name)))
+        })
+        .collect();
+    assert_eq!(fault_lines.len(), 3);
+    let path = temp_path("golden-resume");
+    std::fs::write(&path, fault_lines.join("\n") + "\n").unwrap();
+
+    let engine = || ValidationEngine::sequential().with_fault_marker(Some("doomed".into()));
+    let (_, full) = engine().run_counts(&jobs);
+    let resume = Arc::new(ResumeLog::load(&path).unwrap());
+    assert_eq!(resume.len(), 3);
+    let (_, resumed) = engine().with_resume(Some(resume)).run_counts(&jobs);
+    obs_off();
+    assert!(full.same_verdicts(&resumed), "{full:?} vs {resumed:?}");
+    assert!(
+        full.stats.same_counters(&resumed.stats),
+        "{:?} vs {:?}",
+        full.stats,
+        resumed.stats
+    );
+    let _ = std::fs::remove_file(&path);
+}

@@ -224,6 +224,16 @@ fn worker_shard_invocation_streams_tagged_outcome_lines() {
 }
 
 #[test]
+fn missing_input_file_is_an_error_not_a_panic() {
+    let (src, _) = fixture("missing");
+    let out = tv(&src.with_file_name("absent.ll"), &src, &[]);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("error: cannot read "), "{err}");
+    assert!(!err.contains("panicked"), "{err}");
+}
+
+#[test]
 fn clean_supervised_run_matches_single_process_verdicts() {
     let (src, tgt) = fixture("parity");
     let base = tv(&src, &tgt, &[]);
