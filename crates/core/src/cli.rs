@@ -96,7 +96,6 @@ pub fn positional_args(args: &[String], extra_valued: &[&str]) -> Vec<String> {
     const BOOLEAN: &[&str] = &[
         "--stats",
         "--trace-detail",
-        "--no-incremental",
         "--no-rewrite",
         "--journal-sync",
     ];
@@ -202,17 +201,13 @@ pub fn engine_from_args(args: &[String]) -> ValidationEngine {
 
 /// Builds an [`EncodeConfig`] from the shared CLI convention:
 /// `--mem-budget-mb MB` (global term-allocation budget per job; exceeding
-/// it yields `Verdict::OutOfMemory` instead of swapping) and
-/// `--no-incremental` (rebuild a fresh CEGQI candidate solver per
-/// iteration instead of reusing one live incremental solver — same
-/// verdicts, useful for triage and A/B timing) and `--no-rewrite` (skip
-/// the term-level rewrite saturation pass and send every refinement
+/// it yields `Verdict::OutOfMemory` instead of swapping) and `--no-rewrite`
+/// (skip the term-level rewrite saturation pass and send every refinement
 /// obligation straight to the bit-blaster — same verdicts, useful for
 /// triage and A/B timing).
 pub fn config_from_args(args: &[String], base: EncodeConfig) -> EncodeConfig {
     EncodeConfig {
         mem_budget_mb: flag_value(args, "--mem-budget-mb").or(base.mem_budget_mb),
-        incremental: base.incremental && !args.iter().any(|a| a == "--no-incremental"),
         rewrite: base.rewrite && !args.iter().any(|a| a == "--no-rewrite"),
         ..base
     }
@@ -435,24 +430,18 @@ mod tests {
     }
 
     #[test]
-    fn config_from_args_parses_mem_budget_and_incremental() {
+    fn config_from_args_parses_mem_budget_and_rewrite() {
         let cfg = config_from_args(&argv(&["--mem-budget-mb", "64"]), EncodeConfig::default());
         assert_eq!(cfg.mem_budget_mb, Some(64));
         let base = EncodeConfig::with_mem_budget_mb(8);
         assert_eq!(config_from_args(&[], base).mem_budget_mb, Some(8));
-        assert!(config_from_args(&[], EncodeConfig::default()).incremental);
-        assert!(
-            !config_from_args(&argv(&["--no-incremental"]), EncodeConfig::default()).incremental
-        );
         assert!(config_from_args(&[], EncodeConfig::default()).rewrite);
         assert!(!config_from_args(&argv(&["--no-rewrite"]), EncodeConfig::default()).rewrite);
-        // A base that already disabled either one keeps it disabled.
+        // A base that already disabled rewriting keeps it disabled.
         let off = EncodeConfig {
-            incremental: false,
             rewrite: false,
             ..EncodeConfig::default()
         };
-        assert!(!config_from_args(&[], off).incremental);
         assert!(!config_from_args(&[], off).rewrite);
     }
 }

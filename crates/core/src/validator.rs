@@ -408,6 +408,9 @@ struct QueryEngine<'a> {
     universals: Vec<TermId>,
     pool: Vec<TermId>,
     overapprox_vars: Vec<TermId>,
+    /// Every argument's `isundef` and `ispoison` flag: a counterexample
+    /// prefers defined inputs when one exists.
+    input_flags: Vec<TermId>,
     ef: EfConfig,
 }
 
@@ -499,7 +502,14 @@ impl<'a> QueryEngine<'a> {
             build_seed(ctx, &universals, &pool, SeedMode::RoundRobin),
             build_seed(ctx, &universals, &pool, SeedMode::AllToLast),
         ];
-        match solve_exists_forall_with_seeds(ctx, &universals, phi, self.ef, &seeds) {
+        match solve_exists_forall_with_seeds(
+            ctx,
+            &universals,
+            phi,
+            self.ef,
+            &seeds,
+            &self.input_flags,
+        ) {
             EfResult::Unsat => None,
             EfResult::Timeout => Some(Verdict::Timeout),
             EfResult::OutOfMemory => Some(Verdict::OutOfMemory),
@@ -555,7 +565,6 @@ fn check_refinement(
         .with_deadline(deadline),
         max_iterations: cfg.max_ef_iterations,
         max_millis: cfg.solver_timeout_ms.saturating_mul(4),
-        incremental: cfg.incremental,
         rewrite: cfg.rewrite,
     };
 
@@ -593,6 +602,12 @@ fn check_refinement(
         universals,
         pool: tgt_pool,
         overapprox_vars,
+        input_flags: env
+            .args
+            .iter()
+            .flat_map(|a| &a.vars)
+            .flat_map(|v| [v.isundef, v.ispoison])
+            .collect(),
         ef,
     };
 

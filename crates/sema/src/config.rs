@@ -31,11 +31,6 @@ pub struct EncodeConfig {
     /// by the OS). `None` means unlimited. Exceeding it yields an
     /// out-of-memory verdict at the next encoding/solving choke point.
     pub mem_budget_mb: Option<u64>,
-    /// Keep the CEGQI candidate solver alive across refinement iterations
-    /// (incremental SAT with assumption-guarded instantiation groups).
-    /// `false` is the `--no-incremental` escape hatch: every candidate
-    /// step rebuilds a one-shot solver. Verdicts are identical either way.
-    pub incremental: bool,
     /// Run the term-level rewrite saturation pass on every refinement
     /// obligation before bit-blasting, discharging algebraically provable
     /// queries with zero CNF. `false` is the `--no-rewrite` escape hatch:
@@ -55,7 +50,6 @@ impl Default for EncodeConfig {
             max_ef_iterations: 32,
             max_undef_instantiations: 8,
             mem_budget_mb: None,
-            incremental: true,
             rewrite: true,
         }
     }

@@ -2,12 +2,48 @@
 //!
 //! Every boolean term becomes a single literal and every bit-vector term a
 //! little-endian vector of literals. Gates are introduced on demand and
-//! memoized per term, so shared sub-DAGs are encoded once.
+//! memoized twice: per term, so shared sub-DAGs are encoded once, and per
+//! gate, so two terms that build the same gate over the same literals
+//! share its output (structural hashing). Adders and comparators are
+//! chains of three-input gates: an XOR3 sum and a majority carry.
 
 use crate::bv::BitVec;
 use crate::sat::{Cnf, Lit};
 use crate::term::{Ctx, Op, TermId, VarId};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+
+/// A key of the gate table: a gate kind over normalized inputs, so every
+/// spelling of one gate finds the same output literal.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+enum Gate {
+    /// `a ∧ b`, inputs sorted.
+    And(Lit, Lit),
+    /// `a ⊕ b`, inputs positive (their polarities go to the output) and
+    /// sorted.
+    Xor(Lit, Lit),
+    /// `c ? t : e`, condition positive (a negative one swaps the arms).
+    Mux(Lit, Lit, Lit),
+    /// `a ⊕ b ⊕ c`, inputs positive and sorted.
+    Xor3(Lit, Lit, Lit),
+    /// At least two of `a, b, c`: inputs sorted by variable, the first
+    /// positive (MAJ is self-dual, so the rest go to the output).
+    Maj(Lit, Lit, Lit),
+}
+
+/// The positive literal of `l`'s variable, and whether `l` was negative.
+fn strip(l: Lit) -> (Lit, bool) {
+    (Lit::new(l.var(), true), !l.is_positive())
+}
+
+/// `l`, negated when `flip` holds.
+fn flip_if(l: Lit, flip: bool) -> Lit {
+    if flip {
+        l.negate()
+    } else {
+        l
+    }
+}
 
 /// Bit-blasts terms from a [`Ctx`] into an owned [`Cnf`].
 ///
@@ -15,6 +51,11 @@ use std::collections::HashMap;
 /// so the exact formula survives for preprocessing, canonicalization,
 /// and fingerprinting by the query cache (see `cache`). Run the result
 /// with `bb.cnf.to_solver()`.
+///
+/// Every gate's defining clauses are added unconditionally, so a gate's
+/// output means the same thing in every later query over this CNF. That
+/// is what lets an `IncrementalSolver` share gates between activation
+/// groups: only the root literal of a grouped assertion is guarded.
 ///
 /// Uninterpreted function applications must be eliminated (Ackermannized)
 /// before blasting; encountering one is a bug and panics.
@@ -26,6 +67,9 @@ pub struct BitBlaster<'a> {
     bv_memo: HashMap<TermId, Vec<Lit>>,
     var_bool: HashMap<VarId, Lit>,
     var_bits: HashMap<VarId, Vec<Lit>>,
+    /// Output literal of every gate built so far. Only ever looked up,
+    /// never iterated, so its hash order cannot reach the CNF.
+    gates: HashMap<Gate, Lit>,
     true_lit: Lit,
 }
 
@@ -45,6 +89,8 @@ impl<'a> BitBlaster<'a> {
     pub fn new(ctx: &'a Ctx) -> Self {
         let mut cnf = Cnf::new();
         let t = cnf.new_var();
+        // Variable 0, positive: the smallest literal, which the gates'
+        // constant short cuts rely on.
         let true_lit = Lit::new(t, true);
         cnf.add_clause(&[true_lit]);
         BitBlaster {
@@ -54,6 +100,7 @@ impl<'a> BitBlaster<'a> {
             bv_memo: HashMap::new(),
             var_bool: HashMap::new(),
             var_bits: HashMap::new(),
+            gates: HashMap::new(),
             true_lit,
         }
     }
@@ -93,6 +140,58 @@ impl<'a> BitBlaster<'a> {
 
     // ---- gates -----------------------------------------------------------
 
+    /// The output of gate `g`: the table's literal, or a fresh one whose
+    /// defining clauses are added now.
+    fn hashed(&mut self, g: Gate) -> Lit {
+        let slot = match self.gates.entry(g) {
+            Entry::Occupied(e) => return *e.get(),
+            Entry::Vacant(slot) => slot,
+        };
+        let o = Lit::new(self.cnf.new_var(), true);
+        let cnf = &mut self.cnf;
+        match g {
+            Gate::And(a, b) => {
+                cnf.add_clause(&[o.negate(), a]);
+                cnf.add_clause(&[o.negate(), b]);
+                cnf.add_clause(&[o, a.negate(), b.negate()]);
+            }
+            Gate::Xor(a, b) => {
+                cnf.add_clause(&[o.negate(), a, b]);
+                cnf.add_clause(&[o.negate(), a.negate(), b.negate()]);
+                cnf.add_clause(&[o, a, b.negate()]);
+                cnf.add_clause(&[o, a.negate(), b]);
+            }
+            Gate::Mux(c, t, e) => {
+                cnf.add_clause(&[c.negate(), t.negate(), o]);
+                cnf.add_clause(&[c.negate(), t, o.negate()]);
+                cnf.add_clause(&[c, e.negate(), o]);
+                cnf.add_clause(&[c, e, o.negate()]);
+            }
+            Gate::Xor3(a, b, c) => {
+                // One clause per input row: the row's inputs force `o`
+                // to their parity.
+                for row in 0..8u32 {
+                    let (va, vb, vc) = (row & 1 != 0, row & 2 != 0, row & 4 != 0);
+                    cnf.add_clause(&[
+                        flip_if(a, va),
+                        flip_if(b, vb),
+                        flip_if(c, vc),
+                        flip_if(o, !(va ^ vb ^ vc)),
+                    ]);
+                }
+            }
+            Gate::Maj(a, b, c) => {
+                for (x, y) in [(a, b), (a, c), (b, c)] {
+                    cnf.add_clause(&[x.negate(), y.negate(), o]);
+                }
+                for (x, y) in [(a, b), (a, c), (b, c)] {
+                    cnf.add_clause(&[x, y, o.negate()]);
+                }
+            }
+        }
+        *slot.insert(o)
+    }
+
     fn gate_and(&mut self, a: Lit, b: Lit) -> Lit {
         if a == self.true_lit {
             return b;
@@ -109,11 +208,7 @@ impl<'a> BitBlaster<'a> {
         if a == b.negate() {
             return self.true_lit.negate();
         }
-        let o = self.fresh();
-        self.cnf.add_clause(&[o.negate(), a]);
-        self.cnf.add_clause(&[o.negate(), b]);
-        self.cnf.add_clause(&[o, a.negate(), b.negate()]);
-        o
+        self.hashed(Gate::And(a.min(b), a.max(b)))
     }
 
     fn gate_or(&mut self, a: Lit, b: Lit) -> Lit {
@@ -139,12 +234,9 @@ impl<'a> BitBlaster<'a> {
         if a == b.negate() {
             return self.true_lit;
         }
-        let o = self.fresh();
-        self.cnf.add_clause(&[o.negate(), a, b]);
-        self.cnf.add_clause(&[o.negate(), a.negate(), b.negate()]);
-        self.cnf.add_clause(&[o, a, b.negate()]);
-        self.cnf.add_clause(&[o, a.negate(), b]);
-        o
+        let ((a, na), (b, nb)) = (strip(a), strip(b));
+        let o = self.hashed(Gate::Xor(a.min(b), a.max(b)));
+        flip_if(o, na != nb)
     }
 
     fn gate_mux(&mut self, c: Lit, t: Lit, e: Lit) -> Lit {
@@ -157,31 +249,75 @@ impl<'a> BitBlaster<'a> {
         if t == e {
             return t;
         }
-        let o = self.fresh();
-        self.cnf.add_clause(&[c.negate(), t.negate(), o]);
-        self.cnf.add_clause(&[c.negate(), t, o.negate()]);
-        self.cnf.add_clause(&[c, e.negate(), o]);
-        self.cnf.add_clause(&[c, e, o.negate()]);
-        o
+        if c.is_positive() {
+            self.hashed(Gate::Mux(c, t, e))
+        } else {
+            self.hashed(Gate::Mux(c.negate(), e, t))
+        }
     }
 
     fn gate_iff(&mut self, a: Lit, b: Lit) -> Lit {
         self.gate_xor(a, b).negate()
     }
 
+    /// `a ⊕ b ⊕ c`. A constant input, two equal inputs or two
+    /// complementary ones reduce it to a two-input XOR or a literal.
+    fn gate_xor3(&mut self, a: Lit, b: Lit, c: Lit) -> Lit {
+        let mut flip = false;
+        let mut v = [a, b, c].map(|l| {
+            let (p, n) = strip(l);
+            flip ^= n;
+            p
+        });
+        v.sort_unstable();
+        let o = if v[0] == self.true_lit {
+            // `true ⊕ x = ¬x`; the other two may still be constants.
+            flip = !flip;
+            self.gate_xor(v[1], v[2])
+        } else if v[0] == v[1] {
+            v[2]
+        } else if v[1] == v[2] {
+            v[0]
+        } else {
+            self.hashed(Gate::Xor3(v[0], v[1], v[2]))
+        };
+        flip_if(o, flip)
+    }
+
+    /// Majority of `a, b, c`: a constant input reduces it to an OR or an
+    /// AND of the other two, two equal inputs to that input, and two
+    /// complementary ones to the third.
+    fn gate_maj(&mut self, a: Lit, b: Lit, c: Lit) -> Lit {
+        let mut v = [a, b, c];
+        v.sort_unstable_by_key(|l| l.var().0);
+        if v[0].var() == self.true_lit.var() {
+            return if v[0] == self.true_lit {
+                self.gate_or(v[1], v[2])
+            } else {
+                self.gate_and(v[1], v[2])
+            };
+        }
+        if v[0].var() == v[1].var() {
+            return if v[0] == v[1] { v[0] } else { v[2] };
+        }
+        if v[1].var() == v[2].var() {
+            return if v[1] == v[2] { v[1] } else { v[0] };
+        }
+        // Self-dual: maj(¬a, ¬b, ¬c) = ¬maj(a, b, c).
+        let flip = !v[0].is_positive();
+        let [a, b, c] = v.map(|l| flip_if(l, flip));
+        flip_if(self.hashed(Gate::Maj(a, b, c)), flip)
+    }
+
     /// Full adder: returns (sum, carry).
     fn full_adder(&mut self, a: Lit, b: Lit, cin: Lit) -> (Lit, Lit) {
-        let ab = self.gate_xor(a, b);
-        let sum = self.gate_xor(ab, cin);
-        let c1 = self.gate_and(a, b);
-        let c2 = self.gate_and(ab, cin);
-        let carry = self.gate_or(c1, c2);
-        (sum, carry)
+        (self.gate_xor3(a, b, cin), self.gate_maj(a, b, cin))
     }
 
     // ---- word-level circuits ----------------------------------------------
 
-    fn add_words(&mut self, a: &[Lit], b: &[Lit], cin: Lit) -> Vec<Lit> {
+    /// Ripple-carry adder: returns the sum and the carry out.
+    fn add_words(&mut self, a: &[Lit], b: &[Lit], cin: Lit) -> (Vec<Lit>, Lit) {
         let mut out = Vec::with_capacity(a.len());
         let mut carry = cin;
         for i in 0..a.len() {
@@ -189,13 +325,13 @@ impl<'a> BitBlaster<'a> {
             out.push(s);
             carry = c;
         }
-        out
+        (out, carry)
     }
 
     fn neg_word(&mut self, a: &[Lit]) -> Vec<Lit> {
         let inv: Vec<Lit> = a.iter().map(|l| l.negate()).collect();
         let zero: Vec<Lit> = vec![self.const_lit(false); a.len()];
-        self.add_words(&inv, &zero, self.const_lit(true))
+        self.add_words(&inv, &zero, self.const_lit(true)).0
     }
 
     fn mul_words(&mut self, a: &[Lit], b: &[Lit]) -> Vec<Lit> {
@@ -207,19 +343,17 @@ impl<'a> BitBlaster<'a> {
             for j in 0..w - i {
                 partial[i + j] = self.gate_and(a[j], bi);
             }
-            acc = self.add_words(&acc, &partial, self.const_lit(false));
+            acc = self.add_words(&acc, &partial, self.const_lit(false)).0;
         }
         acc
     }
 
-    /// Unsigned `a < b` via subtraction borrow.
+    /// Unsigned `a < b` via subtraction borrow: the carry chain of
+    /// `a + ~b + 1` alone, whose carry out is clear exactly when `a < b`.
     fn ult_words(&mut self, a: &[Lit], b: &[Lit]) -> Lit {
-        // a < b  iff  a + ~b + 1 produces no carry out.
-        let inv: Vec<Lit> = b.iter().map(|l| l.negate()).collect();
         let mut carry = self.const_lit(true);
         for i in 0..a.len() {
-            let (_, c) = self.full_adder(a[i], inv[i], carry);
-            carry = c;
+            carry = self.gate_maj(a[i], b[i].negate(), carry);
         }
         carry.negate()
     }
@@ -256,18 +390,14 @@ impl<'a> BitBlaster<'a> {
         let f = self.const_lit(false);
         // Work with a (w+1)-bit remainder so the shifted value fits.
         let mut rem: Vec<Lit> = vec![f; w + 1];
-        let b_ext: Vec<Lit> = b.iter().copied().chain([f]).collect();
+        let neg_b_ext: Vec<Lit> = b.iter().map(|l| l.negate()).chain([f.negate()]).collect();
         let mut quot: Vec<Lit> = vec![f; w];
         for i in (0..w).rev() {
             // rem = (rem << 1) | a[i]
             let mut shifted = vec![a[i]];
             shifted.extend_from_slice(&rem[..w]);
-            // ge = shifted >= b_ext
-            let lt = self.ult_words(&shifted, &b_ext);
-            let ge = lt.negate();
-            // sub = shifted - b_ext
-            let inv: Vec<Lit> = b_ext.iter().map(|l| l.negate()).collect();
-            let sub = self.add_words(&shifted, &inv, self.const_lit(true));
+            // sub = shifted - zext(b), whose carry out is shifted >= zext(b)
+            let (sub, ge) = self.add_words(&shifted, &neg_b_ext, self.const_lit(true));
             rem = self.mux_words(ge, &sub, &shifted);
             quot[i] = ge;
         }
@@ -482,13 +612,13 @@ impl<'a> BitBlaster<'a> {
             Op::BvAdd => {
                 let a = self.blast_bv(args[0]);
                 let b = self.blast_bv(args[1]);
-                self.add_words(&a, &b, self.const_lit(false))
+                self.add_words(&a, &b, self.const_lit(false)).0
             }
             Op::BvSub => {
                 let a = self.blast_bv(args[0]);
                 let b = self.blast_bv(args[1]);
                 let inv: Vec<Lit> = b.iter().map(|l| l.negate()).collect();
-                self.add_words(&a, &inv, self.const_lit(true))
+                self.add_words(&a, &inv, self.const_lit(true)).0
             }
             Op::BvMul => {
                 let a = self.blast_bv(args[0]);
@@ -743,6 +873,132 @@ mod tests {
         assert_circuit_matches(|c, a, b| c.bv_mul(a, b), 8);
         assert_circuit_matches(|c, a, b| c.bv_xor(a, b), 16);
         assert_circuit_matches(|c, a, b| c.bv_udiv(a, b), 8);
+        assert_circuit_matches(|c, a, b| c.bv_sdiv(a, b), 8);
+        assert_circuit_matches(|c, a, b| c.bv_srem(a, b), 8);
+        // Shift amounts masked to 0..15: half in range, half past it.
+        let amt = |c: &Ctx, b| c.bv_and(b, c.bv_lit_u64(8, 15));
+        assert_circuit_matches(|c, a, b| c.bv_shl(a, amt(c, b)), 8);
+        assert_circuit_matches(|c, a, b| c.bv_lshr(a, amt(c, b)), 8);
+        assert_circuit_matches(|c, a, b| c.bv_ashr(a, amt(c, b)), 8);
+        // Comparisons as a 0/1 word.
+        let flag = |c: &Ctx, t| c.ite(t, c.bv_lit_u64(8, 1), c.bv_lit_u64(8, 0));
+        assert_circuit_matches(|c, a, b| flag(c, c.bv_ult(a, b)), 8);
+        assert_circuit_matches(|c, a, b| flag(c, c.bv_slt(a, b)), 8);
+    }
+
+    #[test]
+    fn xor3_and_maj_truth_tables_over_every_polarity() {
+        let ctx = Ctx::new();
+        let mut bb = BitBlaster::new(&ctx);
+        let xs = [bb.fresh(), bb.fresh(), bb.fresh()];
+        let t = bb.true_lit();
+        // Both polarities of three inputs plus both constants, so the
+        // triples below also hit every constant, duplicate and
+        // complement short cut.
+        let pool: Vec<Lit> = xs
+            .iter()
+            .flat_map(|&x| [x, x.negate()])
+            .chain([t, t.negate()])
+            .collect();
+        let mut gates = Vec::new();
+        for &a in &pool {
+            for &b in &pool {
+                for &c in &pool {
+                    gates.push(([a, b, c], bb.gate_xor3(a, b, c), bb.gate_maj(a, b, c)));
+                }
+            }
+        }
+        for row in 0..8u32 {
+            let assume: Vec<Lit> = xs
+                .iter()
+                .enumerate()
+                .map(|(i, &x)| if row >> i & 1 == 1 { x } else { x.negate() })
+                .collect();
+            let mut sat = bb.cnf.to_solver();
+            assert_eq!(
+                sat.solve_assuming(&assume, Budget::unlimited()),
+                SatOutcome::Sat
+            );
+            let val = |l: Lit| sat.value(l.var()).expect("assigned") == l.is_positive();
+            for &([a, b, c], xor3, maj) in &gates {
+                let (va, vb, vc) = (val(a), val(b), val(c));
+                let inputs = format!("row {row}, inputs {a:?} {b:?} {c:?}");
+                assert_eq!(val(xor3), va ^ vb ^ vc, "xor3, {inputs}");
+                assert_eq!(val(maj), va & vb | va & vc | vb & vc, "maj, {inputs}");
+            }
+        }
+    }
+
+    /// Builds one gate twice, spelled two ways: the first spelling must
+    /// add clauses, and the second must return its literal and add none.
+    fn assert_shared(
+        bb: &mut BitBlaster,
+        name: &str,
+        first: impl FnOnce(&mut BitBlaster) -> Lit,
+        second: impl FnOnce(&mut BitBlaster) -> Lit,
+    ) {
+        let before = bb.cnf.num_clauses();
+        let o = first(bb);
+        let built = bb.cnf.num_clauses();
+        assert!(built > before, "{name}: the first spelling built no gate");
+        assert_eq!(second(bb), o, "{name}: the spellings differ");
+        assert_eq!(
+            bb.cnf.num_clauses(),
+            built,
+            "{name}: the second added clauses"
+        );
+    }
+
+    #[test]
+    fn every_spelling_of_a_gate_shares_one_literal() {
+        let ctx = Ctx::new();
+        let mut bb = BitBlaster::new(&ctx);
+        let [a, b, c] = [bb.fresh(), bb.fresh(), bb.fresh()];
+        assert_shared(
+            &mut bb,
+            "and",
+            |bb| bb.gate_and(a, b),
+            |bb| bb.gate_and(b, a),
+        );
+        assert_shared(
+            &mut bb,
+            "xor",
+            |bb| bb.gate_xor(a.negate(), b),
+            |bb| bb.gate_xor(a, b).negate(),
+        );
+        assert_shared(
+            &mut bb,
+            "mux",
+            |bb| bb.gate_mux(c.negate(), a, b),
+            |bb| bb.gate_mux(c, b, a),
+        );
+        assert_shared(
+            &mut bb,
+            "maj",
+            |bb| bb.gate_maj(a.negate(), b.negate(), c.negate()),
+            |bb| bb.gate_maj(a, b, c).negate(),
+        );
+    }
+
+    #[test]
+    fn squaring_blasts_to_fewer_clauses_than_a_product() {
+        // x·x shares the partial products x[i]∧x[j] and x[j]∧x[i], so
+        // their sum in column 1 folds to the constant 0.
+        let blast = |square: bool| {
+            let ctx = Ctx::new();
+            let x = ctx.var("x", Sort::BitVec(8));
+            let y = if square {
+                x
+            } else {
+                ctx.var("y", Sort::BitVec(8))
+            };
+            let mut bb = BitBlaster::new(&ctx);
+            let bits = bb.blast_bv(ctx.bv_mul(x, y));
+            (bb.cnf.num_clauses(), bits[1] == bb.const_lit(false))
+        };
+        let ((square, bit1_zero), (product, _)) = (blast(true), blast(false));
+        assert!(square < product, "x·x: {square} clauses, x·y: {product}");
+        assert!(bit1_zero, "bit 1 of x·x is not the constant 0");
     }
 
     #[test]

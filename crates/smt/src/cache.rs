@@ -350,6 +350,7 @@ const REC_NODE: u64 = 0xA1;
 const REC_ROOT: u64 = 0xA2;
 const REC_SEED: u64 = 0xA3;
 const REC_BIND: u64 = 0xA4;
+const REC_PREFER: u64 = 0xA5;
 const KEY_QUERY: u64 = 0xB1;
 const KEY_OBLIGATION: u64 = 0xB2;
 
@@ -583,19 +584,19 @@ impl TermKey {
 
     /// The key of a whole ∃∀ obligation: `phi` with its `universals`
     /// flagged, each seed instantiation of the universals that occur in
-    /// `phi` (in order: CEGQI pushes them in order), and the two solver
-    /// settings that shape the witness it returns.
+    /// `phi` (in order: CEGQI pushes them in order), and the two settings
+    /// that shape the witness it returns: `rewrite`, and the
+    /// `prefer_false` flags that occur in the keyed terms (in order).
     pub fn of_obligation(
         ctx: &Ctx,
         universals: &[TermId],
         phi: TermId,
         seeds: &[HashMap<TermId, TermId>],
         rewrite: bool,
-        incremental: bool,
+        prefer_false: &[TermId],
     ) -> TermKey {
         let mut b = KeyBuilder::new(ctx, universals, KEY_OBLIGATION);
         b.h.word(u64::from(rewrite));
-        b.h.word(u64::from(incremental));
         let root = b.visit(phi);
         b.h.word(REC_ROOT);
         b.h.word(root);
@@ -615,6 +616,12 @@ impl TermKey {
                     b.h.word(i);
                     b.h.word(id);
                 }
+            }
+        }
+        for f in prefer_false {
+            if let Some(&id) = b.ids.get(f) {
+                b.h.word(REC_PREFER);
+                b.h.word(u64::from(id));
             }
         }
         b.finish()
@@ -1604,17 +1611,19 @@ mod tests {
         x: TermId,
         /// The `x & u` node.
         xu: TermId,
+        /// A boolean existential the witness may be asked to leave false.
+        d: TermId,
     }
 
     impl Built {
-        fn key(&self, ctx: &Ctx, seeded: bool, rewrite: bool, incremental: bool) -> TermKey {
+        fn key(&self, ctx: &Ctx, seeded: bool, rewrite: bool, prefer: &[TermId]) -> TermKey {
             let seeds = if seeded { &self.seeds[..] } else { &[] };
-            TermKey::of_obligation(ctx, &self.universals, self.phi, seeds, rewrite, incremental)
+            TermKey::of_obligation(ctx, &self.universals, self.phi, seeds, rewrite, prefer)
         }
     }
 
-    /// ∃x,y ∀u. (x & u) = u ∧ (x + y <u lit ∨ u[lo+3:lo] = 3), seeded with
-    /// u ↦ x + seed_add.
+    /// ∃x,y,d ∀u. (x & u) = u ∧ (x + y <u lit ∨ (d ∧ u[lo+3:lo] = 3)),
+    /// seeded with u ↦ x + seed_add.
     fn obligation(ctx: &Ctx, sh: Shape) -> Built {
         let (x, y, u) = if sh.reversed {
             for i in 0..7 {
@@ -1628,13 +1637,14 @@ mod tests {
             let y = ctx.var("y", Sort::BitVec(8));
             (x, y, ctx.var("u", Sort::BitVec(8)))
         };
+        let d = ctx.var("d", Sort::Bool);
         let xu = ctx.bv_and(x, u);
         let low = ctx.extract(u, sh.extract_lo + 3, sh.extract_lo);
         let phi = ctx.and(
             ctx.eq(xu, u),
             ctx.or(
                 ctx.bv_ult(ctx.bv_add(x, y), ctx.bv_lit_u64(8, sh.lit)),
-                ctx.eq(low, ctx.bv_lit_u64(4, 3)),
+                ctx.and(d, ctx.eq(low, ctx.bv_lit_u64(4, 3))),
             ),
         );
         let seed = HashMap::from([(u, ctx.bv_add(x, ctx.bv_lit_u64(8, sh.seed_add)))]);
@@ -1644,14 +1654,15 @@ mod tests {
             seeds: vec![seed],
             x,
             xu,
+            d,
         }
     }
 
-    fn key_of(sh: Shape, seeded: bool, rewrite: bool, incremental: bool) -> Fingerprint {
+    fn key_of(sh: Shape, seeded: bool, rewrite: bool, prefer: bool) -> Fingerprint {
         let ctx = Ctx::new();
-        obligation(&ctx, sh)
-            .key(&ctx, seeded, rewrite, incremental)
-            .fingerprint()
+        let b = obligation(&ctx, sh);
+        let prefer = if prefer { vec![b.d] } else { vec![] };
+        b.key(&ctx, seeded, rewrite, &prefer).fingerprint()
     }
 
     #[test]
@@ -1666,7 +1677,10 @@ mod tests {
         // The smart constructors really did store `x & u` both ways round.
         assert_eq!(c1.args(b1.xu)[0], b1.x);
         assert_eq!(c2.args(b2.xu)[1], b2.x);
-        let (k1, k2) = (b1.key(&c1, true, true, true), b2.key(&c2, true, true, true));
+        let (k1, k2) = (
+            b1.key(&c1, true, true, &[b1.d]),
+            b2.key(&c2, true, true, &[b2.d]),
+        );
         assert_eq!(k1.fingerprint(), k2.fingerprint());
         assert_eq!(k1.nodes, k2.nodes);
         // Canonical variable i is the same variable in both contexts.
@@ -1681,14 +1695,14 @@ mod tests {
 
     #[test]
     fn obligation_key_separates_what_shapes_the_answer() {
-        let base = key_of(BASE, true, true, true);
+        let base = key_of(BASE, true, true, false);
         let existential = Shape {
             u_universal: false,
             ..BASE
         };
         let variants = [
-            key_of(existential, true, true, true),
-            key_of(Shape { lit: 0xF1, ..BASE }, true, true, true),
+            key_of(existential, true, true, false),
+            key_of(Shape { lit: 0xF1, ..BASE }, true, true, false),
             key_of(
                 Shape {
                     extract_lo: 1,
@@ -1696,7 +1710,7 @@ mod tests {
                 },
                 true,
                 true,
-                true,
+                false,
             ),
             key_of(
                 Shape {
@@ -1705,10 +1719,10 @@ mod tests {
                 },
                 true,
                 true,
-                true,
+                false,
             ),
-            key_of(BASE, true, false, true),
-            key_of(BASE, true, true, false),
+            key_of(BASE, true, false, false),
+            key_of(BASE, true, true, true),
         ];
         for (i, k) in variants.iter().enumerate() {
             assert_ne!(*k, base, "variant {i} collides with the base key");
@@ -1718,8 +1732,16 @@ mod tests {
         }
         // Without the seed, the universal flag alone tells them apart.
         assert_ne!(
-            key_of(BASE, false, true, true),
-            key_of(existential, false, true, true)
+            key_of(BASE, false, true, false),
+            key_of(existential, false, true, false)
+        );
+        // A preferred flag that does not occur cannot shape the witness.
+        let ctx = Ctx::new();
+        let b = obligation(&ctx, BASE);
+        let stranger = ctx.var("e", Sort::Bool);
+        assert_eq!(
+            b.key(&ctx, true, true, &[stranger]).fingerprint(),
+            b.key(&ctx, true, true, &[]).fingerprint()
         );
     }
 
@@ -1738,7 +1760,8 @@ mod tests {
                 ctx.bv_ult(z, ctx.bv_lit_u64(8, 3)),
             ),
         );
-        let solve = || solve_exists_forall_with_seeds(&ctx, &[u], phi, EfConfig::default(), &[]);
+        let solve =
+            || solve_exists_forall_with_seeds(&ctx, &[u], phi, EfConfig::default(), &[], &[]);
         let (writer, reader) = scopes(1001);
         let (live, _) = under(Some(writer), solve);
         let (hit, d) = under(Some(reader), solve);
@@ -1762,7 +1785,8 @@ mod tests {
         let x = ctx.var("x", Sort::BitVec(6));
         let u = ctx.var("u", Sort::BitVec(6));
         let phi = ctx.eq(x, u);
-        let solve = || solve_exists_forall_with_seeds(&ctx, &[u], phi, EfConfig::default(), &[]);
+        let solve =
+            || solve_exists_forall_with_seeds(&ctx, &[u], phi, EfConfig::default(), &[], &[]);
         let (writer, reader) = scopes(1002);
         let (live, d1) = under(Some(writer), solve);
         assert!(live.is_unsat() && d1.cegqi_iters > 0, "{d1:?}");
@@ -1813,10 +1837,10 @@ mod tests {
 
         // Obligation: ∃x ∀u. x & u = u needs x = 1111; the entry says 0000.
         let phi = ctx.eq(ctx.bv_and(x, u), u);
-        let key = TermKey::of_obligation(&ctx, &[u], phi, &[], true, true);
+        let key = TermKey::of_obligation(&ctx, &[u], phi, &[], true, &[]);
         global().store_term(writer, &key, forged(&key, x, 0), CnfSizes::default());
         let (r, d) = under(Some(reader), || {
-            solve_exists_forall_with_seeds(&ctx, &[u], phi, EfConfig::default(), &[])
+            solve_exists_forall_with_seeds(&ctx, &[u], phi, EfConfig::default(), &[], &[])
         });
         assert_eq!(d.cache_reval, 1, "{d:?}");
         assert!(d.incremental_solves > 0, "the live loop ran: {d:?}");

@@ -9,6 +9,10 @@
 //! 2. Verify the guess: search `Y` with `¬φ(x*, Y)`.
 //! 3. If none exists, `x*` is a witness; otherwise add the found `y*` as a
 //!    new instantiation and repeat.
+//!
+//! The candidate step runs on one [`IncrementalSolver`] kept alive across
+//! the loop: each instantiation is an activation-guarded clause group, so
+//! iteration `k+1` starts from iteration `k`'s learned clauses.
 
 use crate::cache::{self, CnfSizes, TermKey, TermOutcome, TermScope};
 use crate::model::Model;
@@ -53,14 +57,6 @@ pub struct EfConfig {
     pub max_iterations: u32,
     /// Overall wall-clock limit in milliseconds for the whole loop.
     pub max_millis: u64,
-    /// Keep one candidate solver alive across iterations (default). Each
-    /// counterexample instantiation becomes an activation-literal-guarded
-    /// clause group on a persistent [`IncrementalSolver`], so iteration
-    /// `k+1` starts from iteration `k`'s learned clauses and variable
-    /// order instead of a cold solver. `false` rebuilds a fresh one-shot
-    /// solver per iteration (the `--no-incremental` escape hatch); both
-    /// modes return the same verdicts, though possibly different models.
-    pub incremental: bool,
     /// Run the term-rewriting pass on φ and on every solver query before
     /// bit-blasting (default). Obligations that rewrite to a literal are
     /// discharged with zero CNF; `false` is the `--no-rewrite` escape
@@ -75,7 +71,6 @@ impl Default for EfConfig {
             budget: Budget::unlimited(),
             max_iterations: 64,
             max_millis: u64::MAX,
-            incremental: true,
             rewrite: true,
         }
     }
@@ -92,7 +87,7 @@ pub fn solve_exists_forall(
     phi: TermId,
     config: EfConfig,
 ) -> EfResult {
-    solve_exists_forall_with_seeds(ctx, universals, phi, config, &[])
+    solve_exists_forall_with_seeds(ctx, universals, phi, config, &[], &[])
 }
 
 /// Like [`solve_exists_forall`], with caller-provided *seed instantiations*
@@ -102,6 +97,14 @@ pub fn solve_exists_forall(
 /// regardless of seed quality — good seeds (e.g. matching a source
 /// function's undef choices to the target's) make the loop converge in one
 /// iteration instead of chasing fresh values.
+///
+/// `prefer_false` names boolean existentials a witness should leave false
+/// when it can (the validator passes each argument's `isundef` and
+/// `ispoison` flags, so a counterexample prefers defined inputs). A
+/// witness that sets some of them gets one more candidate check with
+/// those flags false, and the answer keeps whichever witness passes the
+/// verify step, the new one first. Both are witnesses, so the verdict is
+/// the same either way; only the model can change.
 ///
 /// Inside an engine job the whole obligation is a term-tier cache entry
 /// ([`TermKey::of_obligation`]): φ, the seeds and the settings that shape
@@ -114,6 +117,7 @@ pub fn solve_exists_forall_with_seeds(
     phi: TermId,
     config: EfConfig,
     seeds: &[HashMap<TermId, TermId>],
+    prefer_false: &[TermId],
 ) -> EfResult {
     for u in universals {
         assert!(
@@ -122,20 +126,13 @@ pub fn solve_exists_forall_with_seeds(
         );
     }
     let Some(scope) = cache::term_scope() else {
-        return solve_live(ctx, universals, phi, config, seeds);
+        return solve_live(ctx, universals, phi, config, seeds, prefer_false);
     };
-    let key = TermKey::of_obligation(
-        ctx,
-        universals,
-        phi,
-        seeds,
-        config.rewrite,
-        config.incremental,
-    );
+    let key = TermKey::of_obligation(ctx, universals, phi, seeds, config.rewrite, prefer_false);
     if let Some(r) = replay(ctx, scope, &key, universals, phi, config) {
         return r;
     }
-    let result = solve_live(ctx, universals, phi, config, seeds);
+    let result = solve_live(ctx, universals, phi, config, seeds, prefer_false);
     let outcome = match &result {
         EfResult::Unsat => Some(TermOutcome::Unsat),
         EfResult::Sat(m) => key.encode_model(ctx, m).map(TermOutcome::Sat),
@@ -227,6 +224,7 @@ fn solve_live(
     phi: TermId,
     config: EfConfig,
     seeds: &[HashMap<TermId, TermId>],
+    prefer_false: &[TermId],
 ) -> EfResult {
     let start = Instant::now();
     // Two clocks: the relative per-query cap (`max_millis`, restarted per
@@ -322,28 +320,24 @@ fn solve_live(
     // not per iteration.
     let exist_vars = existentials(ctx, universals, phi);
 
-    // Candidate solver for the default incremental mode: one solver alive
-    // across the whole loop. Each instantiation of φ is pushed exactly once
-    // as an activation-guarded group, and every check activates all groups
-    // pushed so far — the solver keeps its learned clauses, activities and
-    // phases warm from one candidate step to the next. (The groups are
-    // individually retractable by dropping their activation from a check;
-    // this loop only ever grows the set.)
-    let mut cand_inc: Option<IncrementalSolver> = config.incremental.then(|| {
-        let mut s = IncrementalSolver::new(ctx);
-        // No rewriting on candidate queries: they are fully instantiated,
-        // so the smart constructors already fold them, and restructuring
-        // the CNF defeats the zero-phase bias below — the loop then crawls
-        // through near-miss candidates one value at a time (observed on
-        // the undef-duplication known bugs).
-        s.set_rewrite(false);
-        // Zero-biased candidate models: saved phases would hand back a
-        // near-copy of the previous (refuted) candidate, and CEGQI on wide
-        // bit-vectors then crawls through refinements one value at a time.
-        // Regular, mostly-zero candidates converge like the one-shot path.
-        s.set_zero_phase(true);
-        s
-    });
+    // The candidate solver: one solver alive across the whole loop. Each
+    // instantiation of φ is pushed exactly once as an activation-guarded
+    // group, and every check activates all groups pushed so far — the
+    // solver keeps its learned clauses and activities warm from one
+    // candidate step to the next. (The groups are individually
+    // retractable by dropping their activation from a check; only the
+    // witness preference adds one that the loop's checks leave out.)
+    let mut cand = IncrementalSolver::new(ctx);
+    // No rewriting on candidate queries: they are fully instantiated, so
+    // the smart constructors already fold them, and restructuring the CNF
+    // defeats the zero-phase bias below — the loop then crawls through
+    // near-miss candidates one value at a time (observed on the
+    // undef-duplication known bugs).
+    cand.set_rewrite(false);
+    // Zero-biased candidate models: saved phases would hand back a
+    // near-copy of the previous (refuted) candidate, and CEGQI on wide
+    // bit-vectors then crawls through refinements one value at a time.
+    cand.set_zero_phase(true);
     let mut groups: Vec<Activation> = Vec::new();
     let mut pushed = 0usize;
 
@@ -377,24 +371,13 @@ fn solve_live(
             return EfResult::Timeout;
         };
         // Candidate step: find X satisfying φ under every instantiation.
-        let outcome = if let Some(cand) = cand_inc.as_mut() {
-            while pushed < instantiations.len() {
-                let g = cand.new_group();
-                cand.assert_in(g, ctx.substitute(phi, &instantiations[pushed]));
-                groups.push(g);
-                pushed += 1;
-            }
-            cand.check(&groups, b)
-        } else {
-            let mut cand = Solver::new(ctx);
-            // Same reasoning as the incremental candidate: no rewriting.
-            cand.set_rewrite(false);
-            for inst in &instantiations {
-                cand.assert(ctx.substitute(phi, inst));
-            }
-            cand.check(b)
-        };
-        let x_model = match outcome {
+        while pushed < instantiations.len() {
+            let g = cand.new_group();
+            cand.assert_in(g, ctx.substitute(phi, &instantiations[pushed]));
+            groups.push(g);
+            pushed += 1;
+        }
+        let x_model = match cand.check(&groups, b) {
             SmtResult::Sat(m) => m,
             SmtResult::Unsat => return EfResult::Unsat,
             SmtResult::Timeout => return EfResult::Timeout,
@@ -405,7 +388,24 @@ fn solve_live(
             return EfResult::Timeout;
         };
         match refute(ctx, phi, &exist_vars, &x_model, config.rewrite, b) {
-            SmtResult::Unsat => return EfResult::Sat(x_model),
+            SmtResult::Unsat => {
+                let is_witness = |m: &Model| {
+                    budget_left(&start).is_some_and(|b| {
+                        refute(ctx, phi, &exist_vars, m, config.rewrite, b).is_unsat()
+                    })
+                };
+                let b = budget_left(&start);
+                let x = prefer_defined(
+                    ctx,
+                    &mut cand,
+                    &groups,
+                    x_model,
+                    prefer_false,
+                    b,
+                    is_witness,
+                );
+                return EfResult::Sat(x);
+            }
             SmtResult::Sat(y_model) => {
                 let mut inst = HashMap::new();
                 for &u in universals {
@@ -421,6 +421,41 @@ fn solve_live(
     // surface as Timeout, but only this path bumps the exhaustion counter.
     alive2_obs::stats::record_cegqi_iter_exhausted();
     EfResult::Timeout
+}
+
+/// The witness preference of [`solve_exists_forall_with_seeds`]: returns
+/// witness `x`, or one that leaves every `prefer_false` flag false. The
+/// alternative is asked for only when `x` sets a flag: one more check of
+/// the candidate solver under `groups` plus a new group asserting every
+/// flag `x` assigns false. It replaces `x` only if `is_witness` (the
+/// verify step) accepts it too.
+fn prefer_defined(
+    ctx: &Ctx,
+    cand: &mut IncrementalSolver,
+    groups: &[Activation],
+    x: Model,
+    prefer_false: &[TermId],
+    budget: Option<Budget>,
+    is_witness: impl Fn(&Model) -> bool,
+) -> Model {
+    // Only flags the candidate solver knows: a new variable would leave
+    // the term tier's key and make the witness uncacheable.
+    let assigned: Vec<(TermId, bool)> = prefer_false
+        .iter()
+        .filter_map(|&f| Some((f, x.try_eval(ctx, f)?.as_bool())))
+        .collect();
+    let Some(b) = budget.filter(|_| assigned.iter().any(|&(_, set)| set)) else {
+        return x;
+    };
+    let g = cand.new_group();
+    for &(f, _) in &assigned {
+        cand.assert_in(g, ctx.not(f));
+    }
+    let active: Vec<Activation> = groups.iter().copied().chain([g]).collect();
+    match cand.check(&active, b) {
+        SmtResult::Sat(y) if is_witness(&y) => y,
+        _ => x,
+    }
 }
 
 #[cfg(test)]
@@ -541,77 +576,93 @@ mod tests {
     }
 
     #[test]
-    fn incremental_and_fresh_modes_agree_on_verdicts() {
+    fn mixed_problems_get_their_known_answers() {
         let ctx = Ctx::new();
         let x = ctx.var("x", Sort::BitVec(6));
         let y = ctx.var("y", Sort::BitVec(6));
         let z = ctx.var("z", Sort::BitVec(6));
-        // A mixed bag: valid identities (sat), impossible demands (unsat).
-        let problems: Vec<(TermId, Vec<TermId>)> = vec![
-            (ctx.eq(ctx.bv_and(x, y), y), vec![y]), // sat: x = ~0
-            (ctx.eq(x, y), vec![y]),                // unsat
-            (ctx.eq(ctx.bv_sub(ctx.bv_add(y, x), x), y), vec![y]), // sat: any x
-            (ctx.bv_ult(y, x), vec![y]),            // unsat: y = ~0
-            (ctx.bv_ule(ctx.bv_and(y, z), ctx.bv_or(y, x)), vec![y, z]), // sat
+        // A mixed bag of valid identities and impossible demands, each
+        // with its known answer.
+        let problems: Vec<(TermId, Vec<TermId>, bool)> = vec![
+            (ctx.eq(ctx.bv_and(x, y), y), vec![y], true), // x = ~0
+            (ctx.eq(x, y), vec![y], false),
+            (ctx.eq(ctx.bv_sub(ctx.bv_add(y, x), x), y), vec![y], true), // any x
+            (ctx.bv_ult(y, x), vec![y], false),                          // y = ~0 refutes every x
+            (
+                ctx.bv_ule(ctx.bv_and(y, z), ctx.bv_or(y, x)),
+                vec![y, z],
+                true,
+            ),
         ];
-        for (i, (phi, unis)) in problems.iter().enumerate() {
-            let inc = solve_exists_forall(&ctx, unis, *phi, EfConfig::default());
-            let fresh = solve_exists_forall(
-                &ctx,
-                unis,
-                *phi,
-                EfConfig {
-                    incremental: false,
-                    ..EfConfig::default()
-                },
-            );
-            assert_eq!(
-                inc.is_sat(),
-                fresh.is_sat(),
-                "problem {i}: incremental={inc:?} fresh={fresh:?}"
-            );
-            assert_eq!(inc.is_unsat(), fresh.is_unsat(), "problem {i}");
+        for (i, (phi, unis, sat)) in problems.iter().enumerate() {
+            let r = solve_exists_forall(&ctx, unis, *phi, EfConfig::default());
+            if *sat {
+                let EfResult::Sat(m) = &r else {
+                    panic!("problem {i}: expected a witness, got {r:?}");
+                };
+                // The witness really holds for every universal value.
+                let x_subst = HashMap::from([(x, m.value_term(&ctx, x))]);
+                let inst = ctx.substitute(*phi, &x_subst);
+                assert_eq!(
+                    crate::solver::is_valid(&ctx, inst, Budget::unlimited()),
+                    Some(true),
+                    "problem {i}"
+                );
+            } else {
+                assert!(r.is_unsat(), "problem {i}: expected unsat, got {r:?}");
+            }
         }
     }
 
     #[test]
-    fn incremental_mode_reuses_live_solver_fresh_mode_does_not() {
+    fn candidate_steps_reuse_the_live_solver() {
         let ctx = Ctx::new();
         let x = ctx.var("x", Sort::BitVec(8));
         let y = ctx.var("y", Sort::BitVec(8));
-        // ∃x. ∀y. (y & x) ule (y ^ 0x35) — needs a few refinement rounds,
-        // so the incremental path gets to reuse its candidate solver.
+        // ∃x. ∀y. (y & x) ule (y ^ 0x35) — a witness exists (x = 0), and
+        // a candidate that misses it is refuted and refined.
         let phi = ctx.bv_ule(ctx.bv_and(y, x), ctx.bv_xor(y, ctx.bv_lit_u64(8, 0x35)));
-        let run = |incremental: bool| {
-            let snap = alive2_obs::counters_snapshot();
-            let r = solve_exists_forall(
-                &ctx,
-                &[y],
-                phi,
-                EfConfig {
-                    incremental,
-                    ..EfConfig::default()
-                },
-            );
-            let mut d = alive2_obs::JobStats::default();
-            d.absorb_since(&snap);
-            (r, d)
-        };
-        let (r_inc, d_inc) = run(true);
-        let (r_fresh, d_fresh) = run(false);
-        assert_eq!(r_inc.is_sat(), r_fresh.is_sat());
+        let snap = alive2_obs::counters_snapshot();
+        let r = solve_exists_forall(&ctx, &[y], phi, EfConfig::default());
+        let mut d = alive2_obs::JobStats::default();
+        d.absorb_since(&snap);
+        assert!(r.is_sat(), "{r:?}");
         assert!(
-            d_inc.incremental_solves > 0,
-            "default path must check on a live solver: {d_inc:?}"
-        );
-        assert_eq!(
-            d_fresh.incremental_solves, 0,
-            "--no-incremental must stay one-shot: {d_fresh:?}"
+            d.incremental_solves > 0,
+            "candidate steps must check on a live solver: {d:?}"
         );
         // Past iteration 1 every check inherits the previous clause db.
-        if d_inc.incremental_solves > 1 {
-            assert!(d_inc.clauses_reused > 0, "{d_inc:?}");
+        if d.incremental_solves > 1 {
+            assert!(d.clauses_reused > 0, "{d:?}");
         }
+    }
+
+    #[test]
+    fn witness_leaves_preferred_flags_false_when_it_can() {
+        // ∃d,e ∀y. (d ∨ e) ∧ (y & x) ule y: either flag alone makes a
+        // witness, so whichever one is preferred false stays false.
+        let ctx = Ctx::new();
+        let x = ctx.var("x", Sort::BitVec(8));
+        let y = ctx.var("y", Sort::BitVec(8));
+        let d = ctx.var("d", Sort::Bool);
+        let e = ctx.var("e", Sort::Bool);
+        let phi = ctx.and(ctx.or(d, e), ctx.bv_ule(ctx.bv_and(y, x), y));
+        for (keep, other) in [(d, e), (e, d)] {
+            let r =
+                solve_exists_forall_with_seeds(&ctx, &[y], phi, EfConfig::default(), &[], &[keep]);
+            let EfResult::Sat(m) = r else {
+                panic!("expected a witness, got {r:?}");
+            };
+            assert!(!m.eval(&ctx, keep).as_bool(), "{m:?}");
+            assert!(m.eval(&ctx, other).as_bool(), "{m:?}");
+        }
+        // When every witness sets the flag, the first one stands.
+        let phi = ctx.and(d, ctx.bv_ule(ctx.bv_and(y, x), y));
+        let r = solve_exists_forall_with_seeds(&ctx, &[y], phi, EfConfig::default(), &[], &[d]);
+        let EfResult::Sat(m) = r else {
+            panic!("expected a witness, got {r:?}");
+        };
+        assert!(m.eval(&ctx, d).as_bool());
     }
 
     #[test]

@@ -821,14 +821,16 @@ mod tests {
     fn timeout_results_are_not_cached() {
         let ctx = Ctx::new();
         let x = ctx.var("x", Sort::BitVec(8));
-        // x² = 0xB7 is unsat (odd squares are 1 mod 8, 0xB7 is 7 mod 8)
+        // x² = 0xB5 is unsat (odd squares are 1 mod 8, 0xB5 is 5 mod 8)
         // but refuting a multiplier circuit needs real search, so a
         // zero-conflict budget deterministically times out at the first
-        // conflict. Distinctive constants: no other test in this process
-        // shares the fingerprint, so the shared global cache stays
-        // predictable here.
+        // conflict. Bit 1 of 0xB5 is clear on purpose: gate hashing makes
+        // bit 1 of x² the constant 0, so a constant with it set (0xB7)
+        // is refuted without a conflict. Distinctive constants: no other
+        // test in this process shares the fingerprint, so the shared
+        // global cache stays predictable here.
         let mut s = Solver::new(&ctx);
-        s.assert(ctx.eq(ctx.bv_mul(x, x), ctx.bv_lit_u64(8, 0xB7)));
+        s.assert(ctx.eq(ctx.bv_mul(x, x), ctx.bv_lit_u64(8, 0xB5)));
         let starved = Budget {
             max_conflicts: 0,
             ..Budget::unlimited()
@@ -1008,6 +1010,60 @@ mod tests {
         assert_eq!(d2.incremental_solves, 1);
         assert!(d2.clauses_reused > 0, "second check reuses the db: {d2:?}");
         assert_eq!((d2.cache_hits, d2.cache_misses), (0, 0));
+    }
+
+    #[test]
+    fn gates_are_shared_across_groups_and_retract_soundly() {
+        let ctx = Ctx::new();
+        let x = ctx.var("x", Sort::BitVec(8));
+        let y = ctx.var("y", Sort::BitVec(8));
+        let small_y = ctx.bv_ult(y, ctx.bv_lit_u64(8, 10));
+        let g1_body = ctx.bv_ult(x, y);
+        // x - y runs the same carry chain as x <u y: x + ¬y + 1.
+        let g2_body = ctx.eq(ctx.bv_sub(x, y), ctx.bv_lit_u64(8, 5));
+        let mut s = IncrementalSolver::new(&ctx);
+        // Blast the assertions as written, as the blaster below does.
+        s.set_rewrite(false);
+        s.assert(small_y);
+        let g1 = s.new_group();
+        s.assert_in(g1, g1_body);
+        let before = s.bb.cnf.num_clauses();
+        let g2 = s.new_group();
+        s.assert_in(g2, g2_body);
+        let added = s.bb.cnf.num_clauses() - before;
+        // The same assertion blasted without g1's gates.
+        let mut alone = BitBlaster::new(&ctx);
+        alone.assert_term(g2_body);
+        assert!(
+            added < alone.cnf.num_clauses() - 1,
+            "g2 reused none of g1's gates: {added} clauses"
+        );
+        // Every activation set, g1 retracted included, agrees with a
+        // fresh solver over the same assertions: x <u y <u 10 and
+        // x - y = 5 together need y >= 251.
+        for active in [vec![], vec![g1], vec![g2], vec![g1, g2]] {
+            let mut fresh = Solver::new(&ctx);
+            fresh.assert(small_y);
+            let mut bodies = vec![small_y];
+            for (g, body) in [(g1, g1_body), (g2, g2_body)] {
+                if active.contains(&g) {
+                    fresh.assert(body);
+                    bodies.push(body);
+                }
+            }
+            let r = s.check(&active, Budget::unlimited());
+            assert_eq!(
+                r.is_sat(),
+                fresh.check(Budget::unlimited()).is_sat(),
+                "{active:?}"
+            );
+            if let Some(m) = r.model() {
+                for &t in &bodies {
+                    assert!(m.eval(&ctx, t).as_bool(), "{active:?}");
+                }
+            }
+        }
+        assert!(s.check(&[g1, g2], Budget::unlimited()).is_unsat());
     }
 
     #[test]

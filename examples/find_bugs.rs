@@ -6,7 +6,7 @@
 //! Run with `cargo run --example find_bugs` (add `--release` for speed).
 //! Validation fans out on the shared engine, so the standard flags apply:
 //! `--jobs N`, `--procs N` (supervised worker processes),
-//! `--deadline-ms MS`, `--no-incremental`, `--no-rewrite`, `--journal`/`--resume`,
+//! `--deadline-ms MS`, `--no-rewrite`, `--journal`/`--resume`,
 //! `--stats`, `--trace FILE`, `--profile FILE`.
 
 use alive2::core::cli::{

@@ -6,7 +6,7 @@
 //!
 //! ```text
 //! cargo run --release --example validate_app -- [bzip2|gzip|oggenc|ph7|sqlite3] \
-//!     [--jobs N] [--procs N] [--deadline-ms MS] [--no-incremental] [--no-rewrite] \
+//!     [--jobs N] [--procs N] [--deadline-ms MS] [--no-rewrite] \
 //!     [--journal PATH] [--resume PATH] [--stats] [--trace FILE] [--profile FILE]
 //! ```
 //!

@@ -172,7 +172,7 @@ pub fn alive_tv_main() -> ExitCode {
 /// Shares the whole CLI convention with `alive2_tv` — `--jobs`,
 /// `--deadline-ms`, `--unroll`, `--timeout`, `--mem-budget-mb`,
 /// `--cache`, `--journal`/`--resume`, `--stats`/`--trace`/`--profile`,
-/// `--no-incremental`/`--no-rewrite` — plus the daemon knobs:
+/// `--no-rewrite` — plus the daemon knobs:
 /// `--listen ADDR` (length-prefixed Unix/TCP socket instead of stdio),
 /// `--max-batch-pairs N`, `--max-queued-pairs N`.
 ///
