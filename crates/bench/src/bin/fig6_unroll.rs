@@ -8,8 +8,7 @@
 //! the merged journal, so `--procs` composes with the multi-run loop).
 
 use alive2_bench::{
-    cache_from_args, config_from_args, engine_from_args, finish_obs, obs_from_args,
-    print_summary_json, validate_module_pipeline, validate_pairs, Counts,
+    finish_obs, print_summary_json, setup, validate_module_pipeline, validate_pairs, Counts,
 };
 use alive2_ir::parser::parse_module;
 use alive2_opt::bugs::BugSet;
@@ -47,9 +46,7 @@ exit:
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let obs = obs_from_args(&args);
-    cache_from_args(&args);
-    let engine = engine_from_args(&args);
+    let (obs, engine, base) = setup(&args, EncodeConfig::default());
     let factors = [1u32, 2, 4, 8, 16, 32];
     println!("Figure 6: effect of the unroll factor (corpus + known-bug suite)\n");
     println!(
@@ -58,7 +55,10 @@ fn main() {
     );
     let mut grand = Counts::default();
     for factor in factors {
-        let cfg = config_from_args(&args, EncodeConfig::with_unroll(factor));
+        let cfg = EncodeConfig {
+            unroll_factor: factor,
+            ..base
+        };
         let mut total = Counts::default();
         for case in corpus() {
             let m = parse_module(case.text).expect("corpus parses");

@@ -9,8 +9,8 @@
 //! processes (crash/hang quarantine instead of a sunk run).
 
 use alive2_bench::{
-    cache_from_args, config_from_args, engine_from_args, finish_obs, flag_value, obs_from_args,
-    print_fig7_header, print_fig7_row, print_summary_json, validate_module_pipeline, Counts,
+    finish_obs, flag_value, print_fig7_header, print_fig7_row, print_summary_json, setup,
+    validate_module_pipeline, Counts,
 };
 use alive2_opt::bugs::{BugId, BugSet};
 use alive2_sema::config::EncodeConfig;
@@ -19,9 +19,7 @@ use alive2_testgen::appgen::{generate, profiles};
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let scale: f64 = flag_value(&args, "--scale").unwrap_or(1.0);
-    let obs = obs_from_args(&args);
-    cache_from_args(&args);
-    let engine = engine_from_args(&args);
+    let (obs, engine, mut cfg) = setup(&args, EncodeConfig::default());
     // §8.4 found real miscompilations in the wild (the select→and/or
     // canonicalization); seed the matching bug so the experiment
     // reproduces non-zero failure columns.
@@ -30,7 +28,6 @@ fn main() {
 
     // The paper capped Z3 at one minute per query on an 8-core Xeon; scale
     // the cap to this harness so one hard function cannot dominate the run.
-    let mut cfg = config_from_args(&args, EncodeConfig::default());
     cfg.solver_timeout_ms = 10_000;
     println!(
         "Figure 7: single-file application validation (synthetic substitutes; {} worker{})\n",

@@ -6,8 +6,7 @@
 //! flags (each timeout step's runs are supervised independently).
 
 use alive2_bench::{
-    cache_from_args, config_from_args, engine_from_args, finish_obs, obs_from_args,
-    print_summary_json, validate_module_pipeline, validate_pairs, Counts,
+    finish_obs, print_summary_json, setup, validate_module_pipeline, validate_pairs, Counts,
 };
 use alive2_ir::parser::parse_module;
 use alive2_opt::bugs::BugSet;
@@ -16,9 +15,7 @@ use alive2_testgen::{appgen, corpus::corpus, known_bugs::known_bugs};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let obs = obs_from_args(&args);
-    cache_from_args(&args);
-    let engine = engine_from_args(&args);
+    let (obs, engine, base) = setup(&args, EncodeConfig::default());
     // The paper sweeps 1 s … 5 min against Z3 on 8 cores; our workload and
     // solver are smaller, so the sweep is scaled down proportionally.
     let timeouts_ms = [5u64, 20, 50, 200, 1000, 5000];
@@ -30,8 +27,11 @@ fn main() {
     let mut base_ms: Option<f64> = None;
     let mut grand = Counts::default();
     for ms in timeouts_ms {
-        let mut cfg = config_from_args(&args, EncodeConfig::with_timeout_ms(ms));
-        cfg.max_ef_iterations = 16;
+        let cfg = EncodeConfig {
+            solver_timeout_ms: ms,
+            max_ef_iterations: 16,
+            ..base
+        };
         let mut total = Counts::default();
         // Unit-test corpus…
         for case in corpus() {

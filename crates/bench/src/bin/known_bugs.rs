@@ -7,10 +7,7 @@
 //! (with `--inject-abort` / `--inject-hang` exercising the quarantine
 //! and watchdog paths deterministically).
 
-use alive2_bench::{
-    cache_from_args, config_from_args, engine_from_args, finish_obs, obs_from_args,
-    print_summary_json, Counts,
-};
+use alive2_bench::{finish_obs, print_summary_json, setup, Counts};
 use alive2_core::engine::Job;
 use alive2_ir::module::Module;
 use alive2_ir::parser::parse_module;
@@ -19,11 +16,8 @@ use alive2_testgen::known_bugs::{known_bugs, Expectation};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let obs = obs_from_args(&args);
-    cache_from_args(&args);
     let started = std::time::Instant::now();
-    let engine = engine_from_args(&args);
-    let cfg = config_from_args(&args, EncodeConfig::default());
+    let (obs, engine, cfg) = setup(&args, EncodeConfig::default());
     let bugs = known_bugs();
     // Parse every pair up front, then hand the whole suite to the engine
     // as one work list (one job per bug).

@@ -6,10 +6,7 @@
 //! Accepts the shared `--jobs N` / `--deadline-ms MS` flags, plus
 //! `--procs N` to shard validation across supervised worker processes.
 
-use alive2_bench::{
-    cache_from_args, config_from_args, engine_from_args, finish_obs, obs_from_args,
-    print_summary_json, Counts,
-};
+use alive2_bench::{finish_obs, print_summary_json, setup, Counts};
 use alive2_core::engine::Job;
 use alive2_ir::function::Function;
 use alive2_ir::module::Module;
@@ -47,13 +44,10 @@ struct Candidate {
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let obs = obs_from_args(&args);
-    cache_from_args(&args);
     let started = std::time::Instant::now();
-    let engine = engine_from_args(&args);
     // The paper capped Z3 at one minute per query on a much larger
     // machine; scale the cap down so the table regenerates quickly.
-    let mut cfg = config_from_args(&args, EncodeConfig::default());
+    let (obs, engine, mut cfg) = setup(&args, EncodeConfig::default());
     cfg.solver_timeout_ms = 10_000;
 
     // Phase 1 (cheap, sequential): run the seeded optimizer pipelines and

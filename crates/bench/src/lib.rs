@@ -20,13 +20,12 @@ use std::time::Instant;
 
 pub use alive2_core::engine::Counts;
 
-// The CLI convention (engine/config/obs/cache construction from argv)
-// moved to `alive2_core::cli` so the process supervisor can rebuild the
-// same engine on both sides of the fork; re-exported here so the bench
-// bins and external users keep their import paths.
+// The CLI convention (the driver prologue and tail) lives in
+// `alive2_core::cli` so the process supervisor can rebuild the same
+// engine on both sides of the fork; re-exported here so the bench bins
+// and external users keep their import paths.
 pub use alive2_core::cli::{
-    cache_from_args, config_from_args, engine_from_args, finish_obs, flag_value, obs_from_args,
-    ObsConfig,
+    engine_from_args, finish_obs, flag_value, obs_from_args, setup, ObsConfig,
 };
 
 /// Prints the machine-readable run summary consumed by `ci.sh` and the

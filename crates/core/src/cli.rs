@@ -1,7 +1,8 @@
 //! The shared CLI convention for every driver (bench bins, examples, the
-//! `alive2_tv` and `alive2-serve` binaries): engine construction, encoder
-//! configuration, observability flags and the post-run tail that honours
-//! them ([`finish_obs`]), and the persistent query cache.
+//! `alive2_tv` and `alive2-serve` binaries): one prologue ([`setup`]) that
+//! arms the observability flags and builds the engine and the encoder
+//! configuration, and one post-run tail that honours the flags
+//! ([`finish_obs`]).
 //!
 //! This lives in `alive2-core` (rather than the bench crate) because the
 //! process supervisor needs it on both sides of the fork: the parent
@@ -36,8 +37,8 @@ fn marker_from(args: &[String], flag: &str, env: &str) -> Option<String> {
 /// shard tuning), journal/resume paths (the supervisor appends its own),
 /// and reporting (`--stats`, `--trace*` — the parent owns reporting).
 /// Everything else — `--jobs`, `--deadline-ms`, `--journal-sync`,
-/// `--cache`, fault-injection markers, positional inputs — passes
-/// through, so a child reproduces the parent's work list and semantics.
+/// fault-injection markers, positional inputs — passes through, so a
+/// child reproduces the parent's work list and semantics.
 pub fn sanitize_child_args(args: &[String]) -> Vec<String> {
     const VALUED: &[&str] = &[
         "--procs",
@@ -81,7 +82,6 @@ pub fn positional_args(args: &[String], extra_valued: &[&str]) -> Vec<String> {
         "--inject-abort",
         "--inject-hang",
         "--mem-budget-mb",
-        "--cache",
         "--trace",
         "--profile",
         "--procs",
@@ -93,12 +93,7 @@ pub fn positional_args(args: &[String], extra_valued: &[&str]) -> Vec<String> {
         "--max-batch-pairs",
         "--max-queued-pairs",
     ];
-    const BOOLEAN: &[&str] = &[
-        "--stats",
-        "--trace-detail",
-        "--no-rewrite",
-        "--journal-sync",
-    ];
+    const BOOLEAN: &[&str] = &["--stats", "--trace-detail", "--journal-sync"];
     let mut out = Vec::new();
     let mut i = 0;
     while i < args.len() {
@@ -199,18 +194,20 @@ pub fn engine_from_args(args: &[String]) -> ValidationEngine {
         .with_worker_shard(worker_shard)
 }
 
-/// Builds an [`EncodeConfig`] from the shared CLI convention:
-/// `--mem-budget-mb MB` (global term-allocation budget per job; exceeding
-/// it yields `Verdict::OutOfMemory` instead of swapping) and `--no-rewrite`
-/// (skip the term-level rewrite saturation pass and send every refinement
-/// obligation straight to the bit-blaster — same verdicts, useful for
-/// triage and A/B timing).
-pub fn config_from_args(args: &[String], base: EncodeConfig) -> EncodeConfig {
-    EncodeConfig {
+/// The prologue every driver shares: arms the observability flags
+/// ([`obs_from_args`]), builds the engine ([`engine_from_args`]), and
+/// applies `--mem-budget-mb MB` to `base` (a global term-allocation
+/// budget per job; exceeding it yields `Verdict::OutOfMemory` instead of
+/// swapping). Call once, before any validation work runs; a driver with
+/// flags of its own applies them to the returned configuration.
+pub fn setup(args: &[String], base: EncodeConfig) -> (ObsConfig, ValidationEngine, EncodeConfig) {
+    let obs = obs_from_args(args);
+    let engine = engine_from_args(args);
+    let cfg = EncodeConfig {
         mem_budget_mb: flag_value(args, "--mem-budget-mb").or(base.mem_budget_mb),
-        rewrite: base.rewrite && !args.iter().any(|a| a == "--no-rewrite"),
         ..base
-    }
+    };
+    (obs, engine, cfg)
 }
 
 /// Observability settings shared by every driver:
@@ -301,31 +298,6 @@ pub fn finish_obs(obs: &ObsConfig, stats: &StatsTotals, wall_us: u64) {
     }
 }
 
-/// Arms the persistent query-cache tier from the shared CLI convention:
-/// `--cache DIR` loads every cache file in `DIR` into the in-process
-/// query cache and appends new canonical-CNF results to this process's
-/// private `DIR/cache-<pid>.jsonl`, so a rerun replays solved queries
-/// instead of solving them live (and concurrent processes sharing the
-/// dir cannot tear each other's lines). Call once, before any validation
-/// work runs. Returns the number of entries loaded (`None` when the flag
-/// is absent).
-///
-/// Exits with a diagnostic if the directory cannot be created or read —
-/// a silently disabled cache would invalidate a warm-run benchmark.
-pub fn cache_from_args(args: &[String]) -> Option<usize> {
-    let dir = flag_value::<String>(args, "--cache")?;
-    match alive2_smt::cache::global().attach_dir(std::path::Path::new(&dir)) {
-        Ok(loaded) => {
-            eprintln!("cache: loaded {loaded} entries from {dir}");
-            Some(loaded)
-        }
-        Err(e) => {
-            eprintln!("error: cannot attach query cache `{dir}`: {e}");
-            std::process::exit(2);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -365,8 +337,6 @@ mod tests {
             "100",
             "--inject-abort",
             "m",
-            "--cache",
-            "dir",
         ]);
         let kept = sanitize_child_args(&args);
         assert_eq!(
@@ -380,8 +350,6 @@ mod tests {
                 "100",
                 "--inject-abort",
                 "m",
-                "--cache",
-                "dir",
             ])
         );
     }
@@ -430,18 +398,19 @@ mod tests {
     }
 
     #[test]
-    fn config_from_args_parses_mem_budget_and_rewrite() {
-        let cfg = config_from_args(&argv(&["--mem-budget-mb", "64"]), EncodeConfig::default());
+    fn setup_parses_mem_budget_onto_the_base() {
+        let (obs, engine, cfg) = setup(
+            &argv(&["--mem-budget-mb", "64", "--jobs", "3"]),
+            EncodeConfig::default(),
+        );
+        assert!(!obs.stats && obs.trace.is_none() && obs.profile.is_none());
+        assert_eq!(engine.workers, 3);
         assert_eq!(cfg.mem_budget_mb, Some(64));
-        let base = EncodeConfig::with_mem_budget_mb(8);
-        assert_eq!(config_from_args(&[], base).mem_budget_mb, Some(8));
-        assert!(config_from_args(&[], EncodeConfig::default()).rewrite);
-        assert!(!config_from_args(&argv(&["--no-rewrite"]), EncodeConfig::default()).rewrite);
-        // A base that already disabled rewriting keeps it disabled.
-        let off = EncodeConfig {
-            rewrite: false,
-            ..EncodeConfig::default()
-        };
-        assert!(!config_from_args(&[], off).rewrite);
+        // The base keeps everything the flags do not set.
+        let (_, _, cfg) = setup(&[], EncodeConfig::with_unroll(8));
+        assert_eq!((cfg.unroll_factor, cfg.mem_budget_mb), (8, None));
+        assert!(cfg.rewrite);
+        let (_, _, cfg) = setup(&[], EncodeConfig::with_mem_budget_mb(8));
+        assert_eq!(cfg.mem_budget_mb, Some(8));
     }
 }

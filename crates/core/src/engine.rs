@@ -940,12 +940,11 @@ mod tests {
 
     #[test]
     fn counters_are_deterministic_across_worker_counts() {
-        // The query cache is shared process-wide, so whichever worker
-        // solves a shared formula first takes the miss — but every
-        // *deterministic* counter (queries, smt splits, cegqi iterations,
-        // instructions encoded) must be identical at --jobs 1 and
-        // --jobs 4, and so must the verdicts. Cached replay is
-        // bit-identical to a live solve, which is what makes this hold.
+        // Every deterministic counter (queries, smt splits, cegqi
+        // iterations, instructions encoded, query-cache traffic) must be
+        // identical at --jobs 1 and --jobs 4, and so must the verdicts.
+        // No run reads its own cache entries, which is what makes the
+        // cache counters hold too.
         let (src, tgt) = modules();
         let jobs = jobs_of(&src, &tgt, EncodeConfig::default());
         let (_, c1) = ValidationEngine::sequential().run_counts(&jobs);

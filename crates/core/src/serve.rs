@@ -16,14 +16,12 @@
 //!   requests answered inline. Behind `--listen`, the same payloads
 //!   travel as length-prefixed frames over a Unix or TCP socket
 //!   ([`serve_listen`]), one client per connection.
-//! - **Warm state**: the process-wide sharded query cache (and its
-//!   optional `--cache` disk tier) and the engine's journal/run-ordinal
-//!   state survive between batches. Term contexts stay per-job (they are
-//!   not thread-safe), so the cache is the only unbounded cross-request
-//!   growth — [`Daemon::maybe_gc`] watches its allocation meter and
-//!   drops the in-memory tier when it crosses half of `--mem-budget-mb`
-//!   (entries persist on disk, so a GC degrades warmth, never
-//!   correctness).
+//! - **Warm state**: the process-wide sharded query cache and the
+//!   engine's journal/run-ordinal state survive between batches. Term
+//!   contexts stay per-job (they are not thread-safe), so the cache is
+//!   the only unbounded cross-request growth — [`Daemon::maybe_gc`]
+//!   watches its allocation meter and empties it when it crosses half of
+//!   `--mem-budget-mb` (a GC degrades warmth, never correctness).
 //! - **Admission control**: oversized batches and a full queue are
 //!   rejected with an error response instead of being buffered without
 //!   bound; the daemon backpressures rather than OOMs.
@@ -561,11 +559,10 @@ impl Daemon {
     }
 
     /// Post-batch GC check: once the warm cache's allocation meter
-    /// crosses *half* the memory budget, drop the in-memory tier (disk
-    /// entries survive, so the next hit is a cheap reload — warmth
-    /// degrades, correctness does not). Half, not all: the other half of
-    /// the budget belongs to the per-job term contexts the next batch
-    /// will allocate.
+    /// crosses *half* the memory budget, empty the cache (later batches
+    /// solve again — warmth degrades, correctness does not). Half, not
+    /// all: the other half of the budget belongs to the per-job term
+    /// contexts the next batch will allocate.
     fn maybe_gc(&self) {
         if let Some(budget) = self.budget_bytes() {
             let mem = alive2_smt::cache::global().mem_bytes();

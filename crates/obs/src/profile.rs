@@ -2,8 +2,8 @@
 //! its time and how hard the CDCL core worked.
 //!
 //! The solver layers fill a [`QueryProfile`] per dispatched check (both
-//! the one-shot canonical-CNF path and the live incremental solver) and
-//! hand it to [`record_query`]. Records accumulate in a bounded
+//! the one-shot path and the live incremental solver) and hand it to
+//! [`record_query`]. Records accumulate in a bounded
 //! per-thread ring that the engine drains at job end via [`flush_job`],
 //! so memory stays flat at corpus scale no matter how many queries one
 //! job issues — a job past the ring cap keeps its newest records and
@@ -42,7 +42,8 @@ pub const TOP_K: usize = 10;
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum CacheOutcome {
     /// The path never consulted the cache (incremental solver, rewrite
-    /// discharge, or a pre-cache fast path).
+    /// discharge, a pre-cache fast path, or a one-shot check outside an
+    /// engine job, where there is no cache).
     #[default]
     None,
     /// Answered from the cache without solving.
@@ -72,12 +73,12 @@ pub struct QueryProfile {
     pub job: String,
     /// Wall time of the whole check, µs.
     pub wall_us: u64,
-    /// CNF size before preprocessing (as bit-blasted).
+    /// CNF size as bit-blasted.
     pub vars_pre: u64,
     pub clauses_pre: u64,
-    /// CNF size after preprocessing/canonicalization (what gets solved
-    /// and cache-keyed). For incremental checks: the live solver's
-    /// variable/clause population at dispatch.
+    /// What the solver holds at dispatch: the blasted variables, and the
+    /// clauses resident after `add_clause`'s level-0 work (learned ones
+    /// included on an incremental solver).
     pub vars_post: u64,
     pub clauses_post: u64,
     /// CDCL search effort of the live solve (zero when nothing solved).

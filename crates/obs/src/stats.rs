@@ -35,10 +35,8 @@ use std::fmt::Write as _;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Class {
     /// Deterministic per job; compared by [`StatsTotals::same_counters`].
+    /// Query-cache traffic is too: no run reads its own entries.
     Det,
-    /// Query-cache traffic: with a cache shared across jobs, whichever
-    /// job solves a formula first takes the miss.
-    Sched,
     /// Wall-clock and queue time.
     Time,
     /// Supervision events, fault-dependent by construction. The
@@ -178,12 +176,12 @@ macro_rules! counters {
             pub phase: Phase,
             $($($(#[$doc])* pub $field: $ty,)*)*
             /// Query-metric histograms: wall latency per check (µs),
-            /// canonical CNF clauses per check, CDCL conflicts per live
+            /// resident CNF clauses per check, CDCL conflicts per live
             /// solve. Journaled with the job, so they survive `--resume`
             /// and shard merge. Only the CNF histogram is deterministic
-            /// across parallelism (it is recorded before any cache
-            /// lookup), so only its buckets are compared by
-            /// [`StatsTotals::same_counters`].
+            /// across parallelism (a cache hit replays the sample of the
+            /// solve that wrote the entry), so only its buckets are
+            /// compared by [`StatsTotals::same_counters`].
             pub h_latency_us: Hist,
             pub h_cnf_clauses: Hist,
             pub h_conflicts: Hist,
@@ -288,16 +286,18 @@ counters! {
             Thread record_insts_encoded(n);
         /// §3.8 over-approximations applied while encoding.
         approx: u32 = "approx", Det, Encode "approximations", Thread record_approx();
-        /// Live one-shot SAT solves: checks not answered from the query cache.
-        sat_solves: u32 = "sat_solves", Sched, Cache "live SAT solves",
+        /// Live one-shot SAT solves: every blasted one-shot check not
+        /// answered from the query cache.
+        sat_solves: u32 = "sat_solves", Det, Cache "live SAT solves",
             Thread record_sat_solve();
         /// SMT checks answered from the query cache.
-        cache_hits: u32 = "cache_hits", Sched, Cache "hits", Thread record_cache_hit();
-        /// SMT checks that missed the query cache and solved live.
-        cache_misses: u32 = "cache_misses", Sched, Cache "misses", Thread record_cache_miss();
+        cache_hits: u32 = "cache_hits", Det, Cache "hits", Thread record_cache_hit();
+        /// One-shot checks inside an engine job that missed the query
+        /// cache and solved live.
+        cache_misses: u32 = "cache_misses", Det, Cache "misses", Thread record_cache_miss();
         /// Cached `Sat` models that failed re-validation and fell back to a
         /// live solve (counted in addition to the miss-path live solve).
-        cache_reval: u32 = "cache_reval", Sched, Cache "revalidation misses",
+        cache_reval: u32 = "cache_reval", Det, Cache "revalidation misses",
             Thread record_cache_reval();
         /// Checks dispatched on a live incremental solver, which is private
         /// to its job (not counted as a live one-shot solve).
@@ -432,9 +432,10 @@ pub fn record_query_latency_us(us: u64) {
     HISTS.with(|h| h.borrow_mut().latency_us.record(us));
 }
 
-/// One query's post-preprocess canonical CNF had `n` clauses (histogram
-/// sample; recorded at canonicalization, before any cache lookup, so
-/// the distribution is deterministic across parallelism levels).
+/// One query's CNF had `n` clauses resident in the solver at dispatch
+/// (histogram sample; a cache hit replays the sample of the solve that
+/// wrote the entry, so the distribution is deterministic across
+/// parallelism levels).
 pub fn record_query_cnf_clauses(n: u64) {
     HISTS.with(|h| h.borrow_mut().cnf_clauses.record(n));
 }
@@ -856,12 +857,18 @@ mod tests {
         let mut b = a;
         b.queue_ms = 777; // scheduling-dependent: ignored by same_counters
         assert!(a.same_counters(&b));
-        // Cache traffic is scheduling-dependent too (cross-job dedup).
-        b.cache_hits = 5;
-        b.cache_misses = 2;
-        b.sat_solves = 2;
-        b.cache_reval = 1;
-        assert!(a.same_counters(&b));
+        // Cache traffic is not: no run reads its own entries, so a
+        // changed cache counter breaks parity.
+        for bump in [
+            |t: &mut StatsTotals| t.cache_hits += 1,
+            |t: &mut StatsTotals| t.cache_misses += 1,
+            |t: &mut StatsTotals| t.sat_solves += 1,
+            |t: &mut StatsTotals| t.cache_reval += 1,
+        ] {
+            let mut c = b;
+            bump(&mut c);
+            assert!(!a.same_counters(&c));
+        }
         b.queries += 1;
         assert!(!a.same_counters(&b));
 

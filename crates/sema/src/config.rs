@@ -33,9 +33,9 @@ pub struct EncodeConfig {
     pub mem_budget_mb: Option<u64>,
     /// Run the term-level rewrite saturation pass on every refinement
     /// obligation before bit-blasting, discharging algebraically provable
-    /// queries with zero CNF. `false` is the `--no-rewrite` escape hatch:
-    /// every query goes straight to the bit-blaster. Verdicts are
-    /// identical either way.
+    /// queries with zero CNF. `false` sends every query straight to the
+    /// bit-blaster; `tests/rewrite.rs` checks that verdicts are identical
+    /// either way.
     pub rewrite: bool,
 }
 
@@ -69,14 +69,6 @@ impl EncodeConfig {
         }
     }
 
-    /// A configuration with a given solver timeout (Fig. 8's sweep).
-    pub fn with_timeout_ms(ms: u64) -> Self {
-        EncodeConfig {
-            solver_timeout_ms: ms,
-            ..Default::default()
-        }
-    }
-
     /// A configuration with a given term-DAG memory budget in megabytes.
     pub fn with_mem_budget_mb(mb: u64) -> Self {
         EncodeConfig {
@@ -106,7 +98,6 @@ mod tests {
     #[test]
     fn sweep_constructors() {
         assert_eq!(EncodeConfig::with_unroll(8).unroll_factor, 8);
-        assert_eq!(EncodeConfig::with_timeout_ms(5).solver_timeout_ms, 5);
     }
 
     #[test]

@@ -47,10 +47,10 @@ fn flip_if(l: Lit, flip: bool) -> Lit {
 
 /// Bit-blasts terms from a [`Ctx`] into an owned [`Cnf`].
 ///
-/// The blaster emits raw clauses rather than feeding a solver directly,
-/// so the exact formula survives for preprocessing, canonicalization,
-/// and fingerprinting by the query cache (see `cache`). Run the result
-/// with `bb.cnf.to_solver()`.
+/// The blaster emits raw clauses rather than feeding a solver directly:
+/// a one-shot check runs the result with `bb.cnf.to_solver()`, and an
+/// incremental solver loads each newly blasted suffix into its live
+/// solver (see [`Cnf`]).
 ///
 /// Every gate's defining clauses are added unconditionally, so a gate's
 /// output means the same thing in every later query over this CNF. That

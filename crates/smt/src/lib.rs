@@ -10,6 +10,8 @@
 //! - [`bitblast`]: Tseitin conversion to CNF;
 //! - [`sat`]: a CDCL SAT solver with conflict/time/memory budgets;
 //! - [`solver`]: the assert/check/model facade;
+//! - [`cache`]: the query cache, keyed by a canonical fingerprint of the
+//!   term DAG;
 //! - [`model`]: models and a concrete evaluator;
 //! - [`rewrite`]: saturation-style term simplification that discharges
 //!   many obligations before any CNF exists;

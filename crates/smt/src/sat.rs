@@ -123,12 +123,14 @@ impl Budget {
 /// offset where each clause ends — so emitting a clause allocates
 /// nothing of its own.
 ///
-/// [`SatSolver::add_clause`] simplifies eagerly: it drops clauses already
-/// satisfied at level 0, false literals, duplicate literals and
-/// tautologies. That is lossy: the original clause list cannot be
-/// recovered from a solver. The bit-blaster therefore emits into a `Cnf`
-/// first, so the query cache can preprocess, canonicalize, and
-/// fingerprint the exact formula before any solver ever sees it.
+/// The bit-blaster emits into a `Cnf` rather than into a solver, because
+/// its two clients load the clauses at different times: a one-shot check
+/// hands the whole formula to a fresh solver ([`Cnf::to_solver`]), and an
+/// incremental solver loads the suffix blasted since its last check.
+/// Either way [`SatSolver::add_clause`] does all the level-0 work on the
+/// way in: it drops clauses already satisfied at level 0, false literals,
+/// duplicate literals and tautologies, and propagates units, so a formula
+/// that unit propagation settles needs no search.
 #[derive(Clone, Debug, Default)]
 pub struct Cnf {
     num_vars: u32,
@@ -482,15 +484,6 @@ impl SatSolver {
             LBool::False => Some(false),
             LBool::Undef => None,
         }
-    }
-
-    /// The full assignment vector after a `Sat` outcome, indexed by
-    /// variable number. Variables the search never touched stay `None`:
-    /// any value satisfies the formula for them (don't-cares).
-    pub fn assignment(&self) -> Vec<Option<bool>> {
-        (0..self.num_vars())
-            .map(|i| self.value(SatVar(i as u32)))
-            .collect()
     }
 
     /// Adds a clause. Returns `false` if the solver is already in an
@@ -1590,6 +1583,139 @@ mod tests {
             };
             assert_eq!(got, expect, "round {round}: {cls:?}");
         }
+    }
+
+    /// A [`Cnf`] over `num_vars` variables holding `clauses` verbatim.
+    fn cnf_of(num_vars: u32, clauses: &[&[Lit]]) -> Cnf {
+        let mut cnf = Cnf::new();
+        for _ in 0..num_vars {
+            cnf.new_var();
+        }
+        for c in clauses {
+            cnf.add_clause(c);
+        }
+        cnf
+    }
+
+    fn plit(v: u32, positive: bool) -> Lit {
+        Lit::new(SatVar(v), positive)
+    }
+
+    #[test]
+    fn to_solver_agrees_with_brute_force_on_noisy_cnfs() {
+        // Random small CNFs mixing unit chains, duplicate literals and
+        // clauses, tautologies, empty clauses and conflicting units, as
+        // the bit-blaster hands them over: the level-0 work `add_clause`
+        // does on the way in must keep every answer, and a model must
+        // satisfy every clause as written.
+        let mut state = 0x5EED_CAFEu64;
+        let mut rng = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let (mut sat, mut unsat, mut settled) = (0, 0, 0);
+        for round in 0..1000 {
+            let nv = 1 + rng() % 10;
+            let mut cnf = Cnf::new();
+            for _ in 0..nv {
+                cnf.new_var();
+            }
+            let any =
+                |rng: &mut dyn FnMut() -> u64| plit((rng() % nv) as u32, rng().is_multiple_of(2));
+            let mut added: Vec<Vec<Lit>> = Vec::new();
+            for _ in 0..rng() % 20 {
+                let c: Vec<Lit> = match rng() % 16 {
+                    0 => Vec::new(),
+                    1..=3 => vec![any(&mut rng)],
+                    4..=6 => {
+                        // A link of a unit chain: a → b.
+                        let (a, b) = (any(&mut rng), any(&mut rng));
+                        vec![a.negate(), b]
+                    }
+                    7 | 8 if !added.is_empty() => {
+                        // A duplicate clause, perhaps reordered.
+                        let mut c = added[(rng() % added.len() as u64) as usize].clone();
+                        c.reverse();
+                        c
+                    }
+                    9 => {
+                        let (a, b) = (any(&mut rng), any(&mut rng));
+                        vec![a, b, a.negate()]
+                    }
+                    _ => {
+                        // Two to five literals, duplicates allowed.
+                        let len = 2 + rng() % 4;
+                        (0..len).map(|_| any(&mut rng)).collect()
+                    }
+                };
+                cnf.add_clause(&c);
+                added.push(c);
+            }
+            let brute = (0..1u32 << nv).any(|bits| {
+                added.iter().all(|c| {
+                    c.iter()
+                        .any(|l| (bits >> l.var().0 & 1 == 1) == l.is_positive())
+                })
+            });
+            let mut s = cnf.to_solver();
+            let got = s.solve(Budget::unlimited());
+            assert_eq!(got == SatOutcome::Sat, brute, "round {round}: {added:?}");
+            if brute {
+                sat += 1;
+                for c in &added {
+                    assert!(
+                        c.iter().any(|l| s.value(l.var()) == Some(l.is_positive())),
+                        "round {round}: model falsifies {c:?}"
+                    );
+                }
+            } else {
+                unsat += 1;
+            }
+            settled += usize::from(s.stats().conflicts == 0);
+        }
+        assert!(sat > 0 && unsat > 0 && settled > 0);
+    }
+
+    #[test]
+    fn add_clause_propagates_units_and_drops_noise() {
+        // x0; ¬x0 ∨ x1; x1 ∨ x1 ∨ x2 (dup lit); x3 ∨ ¬x3 (tautology);
+        // duplicate of clause 2.
+        let cnf = cnf_of(
+            4,
+            &[
+                &[plit(0, true)],
+                &[plit(0, false), plit(1, true)],
+                &[plit(1, true), plit(1, true), plit(2, true)],
+                &[plit(3, true), plit(3, false)],
+                &[plit(2, true), plit(1, true)],
+            ],
+        );
+        let mut s = cnf.to_solver();
+        assert_eq!(s.value(SatVar(0)), Some(true));
+        assert_eq!(s.value(SatVar(1)), Some(true)); // via unit propagation
+        assert_eq!(s.value(SatVar(2)), None);
+        assert_eq!(s.value(SatVar(3)), None);
+        assert_eq!(s.num_clauses(), 0, "everything satisfied or absorbed");
+        assert_eq!(s.solve(Budget::unlimited()), SatOutcome::Sat);
+        assert_eq!(s.stats().conflicts, 0);
+    }
+
+    #[test]
+    fn add_clause_detects_a_level_0_conflict() {
+        // x0; x0 → x1; ¬x1: unit propagation alone refutes it.
+        let cnf = cnf_of(
+            2,
+            &[
+                &[plit(0, true)],
+                &[plit(0, false), plit(1, true)],
+                &[plit(1, false)],
+            ],
+        );
+        let mut s = cnf.to_solver();
+        assert_eq!(s.solve(Budget::unlimited()), SatOutcome::Unsat);
+        assert_eq!(s.stats().conflicts, 0);
     }
 
     #[test]

@@ -1,28 +1,27 @@
 //! The user-facing SMT solver: assert terms, check satisfiability under a
 //! resource budget, and extract models.
 //!
-//! Two entry points share the term-to-CNF pipeline:
+//! Two entry points share the term-to-CNF pipeline (rewrite,
+//! Ackermannize, bit-blast, CDCL) and the projection of a SAT assignment
+//! back onto the term-level variables:
 //!
 //! * [`Solver`] — the one-shot path. Each check rewrites and
-//!   Ackermannizes the formula, then consults the query cache twice:
-//!   the term tier (inside an engine job) on the term DAG before any CNF
-//!   exists, then the CNF tier on the preprocessed, canonicalized CNF.
-//!   A live solve always runs on the canonical CNF, so its result is a
-//!   pure function of that formula.
+//!   Ackermannizes the formula and, inside an engine job, looks the term
+//!   DAG up in the query cache before any CNF exists. A miss blasts the
+//!   DAG and solves it on a fresh CDCL solver.
 //! * [`IncrementalSolver`] — a persistent push-assertion /
 //!   check-under-assumptions solver that keeps its bit-blaster, clause
 //!   database, learned clauses, and variable activities alive across
 //!   checks. Its results depend on solver history (warm state, activation
-//!   literals), not on a canonical formula, so its checks are never cached
-//!   one by one. The CEGQI loop it serves is cached whole instead, as an
-//!   obligation in the term tier (see
-//!   [`exists_forall`](crate::exists_forall)).
+//!   literals), not on one formula, so its checks are never cached one
+//!   by one. The CEGQI loop it serves is cached whole instead, as an
+//!   obligation (see [`exists_forall`](crate::exists_forall)).
 
 use crate::ackermann::{ackermannize, Ackermannizer};
 use crate::bitblast::BitBlaster;
-use crate::cache::{self, CachedOutcome, CnfSizes, TermKey, TermOutcome, TermScope};
+use crate::cache::{self, CnfSizes, TermKey, TermOutcome, TermScope};
 use crate::model::{Model, Value};
-use crate::sat::{Budget, Lit, SatOutcome, SatSolver, SatVar};
+use crate::sat::{Budget, Lit, SatOutcome, SatSolver};
 use crate::term::{Ctx, Sort, TermId};
 
 /// The outcome of an SMT check.
@@ -110,9 +109,9 @@ impl<'a> Solver<'a> {
     }
 
     /// Enables/disables the term-rewriting pass that runs ahead of
-    /// bit-blasting (default on; the `--no-rewrite` escape hatch). The
-    /// pass is applied *before* CNF construction, so cache fingerprints
-    /// are computed on the simplified formula.
+    /// bit-blasting (default on; `tests/rewrite.rs` turns it off to check
+    /// that it changes no answer). The pass runs before the cache key is
+    /// taken, so keys see the simplified formula.
     pub fn set_rewrite(&mut self, on: bool) {
         self.rewrite = on;
     }
@@ -195,13 +194,16 @@ impl<'a> Solver<'a> {
             .copied()
             .collect();
 
-        // Term tier: inside an engine job the rewritten, Ackermannized
-        // DAG is keyed before any CNF exists, so a hit skips blasting,
-        // preprocessing and the CNF-level lookup too.
+        // Inside an engine job the rewritten, Ackermannized DAG is keyed
+        // before any CNF exists, so a hit skips blasting and the solve.
         let tier = cache::term_scope().map(|scope| (scope, TermKey::of_query(self.ctx, &roots)));
         if let Some((scope, key)) = &tier {
             if let Some(r) = self.replay(*scope, key, &roots, prof) {
                 return r;
+            }
+            alive2_obs::stats::record_cache_miss();
+            if prof.cache == alive2_obs::profile::CacheOutcome::None {
+                prof.cache = alive2_obs::profile::CacheOutcome::Miss;
             }
         }
         let result = self.solve_roots(&roots, budget, prof);
@@ -224,7 +226,7 @@ impl<'a> Solver<'a> {
         result
     }
 
-    /// Answers a query from the term tier: `Unsat` as stored, `Sat` once
+    /// Answers a query from the cache: `Unsat` as stored, `Sat` once
     /// the stored model, mapped back onto this context, satisfies every
     /// root. A model that fails counts as `cache_reval` and leaves the
     /// query to the live path. A hit replays the CNF sizes of the solve
@@ -259,8 +261,9 @@ impl<'a> Solver<'a> {
         Some(result)
     }
 
-    /// Blasts `roots`, preprocesses and canonicalizes the CNF, and answers
-    /// from the CNF tier or a live solve of the canonical formula.
+    /// Blasts `roots` and solves them on a fresh CDCL solver. The solver
+    /// runs even when `add_clause`'s level-0 propagation already settles
+    /// the formula, so every blasted query is one live solve.
     fn solve_roots(
         &self,
         roots: &[TermId],
@@ -271,105 +274,13 @@ impl<'a> Solver<'a> {
         for &t in roots {
             bb.assert_term(t);
         }
-
-        // Preprocess, canonicalize, and always solve the *canonical*
-        // formula: the solve result is then a pure function of the
-        // canonical CNF, so a cache replay is bit-identical to the live
-        // solve it memoized and verdicts cannot depend on cache state.
+        let mut sat = bb.cnf.to_solver();
         prof.vars_pre = u64::from(bb.cnf.num_vars());
-        prof.clauses_pre = bb.cnf.clauses().len() as u64;
-        let pre = cache::preprocess(&bb.cnf);
-        if pre.conflict {
-            return SmtResult::Unsat;
-        }
-        let canon = cache::canonicalize(&pre);
-        prof.vars_post = u64::from(canon.num_vars);
-        prof.clauses_post = canon.clauses.len() as u64;
-
-        // Projects an assignment over canonical variables back through
-        // the blaster onto the term-level free variables. Distinguishes
-        // three cases per SAT variable: forced at level 0 (preprocess),
-        // assigned by the search (canonical map), or eliminated/never
-        // materialized — a genuine don't-care, left out of the model.
-        let build_model = |bits: &[Option<bool>]| -> Model {
-            let sat_val = |sv: SatVar| -> Option<bool> {
-                pre.assigned[sv.0 as usize].or_else(|| {
-                    canon
-                        .var_map
-                        .get(&sv)
-                        .and_then(|&cv| bits.get(cv as usize).copied().flatten())
-                })
-            };
-            let lit_val = |l: Lit| -> Option<bool> {
-                sat_val(l.var()).map(|b| if l.is_positive() { b } else { !b })
-            };
-            let mut model = Model::new();
-            for vt in self.ctx.free_vars_many(roots) {
-                let v = self.ctx.as_var(vt).expect("free var is a Var term");
-                match self.ctx.sort(vt) {
-                    Sort::Bool => {
-                        if let Some(b) = bb.bool_var_lit(v).and_then(lit_val) {
-                            model.set(v, Value::Bool(b));
-                        }
-                    }
-                    Sort::BitVec(_) => {
-                        let Some(lits) = bb.bv_var_lits(v) else {
-                            continue;
-                        };
-                        let vals: Vec<Option<bool>> = lits.iter().map(|&l| lit_val(l)).collect();
-                        if vals.iter().all(Option::is_none) {
-                            continue; // wholly unconstrained: don't-care
-                        }
-                        // Partially constrained: the free bits really can
-                        // be anything, so zero them (re-validation below
-                        // checks exactly this zero-completion).
-                        let bools: Vec<bool> = vals.iter().map(|b| b.unwrap_or(false)).collect();
-                        model.set(v, Value::Bv(crate::bv::BitVec::from_bits(&bools)));
-                    }
-                }
-            }
-            model
-        };
-
-        if canon.clauses.is_empty() {
-            // Level-0 propagation satisfied every clause; no search (and
-            // no cache traffic — this is as cheap as a hit) needed.
-            return SmtResult::Sat(build_model(&[]));
-        }
-
-        let fp = canon.fingerprint();
-        let vars = canon.num_vars;
-        let nclauses = canon.clauses.len() as u32;
-        let qcache = cache::global();
-        match qcache.lookup(fp, vars, nclauses) {
-            Some(CachedOutcome::Unsat) => {
-                alive2_obs::stats::record_cache_hit();
-                prof.cache = alive2_obs::profile::CacheOutcome::Hit;
-                return SmtResult::Unsat;
-            }
-            Some(CachedOutcome::Sat(bits)) => {
-                // Soundness backstop: replay the cached assignment and
-                // re-validate it against the actual assertions before
-                // trusting it. A stale, corrupted, or colliding entry
-                // degrades to a live solve, never to a wrong verdict.
-                let model = build_model(&bits);
-                if roots.iter().all(|&t| model.eval(self.ctx, t).as_bool()) {
-                    alive2_obs::stats::record_cache_hit();
-                    prof.cache = alive2_obs::profile::CacheOutcome::Hit;
-                    return SmtResult::Sat(model);
-                }
-                alive2_obs::stats::record_cache_reval();
-                prof.cache = alive2_obs::profile::CacheOutcome::Reval;
-            }
-            None => {}
-        }
-        alive2_obs::stats::record_cache_miss();
+        prof.clauses_pre = bb.cnf.num_clauses() as u64;
+        prof.vars_post = prof.vars_pre;
+        prof.clauses_post = sat.num_clauses() as u64;
         alive2_obs::stats::record_sat_solve();
-        if prof.cache == alive2_obs::profile::CacheOutcome::None {
-            prof.cache = alive2_obs::profile::CacheOutcome::Miss;
-        }
         prof.solved = true;
-        let mut sat = canon.to_solver();
         let outcome = sat.solve(budget);
         let st = sat.stats();
         prof.conflicts = st.conflicts;
@@ -378,21 +289,40 @@ impl<'a> Solver<'a> {
         prof.restarts = st.restarts;
         prof.learnts_kept = sat.num_learnts() as u64;
         match outcome {
-            // Budget verdicts are a property of this run, not of the
-            // formula: never cached.
             SatOutcome::TimedOut => SmtResult::Timeout,
             SatOutcome::OutOfMemory => SmtResult::OutOfMemory,
-            SatOutcome::Unsat => {
-                qcache.store(fp, vars, nclauses, CachedOutcome::Unsat);
-                SmtResult::Unsat
-            }
-            SatOutcome::Sat => {
-                let bits = sat.assignment();
-                qcache.store(fp, vars, nclauses, CachedOutcome::Sat(bits.clone()));
-                SmtResult::Sat(build_model(&bits))
-            }
+            SatOutcome::Unsat => SmtResult::Unsat,
+            SatOutcome::Sat => SmtResult::Sat(project_model(self.ctx, &bb, &sat, roots)),
         }
     }
+}
+
+/// Projects a satisfying assignment of `sat` back through the blaster
+/// onto the free variables of `roots`. A solver that answered `Sat` has
+/// assigned every variable it holds, so the only don't-cares are the
+/// variables the blaster never materialized: they stay out of the model,
+/// and the counterexample printer renders them as `any`, not as a
+/// fabricated zero.
+fn project_model(ctx: &Ctx, bb: &BitBlaster, sat: &SatSolver, roots: &[TermId]) -> Model {
+    let lit_val = |l: Lit| -> Option<bool> {
+        sat.value(l.var())
+            .map(|b| if l.is_positive() { b } else { !b })
+    };
+    let mut model = Model::new();
+    for vt in ctx.free_vars_many(roots) {
+        let v = ctx.as_var(vt).expect("free var is a Var term");
+        let value = match ctx.sort(vt) {
+            Sort::Bool => bb.bool_var_lit(v).and_then(lit_val).map(Value::Bool),
+            Sort::BitVec(_) => bb.bv_var_lits(v).and_then(|lits| {
+                let bits: Option<Vec<bool>> = lits.iter().map(|&l| lit_val(l)).collect();
+                bits.map(|b| Value::Bv(crate::bv::BitVec::from_bits(&b)))
+            }),
+        };
+        if let Some(value) = value {
+            model.set(v, value);
+        }
+    }
+    model
 }
 
 /// An activation literal guarding a retractable clause group of an
@@ -413,14 +343,13 @@ pub struct Activation(Lit);
 ///
 /// # Cache eligibility
 ///
-/// Incremental checks never consult or populate the query cache. Both
-/// tiers store results that are a function of one formula; an
+/// Incremental checks never consult or populate the query cache. The
+/// cache stores results that are a function of one formula; an
 /// incremental verdict (and its model) is a function of the solver's
 /// history — which groups are active, what was learned under earlier
-/// assumptions — and the live clause list is never canonicalized. The
-/// CEGQI candidate loop, this solver's one client, is cached a level up:
-/// `solve_exists_forall_with_seeds` keys the whole obligation in the term
-/// tier, so a rerun skips every incremental check of the loop.
+/// assumptions. The CEGQI candidate loop, this solver's one client, is
+/// cached a level up: `solve_exists_forall_with_seeds` keys the whole
+/// obligation, so a rerun skips every incremental check of the loop.
 ///
 /// # Examples
 ///
@@ -483,7 +412,7 @@ impl<'a> IncrementalSolver<'a> {
     }
 
     /// Enables/disables the term-rewriting pass applied to each pushed
-    /// assertion (default on; the `--no-rewrite` escape hatch).
+    /// assertion (default on).
     pub fn set_rewrite(&mut self, on: bool) {
         self.rewrite = on;
     }
@@ -622,8 +551,8 @@ impl<'a> IncrementalSolver<'a> {
         alive2_obs::stats::record_incremental_solve();
         alive2_obs::stats::record_clauses_reused(reused as u64);
         alive2_obs::stats::record_learnts_kept(self.sat.num_learnts() as u64);
-        // For the live solver "pre" is the blasted CNF and "post" is the
-        // resident clause population at dispatch (no canonical layer).
+        // As on the one-shot path, "pre" is the blasted CNF and "post" is
+        // the resident clause population at dispatch.
         prof.vars_pre = u64::from(self.bb.cnf.num_vars());
         prof.clauses_pre = self.bb.cnf.clauses().len() as u64;
         prof.vars_post = u64::from(self.bb.cnf.num_vars());
@@ -660,7 +589,9 @@ impl<'a> IncrementalSolver<'a> {
                 }
                 SmtResult::Unsat
             }
-            SatOutcome::Sat => SmtResult::Sat(self.build_model()),
+            SatOutcome::Sat => {
+                SmtResult::Sat(project_model(self.ctx, &self.bb, &self.sat, &self.roots))
+            }
         }
     }
 
@@ -674,42 +605,6 @@ impl<'a> IncrementalSolver<'a> {
             .iter()
             .map(|&l| Activation(l))
             .collect()
-    }
-
-    /// Projects the SAT assignment back onto term-level free variables.
-    /// Unlike the one-shot path there is no preprocessing or
-    /// canonicalization layer: blaster literals map straight to solver
-    /// variables. Variables never materialized by the blaster are
-    /// genuine don't-cares and stay absent.
-    fn build_model(&self) -> Model {
-        let lit_val = |l: Lit| -> Option<bool> {
-            self.sat
-                .value(l.var())
-                .map(|b| if l.is_positive() { b } else { !b })
-        };
-        let mut model = Model::new();
-        for vt in self.ctx.free_vars_many(&self.roots) {
-            let v = self.ctx.as_var(vt).expect("free var is a Var term");
-            match self.ctx.sort(vt) {
-                Sort::Bool => {
-                    if let Some(b) = self.bb.bool_var_lit(v).and_then(lit_val) {
-                        model.set(v, Value::Bool(b));
-                    }
-                }
-                Sort::BitVec(_) => {
-                    let Some(lits) = self.bb.bv_var_lits(v) else {
-                        continue;
-                    };
-                    let vals: Vec<Option<bool>> = lits.iter().map(|&l| lit_val(l)).collect();
-                    if vals.iter().all(Option::is_none) {
-                        continue;
-                    }
-                    let bools: Vec<bool> = vals.iter().map(|b| b.unwrap_or(false)).collect();
-                    model.set(v, Value::Bv(crate::bv::BitVec::from_bits(&bools)));
-                }
-            }
-        }
-        model
     }
 }
 
@@ -817,6 +712,25 @@ mod tests {
         (r, d)
     }
 
+    /// [`probe`] under a cache scope of `engine`: run 0 writes entries
+    /// and run 1 reads what run 0 stored.
+    fn probe_in(
+        engine: u64,
+        run: u32,
+        s: &Solver,
+        budget: Budget,
+    ) -> (SmtResult, alive2_obs::JobStats) {
+        cache::set_term_scope(Some(TermScope {
+            engine,
+            run,
+            visible_below: run,
+            job: 0,
+        }));
+        let r = probe(s, budget);
+        cache::set_term_scope(None);
+        r
+    }
+
     #[test]
     fn timeout_results_are_not_cached() {
         let ctx = Ctx::new();
@@ -826,31 +740,30 @@ mod tests {
         // zero-conflict budget deterministically times out at the first
         // conflict. Bit 1 of 0xB5 is clear on purpose: gate hashing makes
         // bit 1 of x² the constant 0, so a constant with it set (0xB7)
-        // is refuted without a conflict. Distinctive constants: no other
-        // test in this process shares the fingerprint, so the shared
-        // global cache stays predictable here.
+        // is refuted without a conflict.
         let mut s = Solver::new(&ctx);
         s.assert(ctx.eq(ctx.bv_mul(x, x), ctx.bv_lit_u64(8, 0xB5)));
         let starved = Budget {
             max_conflicts: 0,
             ..Budget::unlimited()
         };
+        const ENGINE: u64 = 2001;
 
-        let (r1, d1) = probe(&s, starved);
+        let (r1, d1) = probe_in(ENGINE, 0, &s, starved);
         assert!(matches!(r1, SmtResult::Timeout), "{r1:?}");
-        assert_eq!(d1.cache_misses, 1);
-        // A second identical check must miss again: budget verdicts are a
-        // property of the run, never cached.
-        let (r2, d2) = probe(&s, starved);
+        assert_eq!((d1.cache_misses, d1.sat_solves), (1, 1));
+        // A later run must miss again: budget verdicts are a property of
+        // the run, never cached.
+        let (r2, d2) = probe_in(ENGINE, 1, &s, starved);
         assert!(matches!(r2, SmtResult::Timeout), "{r2:?}");
         assert_eq!((d2.cache_hits, d2.cache_misses), (0, 1));
         // Solve for real: a live solve, and the outcome is now cached.
-        let (r3, d3) = probe(&s, Budget::unlimited());
+        let (r3, d3) = probe_in(ENGINE, 0, &s, Budget::unlimited());
         assert!(matches!(r3, SmtResult::Unsat), "{r3:?}");
         assert_eq!((d3.sat_solves, d3.cache_hits), (1, 0));
         // The cached answer replays without search — even under the same
         // starved budget that timed out before.
-        let (r4, d4) = probe(&s, starved);
+        let (r4, d4) = probe_in(ENGINE, 1, &s, starved);
         assert!(matches!(r4, SmtResult::Unsat), "{r4:?}");
         assert_eq!((d4.sat_solves, d4.cache_hits), (0, 1));
     }
@@ -863,15 +776,16 @@ mod tests {
         let mut s = Solver::new(&ctx);
         s.assert(ctx.eq(ctx.bv_add(x, y), ctx.bv_lit_u64(8, 0xC3)));
         s.assert(ctx.bv_ult(x, ctx.bv_lit_u64(8, 0x1D)));
-        let (r1, d1) = probe(&s, Budget::unlimited());
-        let (r2, d2) = probe(&s, Budget::unlimited());
-        assert_eq!(d2.sat_solves, 0, "second check must replay: {d2:?}");
+        const ENGINE: u64 = 2002;
+        let (r1, d1) = probe_in(ENGINE, 0, &s, Budget::unlimited());
+        let (r2, d2) = probe_in(ENGINE, 1, &s, Budget::unlimited());
+        assert_eq!((d1.sat_solves, d1.cache_misses), (1, 1), "{d1:?}");
+        assert_eq!(d2.sat_solves, 0, "the later run must replay: {d2:?}");
         assert_eq!(d2.cache_hits, 1);
         let (m1, m2) = (r1.model().unwrap(), r2.model().unwrap());
-        // Bit-identical replay: the cached model is exactly the live one.
+        // The replayed model is exactly the live one.
         assert_eq!(m1.eval_bv(&ctx, x), m2.eval_bv(&ctx, x));
         assert_eq!(m1.eval_bv(&ctx, y), m2.eval_bv(&ctx, y));
-        let _ = d1;
     }
 
     #[test]
@@ -883,7 +797,15 @@ mod tests {
         let (r, d) = probe(&s, Budget::unlimited());
         let m = r.model().expect("sat");
         assert_eq!(m.eval_bv(&ctx, x).to_u64(), 0xA7);
-        assert_eq!(d.sat_solves, 0, "level-0 propagation needs no search");
+        // One live solve, and `add_clause`'s level-0 propagation left it
+        // nothing to search. Outside an engine job there is no cache.
+        assert_eq!((d.sat_solves, d.cache_misses), (1, 0));
+        assert_eq!(d.h_conflicts.count(), 1);
+        assert_eq!(
+            d.h_conflicts.max(),
+            0,
+            "level-0 propagation needs no search"
+        );
     }
 
     #[test]

@@ -6,12 +6,10 @@
 //! Run with `cargo run --example find_bugs` (add `--release` for speed).
 //! Validation fans out on the shared engine, so the standard flags apply:
 //! `--jobs N`, `--procs N` (supervised worker processes),
-//! `--deadline-ms MS`, `--no-rewrite`, `--journal`/`--resume`,
+//! `--deadline-ms MS`, `--mem-budget-mb MB`, `--journal`/`--resume`,
 //! `--stats`, `--trace FILE`, `--profile FILE`.
 
-use alive2::core::cli::{
-    cache_from_args, config_from_args, engine_from_args, finish_obs, obs_from_args,
-};
+use alive2::core::cli::{finish_obs, setup};
 use alive2::core::engine::Job;
 use alive2::core::obs::StatsTotals;
 use alive2::core::validator::Verdict;
@@ -37,11 +35,8 @@ struct Candidate {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let obs = obs_from_args(&args);
     let started = Instant::now();
-    cache_from_args(&args);
-    let engine = engine_from_args(&args);
-    let cfg = config_from_args(&args, alive2::sema::config::EncodeConfig::default());
+    let (obs, engine, cfg) = setup(&args, alive2::sema::config::EncodeConfig::default());
 
     // Cheap sequential phase: enable each bug in isolation (so a
     // violation is attributable) and snapshot every changed pass.

@@ -6,7 +6,7 @@
 //!
 //! ```text
 //! cargo run --release --example validate_app -- [bzip2|gzip|oggenc|ph7|sqlite3] \
-//!     [--jobs N] [--procs N] [--deadline-ms MS] [--no-rewrite] \
+//!     [--jobs N] [--procs N] [--deadline-ms MS] [--mem-budget-mb MB] \
 //!     [--journal PATH] [--resume PATH] [--stats] [--trace FILE] [--profile FILE]
 //! ```
 //!
@@ -14,9 +14,7 @@
 //! `--procs N` the validation phase is sharded across supervised worker
 //! processes (this example re-invokes itself in worker-shard mode).
 
-use alive2::core::cli::{
-    cache_from_args, config_from_args, engine_from_args, finish_obs, obs_from_args, positional_args,
-};
+use alive2::core::cli::{finish_obs, positional_args, setup};
 use alive2::core::engine::Job;
 use alive2::opt::bugs::BugSet;
 use alive2::opt::pass::PassManager;
@@ -26,10 +24,7 @@ use std::time::Instant;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let obs = obs_from_args(&args);
-    cache_from_args(&args);
-    let engine = engine_from_args(&args);
-    let cfg = config_from_args(&args, EncodeConfig::default());
+    let (obs, engine, cfg) = setup(&args, EncodeConfig::default());
     let which = positional_args(&args, &[])
         .into_iter()
         .next()

@@ -56,14 +56,10 @@ entry:
 }
 "#;
 
-/// The setup both drivers share: arms the observability flags and the
-/// `--cache` tier, and builds the engine and the encoder configuration
-/// (`--unroll N` and `--timeout MS` on top of the shared convention).
+/// The setup both drivers share: the shared prologue, plus `--unroll N`
+/// and `--timeout MS` on the encoder configuration.
 fn setup(args: &[String]) -> (core_cli::ObsConfig, ValidationEngine, EncodeConfig) {
-    let obs_cfg = core_cli::obs_from_args(args);
-    core_cli::cache_from_args(args);
-    let engine = core_cli::engine_from_args(args);
-    let mut cfg = core_cli::config_from_args(args, EncodeConfig::default());
+    let (obs_cfg, engine, mut cfg) = core_cli::setup(args, EncodeConfig::default());
     if let Some(unroll) = core_cli::flag_value(args, "--unroll") {
         cfg.unroll_factor = unroll;
     }
@@ -171,8 +167,8 @@ pub fn alive_tv_main() -> ExitCode {
 ///
 /// Shares the whole CLI convention with `alive2_tv` — `--jobs`,
 /// `--deadline-ms`, `--unroll`, `--timeout`, `--mem-budget-mb`,
-/// `--cache`, `--journal`/`--resume`, `--stats`/`--trace`/`--profile`,
-/// `--no-rewrite` — plus the daemon knobs:
+/// `--journal`/`--resume`, `--stats`/`--trace`/`--profile` — plus the
+/// daemon knobs:
 /// `--listen ADDR` (length-prefixed Unix/TCP socket instead of stdio),
 /// `--max-batch-pairs N`, `--max-queued-pairs N`.
 ///

@@ -209,9 +209,10 @@ fn counters_identical_jobs_1_vs_4() {
         seq.stats,
         par.stats
     );
-    // The CNF-size histogram is recorded at canonicalization (before any
-    // cache interaction), so its buckets must be bit-identical regardless
-    // of worker count; rule-family fire counts partition rewrite_steps.
+    // The CNF-size sample is a pure function of the blasted formula (a
+    // cache hit replays its writer's sample), so the buckets must be
+    // bit-identical regardless of worker count; rule-family fire counts
+    // partition rewrite_steps.
     assert!(!seq.stats.h_cnf_clauses.is_empty(), "{:?}", seq.stats);
     assert_eq!(
         seq.stats.h_cnf_clauses.buckets(),
