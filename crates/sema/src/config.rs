@@ -31,11 +31,12 @@ pub struct EncodeConfig {
     /// by the OS). `None` means unlimited. Exceeding it yields an
     /// out-of-memory verdict at the next encoding/solving choke point.
     pub mem_budget_mb: Option<u64>,
-    /// Run the term-level rewrite saturation pass on every refinement
-    /// obligation before bit-blasting, discharging algebraically provable
-    /// queries with zero CNF. `false` sends every query straight to the
-    /// bit-blaster; `tests/rewrite.rs` checks that verdicts are identical
-    /// either way.
+    /// Run the term-level rewrite saturation pass before bit-blasting on
+    /// each refinement obligation φ and on the one-shot queries (verify,
+    /// precondition and no-universal), discharging algebraically provable
+    /// queries with zero CNF. CEGQI's candidate checks are never
+    /// rewritten. `false` sends every query straight to the bit-blaster;
+    /// `tests/rewrite.rs` checks that verdicts are identical either way.
     pub rewrite: bool,
 }
 

@@ -1,4 +1,5 @@
-//! Tseitin bit-blasting of the term DAG into CNF for the CDCL solver.
+//! Tseitin bit-blasting of the term DAG into CNF, written straight into
+//! the CDCL solver.
 //!
 //! Every boolean term becomes a single literal and every bit-vector term a
 //! little-endian vector of literals. Gates are introduced on demand and
@@ -8,9 +9,8 @@
 //! chains of three-input gates: an XOR3 sum and a majority carry.
 
 use crate::bv::BitVec;
-use crate::sat::{Cnf, Lit};
+use crate::sat::{Lit, SatSolver};
 use crate::term::{Ctx, Op, TermId, VarId};
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 /// A key of the gate table: a gate kind over normalized inputs, so every
@@ -45,24 +45,28 @@ fn flip_if(l: Lit, flip: bool) -> Lit {
     }
 }
 
-/// Bit-blasts terms from a [`Ctx`] into an owned [`Cnf`].
+/// Bit-blasts terms from a [`Ctx`] into the [`SatSolver`] it owns.
 ///
-/// The blaster emits raw clauses rather than feeding a solver directly:
-/// a one-shot check runs the result with `bb.cnf.to_solver()`, and an
-/// incremental solver loads each newly blasted suffix into its live
-/// solver (see [`Cnf`]).
+/// Every clause goes through [`add_clause`](Self::add_clause) into
+/// `sat` the moment it is built, so the solver's level-0 work happens on
+/// the way in and no clause is stored twice. A one-shot check blasts its
+/// roots into a fresh blaster and solves `sat`; an incremental solver
+/// keeps one blaster, and with it one warm solver, across its checks.
 ///
 /// Every gate's defining clauses are added unconditionally, so a gate's
-/// output means the same thing in every later query over this CNF. That
-/// is what lets an `IncrementalSolver` share gates between activation
-/// groups: only the root literal of a grouped assertion is guarded.
+/// output means the same thing in every later query over this solver.
+/// That is what lets an `IncrementalSolver` share gates between
+/// activation groups: only the root literal of a grouped assertion is
+/// guarded.
 ///
 /// Uninterpreted function applications must be eliminated (Ackermannized)
 /// before blasting; encountering one is a bug and panics.
 pub struct BitBlaster<'a> {
     ctx: &'a Ctx,
-    /// The CNF receiver.
-    pub cnf: Cnf,
+    /// The solver every clause goes into.
+    pub(crate) sat: SatSolver,
+    /// What [`num_clauses`](Self::num_clauses) reports.
+    emitted: usize,
     bool_memo: HashMap<TermId, Lit>,
     bv_memo: HashMap<TermId, Vec<Lit>>,
     var_bool: HashMap<VarId, Lit>,
@@ -78,8 +82,8 @@ impl<'a> std::fmt::Debug for BitBlaster<'a> {
         write!(
             f,
             "BitBlaster {{ vars: {}, clauses: {} }}",
-            self.cnf.num_vars(),
-            self.cnf.clauses().len()
+            self.sat.num_vars(),
+            self.emitted
         )
     }
 }
@@ -87,22 +91,23 @@ impl<'a> std::fmt::Debug for BitBlaster<'a> {
 impl<'a> BitBlaster<'a> {
     /// Creates a blaster for the given context.
     pub fn new(ctx: &'a Ctx) -> Self {
-        let mut cnf = Cnf::new();
-        let t = cnf.new_var();
+        let mut sat = SatSolver::new();
         // Variable 0, positive: the smallest literal, which the gates'
         // constant short cuts rely on.
-        let true_lit = Lit::new(t, true);
-        cnf.add_clause(&[true_lit]);
-        BitBlaster {
+        let true_lit = Lit::new(sat.new_var(), true);
+        let mut bb = BitBlaster {
             ctx,
-            cnf,
+            sat,
+            emitted: 0,
             bool_memo: HashMap::new(),
             bv_memo: HashMap::new(),
             var_bool: HashMap::new(),
             var_bits: HashMap::new(),
             gates: HashMap::new(),
             true_lit,
-        }
+        };
+        bb.add_clause(&[true_lit]);
+        bb
     }
 
     /// The always-true literal.
@@ -110,14 +115,27 @@ impl<'a> BitBlaster<'a> {
         self.true_lit
     }
 
-    fn fresh(&mut self) -> Lit {
-        Lit::new(self.cnf.new_var(), true)
+    /// A literal of a fresh variable.
+    pub(crate) fn fresh(&mut self) -> Lit {
+        Lit::new(self.sat.new_var(), true)
+    }
+
+    /// Adds a clause to the solver and counts it.
+    pub(crate) fn add_clause(&mut self, lits: &[Lit]) {
+        self.emitted += 1;
+        self.sat.add_clause(lits);
+    }
+
+    /// Clauses emitted so far, as built: every gate and assertion clause,
+    /// counted before the solver's level-0 work drops or shortens any.
+    pub(crate) fn num_clauses(&self) -> usize {
+        self.emitted
     }
 
     /// Asserts that a boolean term holds.
     pub fn assert_term(&mut self, t: TermId) {
         let l = self.blast_bool(t);
-        self.cnf.add_clause(&[l]);
+        self.add_clause(&[l]);
     }
 
     /// The SAT literal of a boolean variable, if it was blasted.
@@ -143,36 +161,34 @@ impl<'a> BitBlaster<'a> {
     /// The output of gate `g`: the table's literal, or a fresh one whose
     /// defining clauses are added now.
     fn hashed(&mut self, g: Gate) -> Lit {
-        let slot = match self.gates.entry(g) {
-            Entry::Occupied(e) => return *e.get(),
-            Entry::Vacant(slot) => slot,
-        };
-        let o = Lit::new(self.cnf.new_var(), true);
-        let cnf = &mut self.cnf;
+        if let Some(&o) = self.gates.get(&g) {
+            return o;
+        }
+        let o = self.fresh();
         match g {
             Gate::And(a, b) => {
-                cnf.add_clause(&[o.negate(), a]);
-                cnf.add_clause(&[o.negate(), b]);
-                cnf.add_clause(&[o, a.negate(), b.negate()]);
+                self.add_clause(&[o.negate(), a]);
+                self.add_clause(&[o.negate(), b]);
+                self.add_clause(&[o, a.negate(), b.negate()]);
             }
             Gate::Xor(a, b) => {
-                cnf.add_clause(&[o.negate(), a, b]);
-                cnf.add_clause(&[o.negate(), a.negate(), b.negate()]);
-                cnf.add_clause(&[o, a, b.negate()]);
-                cnf.add_clause(&[o, a.negate(), b]);
+                self.add_clause(&[o.negate(), a, b]);
+                self.add_clause(&[o.negate(), a.negate(), b.negate()]);
+                self.add_clause(&[o, a, b.negate()]);
+                self.add_clause(&[o, a.negate(), b]);
             }
             Gate::Mux(c, t, e) => {
-                cnf.add_clause(&[c.negate(), t.negate(), o]);
-                cnf.add_clause(&[c.negate(), t, o.negate()]);
-                cnf.add_clause(&[c, e.negate(), o]);
-                cnf.add_clause(&[c, e, o.negate()]);
+                self.add_clause(&[c.negate(), t.negate(), o]);
+                self.add_clause(&[c.negate(), t, o.negate()]);
+                self.add_clause(&[c, e.negate(), o]);
+                self.add_clause(&[c, e, o.negate()]);
             }
             Gate::Xor3(a, b, c) => {
                 // One clause per input row: the row's inputs force `o`
                 // to their parity.
                 for row in 0..8u32 {
                     let (va, vb, vc) = (row & 1 != 0, row & 2 != 0, row & 4 != 0);
-                    cnf.add_clause(&[
+                    self.add_clause(&[
                         flip_if(a, va),
                         flip_if(b, vb),
                         flip_if(c, vc),
@@ -182,14 +198,15 @@ impl<'a> BitBlaster<'a> {
             }
             Gate::Maj(a, b, c) => {
                 for (x, y) in [(a, b), (a, c), (b, c)] {
-                    cnf.add_clause(&[x.negate(), y.negate(), o]);
+                    self.add_clause(&[x.negate(), y.negate(), o]);
                 }
                 for (x, y) in [(a, b), (a, c), (b, c)] {
-                    cnf.add_clause(&[x, y, o.negate()]);
+                    self.add_clause(&[x, y, o.negate()]);
                 }
             }
         }
-        *slot.insert(o)
+        self.gates.insert(g, o);
+        o
     }
 
     fn gate_and(&mut self, a: Lit, b: Lit) -> Lit {
@@ -744,7 +761,7 @@ mod tests {
                 let neq = ctx.ne(t, lit);
                 bb.assert_term(neq);
                 assert_eq!(
-                    bb.cnf.to_solver().solve(Budget::unlimited()),
+                    bb.sat.solve(Budget::unlimited()),
                     SatOutcome::Unsat,
                     "op({a},{b}) != {expect:?}"
                 );
@@ -783,7 +800,7 @@ mod tests {
             bb2.assert_term(ax);
             bb2.assert_term(ay);
             let bits = bb2.blast_bv(t2);
-            let mut sat = bb2.cnf.to_solver();
+            let sat = &mut bb2.sat;
             assert_eq!(sat.solve(Budget::unlimited()), SatOutcome::Sat);
             let got: Vec<bool> = bits
                 .iter()
@@ -858,7 +875,7 @@ mod tests {
                     let want = if expect { t } else { ctx.not(t) };
                     bb.assert_term(want);
                     assert_eq!(
-                        bb.cnf.to_solver().solve(Budget::unlimited()),
+                        bb.sat.solve(Budget::unlimited()),
                         SatOutcome::Sat,
                         "cmp({a},{b})"
                     );
@@ -914,7 +931,7 @@ mod tests {
                 .enumerate()
                 .map(|(i, &x)| if row >> i & 1 == 1 { x } else { x.negate() })
                 .collect();
-            let mut sat = bb.cnf.to_solver();
+            let sat = &mut bb.sat;
             assert_eq!(
                 sat.solve_assuming(&assume, Budget::unlimited()),
                 SatOutcome::Sat
@@ -937,16 +954,12 @@ mod tests {
         first: impl FnOnce(&mut BitBlaster) -> Lit,
         second: impl FnOnce(&mut BitBlaster) -> Lit,
     ) {
-        let before = bb.cnf.num_clauses();
+        let before = bb.num_clauses();
         let o = first(bb);
-        let built = bb.cnf.num_clauses();
+        let built = bb.num_clauses();
         assert!(built > before, "{name}: the first spelling built no gate");
         assert_eq!(second(bb), o, "{name}: the spellings differ");
-        assert_eq!(
-            bb.cnf.num_clauses(),
-            built,
-            "{name}: the second added clauses"
-        );
+        assert_eq!(bb.num_clauses(), built, "{name}: the second added clauses");
     }
 
     #[test]
@@ -994,7 +1007,7 @@ mod tests {
             };
             let mut bb = BitBlaster::new(&ctx);
             let bits = bb.blast_bv(ctx.bv_mul(x, y));
-            (bb.cnf.num_clauses(), bits[1] == bb.const_lit(false))
+            (bb.num_clauses(), bits[1] == bb.const_lit(false))
         };
         let ((square, bit1_zero), (product, _)) = (blast(true), blast(false));
         assert!(square < product, "x·x: {square} clauses, x·y: {product}");
@@ -1012,7 +1025,7 @@ mod tests {
         bb.assert_term(e1);
         let zb = bb.blast_bv(z);
         let sb = bb.blast_bv(s);
-        let mut sat = bb.cnf.to_solver();
+        let sat = &mut bb.sat;
         assert_eq!(sat.solve(Budget::unlimited()), SatOutcome::Sat);
         let read = |bits: &[Lit], sat: &crate::sat::SatSolver| -> u64 {
             bits.iter()
@@ -1024,8 +1037,8 @@ mod tests {
                 })
                 .sum()
         };
-        assert_eq!(read(&zb, &sat), 0b0000_1010);
-        assert_eq!(read(&sb, &sat), 0b1111_1010);
+        assert_eq!(read(&zb, sat), 0b0000_1010);
+        assert_eq!(read(&sb, sat), 0b1111_1010);
     }
 
     #[test]
@@ -1037,10 +1050,7 @@ mod tests {
         let contra = ctx.and(a, na);
         let mut bb = BitBlaster::new(&ctx);
         bb.assert_term(contra);
-        assert_eq!(
-            bb.cnf.to_solver().solve(Budget::unlimited()),
-            SatOutcome::Unsat
-        );
+        assert_eq!(bb.sat.solve(Budget::unlimited()), SatOutcome::Unsat);
         // De Morgan validity: !(a&&b) == (!a || !b)
         let ctx = Ctx::new();
         let a = ctx.var("a", Sort::Bool);
@@ -1050,9 +1060,6 @@ mod tests {
         let neq = ctx.ne(lhs, rhs);
         let mut bb = BitBlaster::new(&ctx);
         bb.assert_term(neq);
-        assert_eq!(
-            bb.cnf.to_solver().solve(Budget::unlimited()),
-            SatOutcome::Unsat
-        );
+        assert_eq!(bb.sat.solve(Budget::unlimited()), SatOutcome::Unsat);
     }
 }

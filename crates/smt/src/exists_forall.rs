@@ -57,8 +57,10 @@ pub struct EfConfig {
     pub max_iterations: u32,
     /// Overall wall-clock limit in milliseconds for the whole loop.
     pub max_millis: u64,
-    /// Run the term-rewriting pass on φ and on every solver query before
-    /// bit-blasting (default). Obligations that rewrite to a literal are
+    /// Run the term-rewriting pass before bit-blasting (default) on φ and
+    /// on the one-shot queries: the verify step and the no-universal
+    /// check. The candidate checks are never rewritten (see
+    /// [`IncrementalSolver`]). Obligations that rewrite to a literal are
     /// discharged with zero CNF; `false` sends φ to the solvers as built
     /// (`tests/rewrite.rs` compares the two). Verdicts are identical either
     /// way (the pass is pure simplification), though models may differ in
@@ -255,9 +257,9 @@ fn solve_live(
     // keeps the ORIGINAL φ: CEGQI's convergence rides on the shape of the
     // formula it substitutes into (zero-biased candidate models, slice-free
     // counterexamples), and a structurally normalized φ makes the loop
-    // crawl through refinements one value at a time. The per-solve rewrite
-    // inside `Solver`/`IncrementalSolver` still simplifies every query the
-    // loop issues, so the residue case loses nothing.
+    // crawl through refinements one value at a time. `Solver` still
+    // rewrites each one-shot verify query the loop issues; the candidate
+    // checks are fully instantiated, so the smart constructors fold them.
     let phi = if config.rewrite && ctx.as_bool_lit(phi).is_none() {
         let r = crate::rewrite::simplify(ctx, phi);
         if ctx.as_bool_lit(r).is_some() {
@@ -329,16 +331,6 @@ fn solve_live(
     // retractable by dropping their activation from a check; only the
     // witness preference adds one that the loop's checks leave out.)
     let mut cand = IncrementalSolver::new(ctx);
-    // No rewriting on candidate queries: they are fully instantiated, so
-    // the smart constructors already fold them, and restructuring the CNF
-    // defeats the zero-phase bias below — the loop then crawls through
-    // near-miss candidates one value at a time (observed on the
-    // undef-duplication known bugs).
-    cand.set_rewrite(false);
-    // Zero-biased candidate models: saved phases would hand back a
-    // near-copy of the previous (refuted) candidate, and CEGQI on wide
-    // bit-vectors then crawls through refinements one value at a time.
-    cand.set_zero_phase(true);
     let mut groups: Vec<Activation> = Vec::new();
     let mut pushed = 0usize;
 

@@ -7,9 +7,11 @@
 //! - [`term`]: a hash-consed term DAG over booleans and bit-vectors with
 //!   simplifying smart constructors;
 //! - [`ackermann`]: elimination of uninterpreted functions;
-//! - [`bitblast`]: Tseitin conversion to CNF;
+//! - [`bitblast`]: Tseitin conversion to CNF, written straight into the
+//!   SAT solver the blaster owns;
 //! - [`sat`]: a CDCL SAT solver with conflict/time/memory budgets;
-//! - [`solver`]: the assert/check/model facade;
+//! - [`solver`]: the assert/check/model facade, one-shot and incremental,
+//!   over one shared search step;
 //! - [`cache`]: the query cache, keyed by a canonical fingerprint of the
 //!   term DAG;
 //! - [`model`]: models and a concrete evaluator;

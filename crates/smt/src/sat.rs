@@ -2,8 +2,12 @@
 //! VSIDS branching, phase saving, Luby restarts, and learned-clause database
 //! reduction.
 //!
-//! This is the decision engine under the bit-blaster. It deliberately
-//! supports *resource budgets* (conflicts, wall-clock time, learned-literal
+//! This is the decision engine under the bit-blaster, which adds every
+//! clause straight into it, as MiniSat's clausifier does: there is no
+//! intermediate CNF and no inprocessing pass. [`SatSolver::add_clause`]
+//! does all the level-0 work on the way in, and `reduce_db` is the only
+//! pass over the whole database. It deliberately supports *resource
+//! budgets* (conflicts, wall-clock time, learned-literal
 //! memory) because the Alive2 evaluation (Figures 6–8 of the paper) sweeps
 //! solver timeouts and reports timeout/out-of-memory outcomes as first-class
 //! results.
@@ -118,82 +122,6 @@ impl Budget {
     }
 }
 
-/// A plain CNF formula: a variable count and a list of clauses, stored
-/// flat — every clause's literals back to back in one vector, plus the
-/// offset where each clause ends — so emitting a clause allocates
-/// nothing of its own.
-///
-/// The bit-blaster emits into a `Cnf` rather than into a solver, because
-/// its two clients load the clauses at different times: a one-shot check
-/// hands the whole formula to a fresh solver ([`Cnf::to_solver`]), and an
-/// incremental solver loads the suffix blasted since its last check.
-/// Either way [`SatSolver::add_clause`] does all the level-0 work on the
-/// way in: it drops clauses already satisfied at level 0, false literals,
-/// duplicate literals and tautologies, and propagates units, so a formula
-/// that unit propagation settles needs no search.
-#[derive(Clone, Debug, Default)]
-pub struct Cnf {
-    num_vars: u32,
-    /// Every clause's literals, in clause order.
-    lits: Vec<Lit>,
-    /// Clause `i` is `lits[ends[i - 1]..ends[i]]` (from 0 for the first).
-    ends: Vec<u32>,
-}
-
-impl Cnf {
-    /// An empty formula.
-    pub fn new() -> Self {
-        Cnf::default()
-    }
-
-    /// Allocates a fresh variable.
-    pub fn new_var(&mut self) -> SatVar {
-        let v = SatVar(self.num_vars);
-        self.num_vars += 1;
-        v
-    }
-
-    /// Number of variables allocated.
-    pub fn num_vars(&self) -> u32 {
-        self.num_vars
-    }
-
-    /// Appends a clause verbatim (no simplification).
-    pub fn add_clause(&mut self, lits: &[Lit]) {
-        self.lits.extend_from_slice(lits);
-        let end = u32::try_from(self.lits.len()).expect("a CNF holds fewer than 2^32 literals");
-        self.ends.push(end);
-    }
-
-    /// Number of clauses.
-    pub fn num_clauses(&self) -> usize {
-        self.ends.len()
-    }
-
-    /// The literals of clause `i`, in the order they were added.
-    pub fn clause(&self, i: usize) -> &[Lit] {
-        let start = if i == 0 { 0 } else { self.ends[i - 1] as usize };
-        &self.lits[start..self.ends[i] as usize]
-    }
-
-    /// The clauses in the order they were added.
-    pub fn clauses(&self) -> impl ExactSizeIterator<Item = &[Lit]> + '_ {
-        (0..self.ends.len()).map(|i| self.clause(i))
-    }
-
-    /// Builds a fresh [`SatSolver`] holding this formula.
-    pub fn to_solver(&self) -> SatSolver {
-        let mut s = SatSolver::new();
-        for _ in 0..self.num_vars {
-            s.new_var();
-        }
-        for c in self.clauses() {
-            s.add_clause(c);
-        }
-        s
-    }
-}
-
 /// A clause handle: the offset of the clause's header in the arena.
 type ClauseRef = u32;
 
@@ -201,7 +129,7 @@ type ClauseRef = u32;
 const HEADER: usize = 2;
 /// Header flag: the clause is a tombstone.
 const DELETED: u32 = 1;
-/// Header flag: the clause was learnt (not an original or promoted one).
+/// Header flag: the clause was learnt (not an original one).
 const LEARNT: u32 = 2;
 /// The clause length sits above the two flag bits.
 const LEN_SHIFT: u32 = 2;
@@ -249,9 +177,8 @@ pub struct SatStats {
 pub struct SatSolver {
     /// The clause arena (MiniSat's layout): each clause is a header —
     /// `len << LEN_SHIFT | flags`, then its id — followed by its literal
-    /// codes, in allocation order. Shrinking a clause rewrites its
-    /// length in place; deleting one only sets `DELETED`, and tombstones
-    /// are never compacted.
+    /// codes, in allocation order. Deleting a clause only sets
+    /// `DELETED`, and tombstones are never compacted.
     arena: Vec<u32>,
     /// Clause id → header offset. Ids follow allocation order, so this
     /// walks the database in the order clauses were attached.
@@ -282,9 +209,8 @@ pub struct SatSolver {
     ok: bool,
     learned_lits: usize,
     /// Live (not deleted) clauses in the arena, learnt ones included.
-    /// Kept in step by `attach_clause`, `delete_clause` and the
-    /// learnt→original promotion in `subsume_bounded`, so nothing per
-    /// decision, per conflict or per check has to scan the database.
+    /// Kept in step by `attach_clause` and `delete_clause`, so nothing
+    /// per decision, per conflict or per check has to scan the database.
     live_clauses: usize,
     /// Live learnt clauses: the reduce trigger and `num_learnts`.
     live_learnts: usize,
@@ -311,13 +237,6 @@ impl std::fmt::Debug for SatSolver {
             self.crefs.len()
         )
     }
-}
-
-/// A 64-bit set of the variables of `lits` (literal codes), one bit per
-/// variable modulo 64. If C's variables are not all in D's signature, C
-/// cannot subsume D, even with one literal flipped (SatELite's filter).
-fn signature(lits: &[u32]) -> u64 {
-    lits.iter().fold(0, |sig, &w| sig | 1 << (w >> 1 & 63))
 }
 
 impl SatSolver {
@@ -369,7 +288,7 @@ impl SatSolver {
 
     /// Recounts `(live clauses, live learnts)` from the arena: the
     /// reference the incremental counters must always equal. A full
-    /// scan, so only for whole-database passes and tests.
+    /// scan, so only for `reduce_db`'s debug check and tests.
     fn recount(&self) -> (usize, usize) {
         let live = self.crefs.iter().filter(|&&cr| !self.is_deleted(cr));
         (
@@ -390,13 +309,6 @@ impl SatSolver {
 
     fn clause_len(&self, cr: ClauseRef) -> usize {
         (self.arena[cr as usize] >> LEN_SHIFT) as usize
-    }
-
-    /// Shrinks a clause in place; its tail words become dead space.
-    fn set_clause_len(&mut self, cr: ClauseRef, len: usize) {
-        debug_assert!(len <= self.clause_len(cr));
-        let hdr = &mut self.arena[cr as usize];
-        *hdr = (len as u32) << LEN_SHIFT | *hdr & (DELETED | LEARNT);
     }
 
     fn clause_id(&self, cr: ClauseRef) -> usize {
@@ -489,10 +401,13 @@ impl SatSolver {
     /// Adds a clause. Returns `false` if the solver is already in an
     /// unsatisfiable state.
     ///
-    /// Tautologies are dropped and duplicate literals removed. May be
-    /// called between `solve` calls: any leftover search assignment is
-    /// unwound to level 0 first (which discards the previous model — the
-    /// incremental layer extracts models before pushing new clauses).
+    /// Does all the level-0 work on the way in: drops clauses already
+    /// satisfied at level 0, false literals, duplicate literals and
+    /// tautologies, and propagates units, so a formula that unit
+    /// propagation settles needs no search. May be called between
+    /// `solve` calls: any leftover search assignment is unwound to level
+    /// 0 first (which discards the previous model — the incremental
+    /// layer extracts models before pushing new clauses).
     pub fn add_clause(&mut self, lits: &[Lit]) -> bool {
         if !self.ok {
             return false;
@@ -938,320 +853,6 @@ impl SatSolver {
         self.arena[cr as usize] |= DELETED;
     }
 
-    /// Rebuilds every watch list from scratch. Only valid at level 0
-    /// with all clause literals unassigned (the inprocessing invariant:
-    /// satisfied clauses deleted, false literals stripped).
-    fn rebuild_watches(&mut self) {
-        for ws in &mut self.watches {
-            ws.clear();
-        }
-        for id in 0..self.crefs.len() {
-            let cref = self.crefs[id];
-            if self.is_deleted(cref) {
-                continue;
-            }
-            debug_assert!(self.clause_len(cref) >= 2);
-            let w0 = self.clause_lit(cref, 0);
-            let w1 = self.clause_lit(cref, 1);
-            self.watches[w0.negate().code()].push(Watcher {
-                clause: cref,
-                blocker: w1,
-            });
-            self.watches[w1.negate().code()].push(Watcher {
-                clause: cref,
-                blocker: w0,
-            });
-        }
-    }
-
-    /// One pass of level-0 clause simplification: drops satisfied
-    /// clauses, strips false literals in place, and returns any clauses
-    /// reduced to units (deleted here, to be re-enqueued by the caller).
-    /// Returns `None` if a clause became empty (formula unsat).
-    fn strip_level0(&mut self) -> Option<Vec<Lit>> {
-        let mut units = Vec::new();
-        for id in 0..self.crefs.len() {
-            let cref = self.crefs[id];
-            if self.is_deleted(cref) {
-                continue;
-            }
-            let lits = cref as usize + HEADER;
-            let len = self.clause_len(cref);
-            // Unassigned literals move down over false ones. A satisfied
-            // clause is deleted, so what moved before the break is moot.
-            let mut kept = 0;
-            let mut satisfied = false;
-            for k in 0..len {
-                let l = Lit(self.arena[lits + k]);
-                match self.lit_value(l) {
-                    LBool::True => {
-                        satisfied = true;
-                        break;
-                    }
-                    LBool::False => {}
-                    LBool::Undef => {
-                        self.arena[lits + kept] = l.0;
-                        kept += 1;
-                    }
-                }
-            }
-            if satisfied {
-                self.delete_clause(cref);
-                continue;
-            }
-            match kept {
-                0 => return None,
-                1 => {
-                    units.push(Lit(self.arena[lits]));
-                    self.delete_clause(cref);
-                }
-                _ => {
-                    if kept < len {
-                        if self.is_learnt(cref) {
-                            self.learned_lits -= len - kept;
-                        }
-                        self.set_clause_len(cref, kept);
-                    }
-                }
-            }
-        }
-        Some(units)
-    }
-
-    /// Checks whether (sorted) `c` subsumes (sorted) `d` exactly
-    /// (`Some(None)`), subsumes it modulo one flipped literal — the
-    /// self-subsuming-resolution case, returning the literal to remove
-    /// from `d` (`Some(Some(l))`) — or neither (`None`). Both are
-    /// literal codes.
-    fn subsumes(c: &[u32], d: &[u32]) -> Option<Option<Lit>> {
-        let mut flip: Option<Lit> = None;
-        let mut j = 0;
-        for &lc in c {
-            let vc = lc >> 1;
-            loop {
-                if j >= d.len() {
-                    return None;
-                }
-                let ld = d[j];
-                if ld >> 1 == vc {
-                    if ld != lc {
-                        if flip.is_some() {
-                            return None;
-                        }
-                        flip = Some(Lit(ld));
-                    }
-                    j += 1;
-                    break;
-                } else if ld >> 1 < vc {
-                    j += 1;
-                } else {
-                    return None;
-                }
-            }
-        }
-        Some(flip)
-    }
-
-    /// Bounded subsumption and self-subsuming resolution over the live
-    /// clause database. Clause literals must be sorted (the caller sorts
-    /// once). Returns clauses strengthened down to units. `work` caps
-    /// the total literal comparisons so a huge database cannot stall an
-    /// incremental check; a candidate costs the same whether or not its
-    /// signature already rules it out.
-    fn subsume_bounded(&mut self, work: &mut i64) -> Vec<Lit> {
-        let mut units = Vec::new();
-        let nlits = 2 * self.num_vars();
-        // Per clause id, the variable signature and current length of the
-        // clause (0 once deleted), side by side so that rejecting a
-        // candidate touches one entry and not the arena.
-        let mut meta = vec![(0u64, 0u32); self.crefs.len()];
-        // Occurrence lists, flattened: the ids of the live clauses holding
-        // literal code `l` are `occ[occ_start[l]..occ_start[l + 1]]`, in
-        // allocation order.
-        let mut live: Vec<usize> = Vec::new();
-        let mut occ_start = vec![0usize; nlits + 1];
-        for (id, &cref) in self.crefs.iter().enumerate() {
-            if self.is_deleted(cref) {
-                continue;
-            }
-            live.push(id);
-            let words = self.clause_words(cref);
-            meta[id] = (signature(words), words.len() as u32);
-            for &w in words {
-                occ_start[w as usize + 1] += 1;
-            }
-        }
-        for l in 0..nlits {
-            occ_start[l + 1] += occ_start[l];
-        }
-        let mut occ = vec![0u32; occ_start[nlits]];
-        let mut fill = occ_start.clone();
-        for &id in &live {
-            for &w in self.clause_words(self.crefs[id]) {
-                occ[fill[w as usize]] = id as u32;
-                fill[w as usize] += 1;
-            }
-        }
-        // Small clauses first: they subsume the most.
-        live.sort_by_key(|&id| meta[id].1);
-        let mut c: Vec<u32> = Vec::new();
-        for &ci in &live {
-            if *work <= 0 {
-                break;
-            }
-            let (c_sig, c_len) = meta[ci];
-            if c_len == 0 || c_len > 8 {
-                continue;
-            }
-            let cref = self.crefs[ci];
-            c.clear();
-            c.extend_from_slice(self.clause_words(cref));
-            // Candidates must share a variable with C; scanning every
-            // occurrence list of C's literals (both polarities) covers
-            // subsumption and the one-flip strengthening case.
-            for &lc in &c {
-                for code in [lc as usize, (lc ^ 1) as usize] {
-                    for &dj in &occ[occ_start[code]..occ_start[code + 1]] {
-                        let dj = dj as usize;
-                        let (d_sig, dlen) = meta[dj];
-                        if dj == ci || dlen == 0 || dlen < c_len {
-                            continue;
-                        }
-                        *work -= i64::from(dlen);
-                        let dref = self.crefs[dj];
-                        let verdict = if c_sig & !d_sig != 0 {
-                            None
-                        } else {
-                            Self::subsumes(&c, self.clause_words(dref))
-                        };
-                        match verdict {
-                            Some(None) => {
-                                // C ⊆ D: drop D. If a learnt clause
-                                // subsumes an original one, promote it —
-                                // reduce_db must never delete the only
-                                // clause standing in for an original.
-                                if !self.is_learnt(dref) && self.is_learnt(cref) {
-                                    self.arena[cref as usize] &= !LEARNT;
-                                    self.live_learnts -= 1;
-                                    self.learned_lits -= c_len as usize;
-                                }
-                                self.delete_clause(dref);
-                                meta[dj].1 = 0;
-                            }
-                            Some(Some(flip)) => {
-                                // Self-subsuming resolution: D loses the
-                                // flipped literal, in place.
-                                if self.is_learnt(dref) {
-                                    self.learned_lits -= 1;
-                                }
-                                let lits = dref as usize + HEADER;
-                                let dlen = dlen as usize;
-                                let pos = self
-                                    .clause_words(dref)
-                                    .iter()
-                                    .position(|&w| w == flip.0)
-                                    .expect("the flipped literal is in D");
-                                self.arena
-                                    .copy_within(lits + pos + 1..lits + dlen, lits + pos);
-                                self.set_clause_len(dref, dlen - 1);
-                                if dlen - 1 == 1 {
-                                    units.push(Lit(self.arena[lits]));
-                                    self.delete_clause(dref);
-                                    meta[dj] = (0, 0);
-                                } else {
-                                    let words = self.clause_words(dref);
-                                    meta[dj] = (signature(words), words.len() as u32);
-                                }
-                            }
-                            None => {}
-                        }
-                        if *work <= 0 {
-                            return units;
-                        }
-                    }
-                }
-            }
-        }
-        units
-    }
-
-    /// Bounded inprocessing at level 0: unit propagation to fixpoint,
-    /// satisfied-clause removal, false-literal stripping, then bounded
-    /// subsumption and self-subsuming resolution. Safe to call between
-    /// `solve` calls on a long-lived solver; all watch lists are rebuilt.
-    ///
-    /// Returns `false` if simplification proves the formula unsatisfiable
-    /// (the solver is then permanently `Unsat`).
-    pub fn simplify(&mut self) -> bool {
-        if !self.ok {
-            return false;
-        }
-        self.backtrack(0);
-        // Level-0 reasons are never consulted again (conflict analysis
-        // stops above level 0); clearing them unlocks their clauses.
-        for i in 0..self.trail.len() {
-            let v = self.trail[i].var();
-            self.reason[v.0 as usize] = None;
-        }
-        let mut work: i64 = 2_000_000;
-        // A strengthening round can create units, which enable more
-        // stripping; iterate a few bounded rounds to a near-fixpoint.
-        for round in 0..4 {
-            if self.propagate().is_some() {
-                self.ok = false;
-                return false;
-            }
-            let Some(units) = self.strip_level0() else {
-                self.ok = false;
-                return false;
-            };
-            if !units.is_empty() {
-                for l in units {
-                    match self.lit_value(l) {
-                        LBool::Undef => self.enqueue(l, None),
-                        LBool::False => {
-                            self.ok = false;
-                            return false;
-                        }
-                        LBool::True => {}
-                    }
-                }
-                self.rebuild_watches();
-                continue; // propagate the new units before subsuming
-            }
-            if round > 0 || work <= 0 {
-                break; // subsumption already ran and found no new units
-            }
-            for id in 0..self.crefs.len() {
-                let cref = self.crefs[id];
-                if !self.is_deleted(cref) {
-                    let lits = cref as usize + HEADER;
-                    let len = self.clause_len(cref);
-                    self.arena[lits..lits + len].sort_unstable();
-                }
-            }
-            let sub_units = self.subsume_bounded(&mut work);
-            self.rebuild_watches();
-            if sub_units.is_empty() {
-                break;
-            }
-            for l in sub_units {
-                match self.lit_value(l) {
-                    LBool::Undef => self.enqueue(l, None),
-                    LBool::False => {
-                        self.ok = false;
-                        return false;
-                    }
-                    LBool::True => {}
-                }
-            }
-        }
-        self.rebuild_watches();
-        self.qhead = 0; // re-propagate from scratch on the next solve
-        debug_assert_eq!(self.recount(), (self.live_clauses, self.live_learnts));
-        true
-    }
-
     /// The Luby restart sequence (1-indexed): 1 1 2 1 1 2 4 1 1 2 1 1 2 4 8…
     fn luby(i: u64) -> u64 {
         let mut x = i - 1;
@@ -1585,16 +1186,16 @@ mod tests {
         }
     }
 
-    /// A [`Cnf`] over `num_vars` variables holding `clauses` verbatim.
-    fn cnf_of(num_vars: u32, clauses: &[&[Lit]]) -> Cnf {
-        let mut cnf = Cnf::new();
+    /// A solver over `num_vars` variables given `clauses` in order.
+    fn solver_of(num_vars: u32, clauses: &[&[Lit]]) -> SatSolver {
+        let mut s = SatSolver::new();
         for _ in 0..num_vars {
-            cnf.new_var();
+            s.new_var();
         }
         for c in clauses {
-            cnf.add_clause(c);
+            s.add_clause(c);
         }
-        cnf
+        s
     }
 
     fn plit(v: u32, positive: bool) -> Lit {
@@ -1602,7 +1203,7 @@ mod tests {
     }
 
     #[test]
-    fn to_solver_agrees_with_brute_force_on_noisy_cnfs() {
+    fn add_clause_agrees_with_brute_force_on_noisy_cnfs() {
         // Random small CNFs mixing unit chains, duplicate literals and
         // clauses, tautologies, empty clauses and conflicting units, as
         // the bit-blaster hands them over: the level-0 work `add_clause`
@@ -1618,9 +1219,9 @@ mod tests {
         let (mut sat, mut unsat, mut settled) = (0, 0, 0);
         for round in 0..1000 {
             let nv = 1 + rng() % 10;
-            let mut cnf = Cnf::new();
+            let mut s = SatSolver::new();
             for _ in 0..nv {
-                cnf.new_var();
+                s.new_var();
             }
             let any =
                 |rng: &mut dyn FnMut() -> u64| plit((rng() % nv) as u32, rng().is_multiple_of(2));
@@ -1650,7 +1251,7 @@ mod tests {
                         (0..len).map(|_| any(&mut rng)).collect()
                     }
                 };
-                cnf.add_clause(&c);
+                s.add_clause(&c);
                 added.push(c);
             }
             let brute = (0..1u32 << nv).any(|bits| {
@@ -1659,7 +1260,6 @@ mod tests {
                         .any(|l| (bits >> l.var().0 & 1 == 1) == l.is_positive())
                 })
             });
-            let mut s = cnf.to_solver();
             let got = s.solve(Budget::unlimited());
             assert_eq!(got == SatOutcome::Sat, brute, "round {round}: {added:?}");
             if brute {
@@ -1682,7 +1282,7 @@ mod tests {
     fn add_clause_propagates_units_and_drops_noise() {
         // x0; ¬x0 ∨ x1; x1 ∨ x1 ∨ x2 (dup lit); x3 ∨ ¬x3 (tautology);
         // duplicate of clause 2.
-        let cnf = cnf_of(
+        let mut s = solver_of(
             4,
             &[
                 &[plit(0, true)],
@@ -1692,7 +1292,6 @@ mod tests {
                 &[plit(2, true), plit(1, true)],
             ],
         );
-        let mut s = cnf.to_solver();
         assert_eq!(s.value(SatVar(0)), Some(true));
         assert_eq!(s.value(SatVar(1)), Some(true)); // via unit propagation
         assert_eq!(s.value(SatVar(2)), None);
@@ -1705,7 +1304,7 @@ mod tests {
     #[test]
     fn add_clause_detects_a_level_0_conflict() {
         // x0; x0 → x1; ¬x1: unit propagation alone refutes it.
-        let cnf = cnf_of(
+        let mut s = solver_of(
             2,
             &[
                 &[plit(0, true)],
@@ -1713,7 +1312,6 @@ mod tests {
                 &[plit(1, false)],
             ],
         );
-        let mut s = cnf.to_solver();
         assert_eq!(s.solve(Budget::unlimited()), SatOutcome::Unsat);
         assert_eq!(s.stats().conflicts, 0);
     }
@@ -1852,89 +1450,10 @@ mod tests {
     }
 
     #[test]
-    fn simplify_removes_subsumed_and_keeps_answers() {
-        let mut s = SatSolver::new();
-        let mut vars = Vec::new();
-        // (1 2) subsumes (1 2 3); resolving (1 2) with (−1 2) strengthens
-        // to the unit (2), which then forces 4 through (−2 4).
-        let cls: [&[i32]; 4] = [&[1, 2, 3], &[1, 2], &[-1, 2], &[-2, 4]];
-        for c in cls {
-            let ls: Vec<Lit> = c.iter().map(|&i| lit(&mut s, &mut vars, i)).collect();
-            s.add_clause(&ls);
-        }
-        let before = s.num_clauses();
-        assert!(s.simplify());
-        assert!(s.num_clauses() < before, "subsumed clause not removed");
-        assert_eq!(s.solve(Budget::unlimited()), SatOutcome::Sat);
-        // 2 is forced (by resolution of (1 2) and (−1 2)), hence 4.
-        assert_eq!(s.value(vars[1]), Some(true));
-        assert_eq!(s.value(vars[3]), Some(true));
-    }
-
-    #[test]
-    fn simplify_then_solve_agrees_with_brute_force() {
-        let mut state = 0x9E3779B9u64;
-        let mut rng = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        for round in 0..40 {
-            let n = 6;
-            let m = 4 + (round % 16);
-            let mut cls: Vec<Vec<i32>> = Vec::new();
-            for _ in 0..m {
-                let len = 1 + (rng() % 3) as usize;
-                let mut c = Vec::new();
-                for _ in 0..=len {
-                    let v = (rng() % n + 1) as i32;
-                    let s = if rng() % 2 == 0 { 1 } else { -1 };
-                    c.push(v * s);
-                }
-                cls.push(c);
-            }
-            let mut brute_sat = false;
-            'assign: for bits in 0..(1u32 << n) {
-                for c in &cls {
-                    let ok = c.iter().any(|&l| {
-                        let v = l.unsigned_abs() - 1;
-                        let val = bits >> v & 1 == 1;
-                        if l > 0 {
-                            val
-                        } else {
-                            !val
-                        }
-                    });
-                    if !ok {
-                        continue 'assign;
-                    }
-                }
-                brute_sat = true;
-                break;
-            }
-            let mut s = SatSolver::new();
-            let mut vars = Vec::new();
-            for c in &cls {
-                let ls: Vec<Lit> = c.iter().map(|&i| lit(&mut s, &mut vars, i)).collect();
-                s.add_clause(&ls);
-            }
-            s.simplify();
-            let got = s.solve(Budget::unlimited());
-            let expect = if brute_sat {
-                SatOutcome::Sat
-            } else {
-                SatOutcome::Unsat
-            };
-            assert_eq!(got, expect, "round {round}: {cls:?}");
-        }
-    }
-
-    #[test]
     fn clause_counters_match_recount_on_every_path() {
         // `num_clauses` and `num_learnts` are kept incrementally; every
-        // path that adds, deletes or promotes a clause must leave them
-        // equal to a full recount of the clause arena.
+        // path that adds or deletes a clause must leave them equal to a
+        // full recount of the clause arena.
         fn check(s: &SatSolver) -> (usize, usize) {
             let counts = (s.num_clauses(), s.num_learnts());
             assert_eq!(counts, s.recount());
@@ -1942,8 +1461,6 @@ mod tests {
         }
         let mut s = SatSolver::new();
         let v: Vec<Lit> = (0..40).map(|_| Lit::new(s.new_var(), true)).collect();
-        // Originals: (0 1) subsumes (0 1 2); (3 4 5) will be subsumed by
-        // the learnt (3 4), which must then be promoted.
         s.add_clause(&[v[0], v[1]]);
         s.add_clause(&[v[0], v[1], v[2]]);
         s.add_clause(&[v[3], v[4], v[5]]);
@@ -1957,24 +1474,12 @@ mod tests {
         // reduce_db deletes half of the ternaries and keeps the binary.
         s.reduce_db();
         assert_eq!(check(&s), (14, 11));
-        // Subsumption deletes (0 1 2) and (3 4 5); the learnt (3 4)
-        // stands in for an original now, so it is promoted.
-        assert!(s.simplify());
-        assert_eq!(check(&s), (12, 10));
-        let promoted = s
-            .crefs
-            .iter()
-            .copied()
-            .find(|&cr| !s.is_deleted(cr) && s.clause_words(cr).contains(&v[3].0));
-        assert!(!s.is_learnt(promoted.expect("(3 4) kept")));
-        // Level-0 stripping: with 6 true, the learnt (7 8 6) is satisfied
-        // and the learnt (9 ¬6) reduces to the unit 9; both are deleted.
+        // Level-0 work on the way in: with 6 true, (7 8 6) is satisfied
+        // and (9 ¬6) reduces to the unit 9; neither is attached.
         s.add_clause(&[v[6]]);
-        s.attach_clause(&[v[7], v[8], v[6]], true, 3);
-        s.attach_clause(&[v[9], v[6].negate()], true, 2);
-        assert_eq!(check(&s), (14, 12));
-        assert!(s.simplify());
-        assert_eq!(check(&s), (12, 10));
+        s.add_clause(&[v[7], v[8], v[6]]);
+        s.add_clause(&[v[9], v[6].negate()]);
+        assert_eq!(check(&s), (14, 11));
         assert_eq!(s.value(v[9].var()), Some(true));
 
         // Learnts from real search, then clauses added between solves:
@@ -2010,9 +1515,6 @@ mod tests {
         s.add_clause(&[act.negate()]);
         check(&s);
         assert_eq!(s.solve(Budget::unlimited()), SatOutcome::Sat);
-        check(&s);
-        // With ¬act at level 0 every pigeon clause is satisfied.
-        assert!(s.simplify());
         check(&s);
     }
 
@@ -2082,53 +1584,11 @@ mod tests {
     }
 
     #[test]
-    fn signature_rejection_implies_no_subsumption() {
-        // 160 variables share the 64 signature bits, so signatures alias:
-        // the filter may pass a pair the merge then rejects, but it must
-        // never reject a pair the merge would accept.
-        let mut rng = xorshift(0x51A7_0E1D);
-        let (mut rejected, mut aliased, mut merged) = (0, 0, 0);
-        for _ in 0..20_000 {
-            let c_len = 1 + (rng() % 8) as usize;
-            let c = random_clause(&mut rng, 160, c_len);
-            let d = if rng().is_multiple_of(2) {
-                let d_len = 1 + (rng() % 12) as usize;
-                random_clause(&mut rng, 160, d_len)
-            } else {
-                // C's literals, perhaps one flipped, plus extra variables.
-                let mut d = c.clone();
-                if rng().is_multiple_of(2) {
-                    let k = (rng() % d.len() as u64) as usize;
-                    d[k] ^= 1;
-                }
-                let extra = (rng() % 6) as usize;
-                for w in random_clause(&mut rng, 160, extra) {
-                    if !d.iter().any(|&x| x >> 1 == w >> 1) {
-                        d.push(w);
-                    }
-                }
-                d.sort_unstable();
-                d
-            };
-            let result = SatSolver::subsumes(&c, &d);
-            if signature(&c) & !signature(&d) != 0 {
-                assert_eq!(result, None, "signature rejected {c:?} vs {d:?}");
-                rejected += 1;
-            } else if result.is_none() {
-                aliased += 1;
-            } else {
-                merged += 1;
-            }
-        }
-        assert!(rejected > 0 && aliased > 0 && merged > 0);
-    }
-
-    #[test]
     fn long_lived_solver_agrees_with_fresh_through_reductions() {
         // Random 3-SAT near the threshold, kept in one solver across
         // rounds: the learnt database is reduced at least twice, a unit
-        // added before each simplify shrinks clauses in place, and every
-        // round solves under assumptions. Each round must match a fresh
+        // is added between rounds, and every round solves under
+        // assumptions. Each round must match a fresh
         // solver given the same clauses and assumptions.
         let mut rng = xorshift(0x0DDB_A11E);
         let (n, m) = (200u64, 852);
@@ -2152,7 +1612,7 @@ mod tests {
         for c in &clauses {
             warm.add_clause(c);
         }
-        let (mut reductions, mut shrunk, mut sat_rounds, mut unsat_rounds) = (0, 0, 0, 0);
+        let (mut reductions, mut sat_rounds, mut unsat_rounds) = (0, 0, 0);
         for round in 0..40 {
             let assumptions: Vec<Lit> =
                 random_clause(&mut rng, n, 4).into_iter().map(Lit).collect();
@@ -2184,22 +1644,13 @@ mod tests {
                 }
                 other => panic!("round {round}: {other:?} without a budget"),
             }
-            // A unit of the hidden model, then a simplify that strips its
-            // negation out of live clauses.
+            // A unit of the hidden model.
             let v = SatVar((rng() % n) as u32);
             let unit = Lit::new(v, planted[v.0 as usize]);
             clauses.push(vec![unit]);
             warm.add_clause(&[unit]);
-            let lens: Vec<usize> = warm.crefs.iter().map(|&cr| warm.clause_len(cr)).collect();
-            warm.simplify();
-            shrunk += warm.crefs[..lens.len()]
-                .iter()
-                .zip(&lens)
-                .filter(|&(&cr, &len)| !warm.is_deleted(cr) && warm.clause_len(cr) < len)
-                .count();
         }
         assert!(reductions >= 2, "reduce_db ran {reductions} times");
-        assert!(shrunk > 0, "simplify shrank no clause in place");
         assert!(sat_rounds > 0 && unsat_rounds > 0);
     }
 }

@@ -1,27 +1,35 @@
 //! The user-facing SMT solver: assert terms, check satisfiability under a
 //! resource budget, and extract models.
 //!
-//! Two entry points share the term-to-CNF pipeline (rewrite,
-//! Ackermannize, bit-blast, CDCL) and the projection of a SAT assignment
-//! back onto the term-level variables:
+//! Two entry points share the pipeline from terms to an answer
+//! (Ackermannize, then bit-blast straight into the CDCL solver the
+//! blaster owns), one search step (CNF sizes, the solve, its counts and
+//! the projection of a SAT assignment back onto the term-level
+//! variables) and one profile tail:
 //!
 //! * [`Solver`] — the one-shot path. Each check rewrites and
 //!   Ackermannizes the formula and, inside an engine job, looks the term
 //!   DAG up in the query cache before any CNF exists. A miss blasts the
-//!   DAG and solves it on a fresh CDCL solver.
+//!   DAG into a fresh blaster and searches its solver.
 //! * [`IncrementalSolver`] — a persistent push-assertion /
-//!   check-under-assumptions solver that keeps its bit-blaster, clause
-//!   database, learned clauses, and variable activities alive across
-//!   checks. Its results depend on solver history (warm state, activation
-//!   literals), not on one formula, so its checks are never cached one
-//!   by one. The CEGQI loop it serves is cached whole instead, as an
-//!   obligation (see [`exists_forall`](crate::exists_forall)).
+//!   check-under-assumptions solver that keeps one blaster, and with it
+//!   one CDCL solver, alive across checks. Its results depend on solver
+//!   history (warm state, activation literals), not on one formula, so
+//!   its checks are never cached one by one. The CEGQI loop it serves is
+//!   cached whole instead, as an obligation (see
+//!   [`exists_forall`](crate::exists_forall)).
+//!
+//! The two stay two types because a one-shot check does three things an
+//! incremental one does not: it is keyed in the query cache by its
+//! formula, it rewrites its conjunction, and it counts as a
+//! `sat_solves`. A merged type would branch on which caller it serves;
+//! sharing the tail is simpler.
 
 use crate::ackermann::{ackermannize, Ackermannizer};
 use crate::bitblast::BitBlaster;
 use crate::cache::{self, CnfSizes, TermKey, TermOutcome, TermScope};
 use crate::model::{Model, Value};
-use crate::sat::{Budget, Lit, SatOutcome, SatSolver};
+use crate::sat::{Budget, Lit, SatOutcome};
 use crate::term::{Ctx, Sort, TermId};
 
 /// The outcome of an SMT check.
@@ -62,13 +70,68 @@ impl SmtResult {
     }
 }
 
-/// The profile-record outcome tag of a result.
-fn result_str(r: &SmtResult) -> &'static str {
-    match r {
-        SmtResult::Sat(_) => "sat",
-        SmtResult::Unsat => "unsat",
-        SmtResult::Timeout => "timeout",
-        SmtResult::OutOfMemory => "oom",
+/// Runs one check inside the tail every check shares: the query span,
+/// the outcome counter, the wall time and the profile record. `body`
+/// fills the rest of the record.
+fn profiled(
+    incremental: bool,
+    body: impl FnOnce(&mut alive2_obs::QueryProfile) -> SmtResult,
+) -> SmtResult {
+    let _sp = alive2_obs::span(alive2_obs::Phase::Query);
+    let started = std::time::Instant::now();
+    let mut prof = alive2_obs::QueryProfile {
+        incremental,
+        ..alive2_obs::QueryProfile::default()
+    };
+    let result = body(&mut prof);
+    let (tag, count): (&'static str, fn()) = match &result {
+        SmtResult::Sat(_) => ("sat", alive2_obs::stats::record_smt_sat),
+        SmtResult::Unsat => ("unsat", alive2_obs::stats::record_smt_unsat),
+        SmtResult::Timeout => ("timeout", alive2_obs::stats::record_smt_unknown),
+        SmtResult::OutOfMemory => ("oom", alive2_obs::stats::record_smt_unknown),
+    };
+    count();
+    prof.result = tag;
+    prof.wall_us = started.elapsed().as_micros() as u64;
+    alive2_obs::profile::record_query(prof);
+    result
+}
+
+/// Searches what `bb` has emitted under `assumptions`, the search step
+/// both solvers share: it records the CNF sizes and the search counts in
+/// `prof`, counts a failed-assumption core, and projects a model onto
+/// the free variables of `roots`. "Pre" is the CNF as blasted, "post"
+/// the live clause population at dispatch.
+fn search(
+    ctx: &Ctx,
+    bb: &mut BitBlaster,
+    roots: &[TermId],
+    assumptions: &[Lit],
+    budget: Budget,
+    prof: &mut alive2_obs::QueryProfile,
+) -> SmtResult {
+    prof.vars_pre = bb.sat.num_vars() as u64;
+    prof.clauses_pre = bb.num_clauses() as u64;
+    prof.vars_post = prof.vars_pre;
+    prof.clauses_post = bb.sat.num_clauses() as u64;
+    prof.solved = true;
+    let outcome = bb.sat.solve_assuming(assumptions, budget);
+    let st = bb.sat.stats();
+    prof.conflicts = st.conflicts;
+    prof.decisions = st.decisions;
+    prof.propagations = st.propagations;
+    prof.restarts = st.restarts;
+    prof.learnts_kept = bb.sat.num_learnts() as u64;
+    match outcome {
+        SatOutcome::TimedOut => SmtResult::Timeout,
+        SatOutcome::OutOfMemory => SmtResult::OutOfMemory,
+        SatOutcome::Unsat => {
+            if !bb.sat.failed_assumptions().is_empty() {
+                alive2_obs::stats::record_assumption_core();
+            }
+            SmtResult::Unsat
+        }
+        SatOutcome::Sat => SmtResult::Sat(project_model(ctx, bb, roots)),
     }
 }
 
@@ -137,19 +200,7 @@ impl<'a> Solver<'a> {
     /// it only assigns variables whose CNF encoding was actually created
     /// (i.e. variables that appear in the formula after simplification).
     pub fn check(&self, budget: Budget) -> SmtResult {
-        let _sp = alive2_obs::span(alive2_obs::Phase::Query);
-        let started = std::time::Instant::now();
-        let mut prof = alive2_obs::QueryProfile::default();
-        let result = self.check_inner(budget, &mut prof);
-        match &result {
-            SmtResult::Sat(_) => alive2_obs::stats::record_smt_sat(),
-            SmtResult::Unsat => alive2_obs::stats::record_smt_unsat(),
-            SmtResult::Timeout | SmtResult::OutOfMemory => alive2_obs::stats::record_smt_unknown(),
-        }
-        prof.wall_us = started.elapsed().as_micros() as u64;
-        prof.result = result_str(&result);
-        alive2_obs::profile::record_query(prof);
-        result
+        profiled(false, |prof| self.check_inner(budget, prof))
     }
 
     fn check_inner(&self, budget: Budget, prof: &mut alive2_obs::QueryProfile) -> SmtResult {
@@ -261,9 +312,10 @@ impl<'a> Solver<'a> {
         Some(result)
     }
 
-    /// Blasts `roots` and solves them on a fresh CDCL solver. The solver
-    /// runs even when `add_clause`'s level-0 propagation already settles
-    /// the formula, so every blasted query is one live solve.
+    /// Blasts `roots` into a fresh blaster and searches it with no
+    /// assumptions. The solver runs even when `add_clause`'s level-0
+    /// propagation already settles the formula, so every blasted query
+    /// is one live solve.
     fn solve_roots(
         &self,
         roots: &[TermId],
@@ -274,38 +326,21 @@ impl<'a> Solver<'a> {
         for &t in roots {
             bb.assert_term(t);
         }
-        let mut sat = bb.cnf.to_solver();
-        prof.vars_pre = u64::from(bb.cnf.num_vars());
-        prof.clauses_pre = bb.cnf.num_clauses() as u64;
-        prof.vars_post = prof.vars_pre;
-        prof.clauses_post = sat.num_clauses() as u64;
         alive2_obs::stats::record_sat_solve();
-        prof.solved = true;
-        let outcome = sat.solve(budget);
-        let st = sat.stats();
-        prof.conflicts = st.conflicts;
-        prof.decisions = st.decisions;
-        prof.propagations = st.propagations;
-        prof.restarts = st.restarts;
-        prof.learnts_kept = sat.num_learnts() as u64;
-        match outcome {
-            SatOutcome::TimedOut => SmtResult::Timeout,
-            SatOutcome::OutOfMemory => SmtResult::OutOfMemory,
-            SatOutcome::Unsat => SmtResult::Unsat,
-            SatOutcome::Sat => SmtResult::Sat(project_model(self.ctx, &bb, &sat, roots)),
-        }
+        search(self.ctx, &mut bb, roots, &[], budget, prof)
     }
 }
 
-/// Projects a satisfying assignment of `sat` back through the blaster
-/// onto the free variables of `roots`. A solver that answered `Sat` has
-/// assigned every variable it holds, so the only don't-cares are the
-/// variables the blaster never materialized: they stay out of the model,
-/// and the counterexample printer renders them as `any`, not as a
-/// fabricated zero.
-fn project_model(ctx: &Ctx, bb: &BitBlaster, sat: &SatSolver, roots: &[TermId]) -> Model {
+/// Projects the satisfying assignment of `bb`'s solver back through the
+/// blaster onto the free variables of `roots`. A solver that answered
+/// `Sat` has assigned every variable it holds, so the only don't-cares
+/// are the variables the blaster never materialized: they stay out of
+/// the model, and the counterexample printer renders them as `any`, not
+/// as a fabricated zero.
+fn project_model(ctx: &Ctx, bb: &BitBlaster, roots: &[TermId]) -> Model {
     let lit_val = |l: Lit| -> Option<bool> {
-        sat.value(l.var())
+        bb.sat
+            .value(l.var())
             .map(|b| if l.is_positive() { b } else { !b })
     };
     let mut model = Model::new();
@@ -334,12 +369,28 @@ pub struct Activation(Lit);
 
 /// A persistent SMT solver: assertions are pushed once and stay loaded;
 /// each [`check`](Self::check) reuses the live CDCL solver — clause
-/// database, learned clauses, VSIDS activities, saved phases — warm.
+/// database, learned clauses, VSIDS activities — warm.
 ///
 /// New assertions are bit-blasted *incrementally*: the blaster's
-/// term→literal map is stable, so a pushed assertion only appends the
-/// clauses for structure not already encoded (`clauses_reused` counts
-/// what a check inherited instead of rebuilding).
+/// term→literal map is stable, so a pushed assertion only adds the
+/// clauses for structure not already encoded, straight into the live
+/// solver (`clauses_reused` counts the clauses emitted before the
+/// previous check, which a check inherits instead of rebuilding).
+///
+/// Its one client is CEGQI's candidate step, and two choices are fixed
+/// for it rather than left to a setting:
+///
+/// * **No rewriting.** Assertions are blasted as pushed. Candidate
+///   queries are fully instantiated, so the smart constructors already
+///   fold them, and restructuring the CNF defeats the zero-phase bias
+///   below: the loop then crawls through near-miss candidates one value
+///   at a time (observed on the undef-duplication known bugs).
+/// * **Zero-biased models.** Every check starts from the all-false phase
+///   default instead of the phases saved by the previous solve, while
+///   learned clauses and activities stay warm. Saved phases would hand
+///   back a near-copy of the previous (refuted) candidate, and CEGQI on
+///   wide bit-vectors then crawls through refinements one value at a
+///   time.
 ///
 /// # Cache eligibility
 ///
@@ -347,9 +398,9 @@ pub struct Activation(Lit);
 /// cache stores results that are a function of one formula; an
 /// incremental verdict (and its model) is a function of the solver's
 /// history — which groups are active, what was learned under earlier
-/// assumptions. The CEGQI candidate loop, this solver's one client, is
-/// cached a level up: `solve_exists_forall_with_seeds` keys the whole
-/// obligation, so a rerun skips every incremental check of the loop.
+/// assumptions. The CEGQI candidate loop is cached a level up:
+/// `solve_exists_forall_with_seeds` keys the whole obligation, so a
+/// rerun skips every incremental check of the loop.
 ///
 /// # Examples
 ///
@@ -371,25 +422,12 @@ pub struct Activation(Lit);
 pub struct IncrementalSolver<'a> {
     ctx: &'a Ctx,
     bb: BitBlaster<'a>,
-    sat: SatSolver,
     ack: Ackermannizer,
-    /// Prefix of `bb.cnf` already loaded into `sat`.
-    synced_vars: u32,
-    synced_clauses: usize,
-    /// Every rewritten assertion root (permanent and grouped) plus the
-    /// Ackermann consistency constraints — the model projection domain.
+    /// Every assertion root (permanent and grouped) plus the Ackermann
+    /// consistency constraints — the model projection domain.
     roots: Vec<TermId>,
-    /// A pushed assertion folded to `false`: permanently unsat.
-    falsified: bool,
-    checks: u64,
-    /// Clause count at the last inprocessing pass (drives the "database
-    /// grew enough to re-simplify" heuristic).
-    simplified_at: usize,
-    /// Reset saved phases to the zero default before each check (see
-    /// [`set_zero_phase`](Self::set_zero_phase)).
-    zero_phase: bool,
-    /// Apply the term-rewriting pass to each pushed assertion.
-    rewrite: bool,
+    /// Clauses the blaster had emitted at the last check.
+    checked_clauses: usize,
 }
 
 impl<'a> IncrementalSolver<'a> {
@@ -398,70 +436,33 @@ impl<'a> IncrementalSolver<'a> {
         IncrementalSolver {
             ctx,
             bb: BitBlaster::new(ctx),
-            sat: SatSolver::new(),
             ack: Ackermannizer::new(),
-            synced_vars: 0,
-            synced_clauses: 0,
             roots: Vec::new(),
-            falsified: false,
-            checks: 0,
-            simplified_at: 0,
-            zero_phase: false,
-            rewrite: true,
+            checked_clauses: 0,
         }
     }
 
-    /// Enables/disables the term-rewriting pass applied to each pushed
-    /// assertion (default on).
-    pub fn set_rewrite(&mut self, on: bool) {
-        self.rewrite = on;
-    }
-
-    /// When enabled, every check starts from the all-false phase default
-    /// instead of the phases saved by the previous solve, biasing models
-    /// toward mostly-zero assignments while keeping learned clauses and
-    /// variable activities warm. Model-*shape* sensitive loops (CEGQI's
-    /// candidate step) converge much faster on such regular models; pure
-    /// sat/unsat clients should leave this off and keep full phase reuse.
-    pub fn set_zero_phase(&mut self, on: bool) {
-        self.zero_phase = on;
-    }
-
-    /// Ackermannizes `t` incrementally and blasts it to a single literal.
-    /// Consistency constraints pairing new applications against all
-    /// previously pushed ones are asserted permanently (sound even for
-    /// grouped assertions: the constraints are implications over shared
+    /// Ackermannizes `t` incrementally and blasts it to a single literal,
+    /// or to `None` when it folded to `true`. A folded `false` blasts to
+    /// the false constant, whose clause the solver reduces to `¬g` (or
+    /// to the empty clause for a permanent assertion). Consistency
+    /// constraints pairing new applications against all previously
+    /// pushed ones are asserted permanently (sound even for grouped
+    /// assertions: the constraints are implications over shared
     /// application variables).
-    fn blast_rewritten(&mut self, t: TermId) -> Option<Lit> {
-        let t = if self.rewrite && self.ctx.as_bool_lit(t).is_none() {
-            let r = crate::rewrite::simplify(self.ctx, t);
-            if self.ctx.as_bool_lit(r).is_some() {
-                alive2_obs::stats::record_rewrite_discharged();
-            } else {
-                alive2_obs::stats::record_rewrite_residue();
-            }
-            r
-        } else {
-            t
-        };
+    fn blast_root(&mut self, t: TermId) -> Option<Lit> {
         let mut constraints = Vec::new();
         let r = self.ack.rewrite(self.ctx, t, &mut constraints);
         for c in constraints {
             self.roots.push(c);
             let l = self.bb.blast_bool(c);
-            self.bb.cnf.add_clause(&[l]);
+            self.bb.add_clause(&[l]);
         }
-        match self.ctx.as_bool_lit(r) {
-            Some(true) => None,
-            Some(false) => {
-                self.falsified = true;
-                None
-            }
-            None => {
-                self.roots.push(r);
-                Some(self.bb.blast_bool(r))
-            }
+        if self.ctx.as_bool_lit(r) == Some(true) {
+            return None;
         }
+        self.roots.push(r);
+        Some(self.bb.blast_bool(r))
     }
 
     /// Pushes a permanent assertion (must be boolean-sorted). There is no
@@ -469,46 +470,23 @@ impl<'a> IncrementalSolver<'a> {
     /// [`assert_in`](Self::assert_in).
     pub fn assert(&mut self, t: TermId) {
         assert!(self.ctx.sort(t).is_bool(), "assertions must be boolean");
-        if let Some(l) = self.blast_rewritten(t) {
-            self.bb.cnf.add_clause(&[l]);
+        if let Some(l) = self.blast_root(t) {
+            self.bb.add_clause(&[l]);
         }
     }
 
     /// Allocates a fresh activation literal for a retractable clause group.
     pub fn new_group(&mut self) -> Activation {
-        Activation(Lit::new(self.bb.cnf.new_var(), true))
+        Activation(self.bb.fresh())
     }
 
     /// Pushes an assertion guarded by group `g`: it binds only in checks
     /// whose activation set includes `g` (encoded as `¬g ∨ t`).
     pub fn assert_in(&mut self, g: Activation, t: TermId) {
         assert!(self.ctx.sort(t).is_bool(), "assertions must be boolean");
-        match self.blast_rewritten(t) {
-            Some(l) => self.bb.cnf.add_clause(&[g.0.negate(), l]),
-            None if self.falsified => {
-                // The body folded to `false`: the group is unsatisfiable
-                // whenever active, but the solver as a whole is not.
-                self.falsified = false;
-                self.bb.cnf.add_clause(&[g.0.negate()]);
-            }
-            None => {}
+        if let Some(l) = self.blast_root(t) {
+            self.bb.add_clause(&[g.0.negate(), l]);
         }
-    }
-
-    /// Loads the not-yet-synced suffix of the blasted CNF into the live
-    /// solver. Returns the number of clauses that were already resident
-    /// (the reuse payload of this check).
-    fn sync(&mut self) -> usize {
-        let reused = self.synced_clauses;
-        while self.synced_vars < self.bb.cnf.num_vars() {
-            self.sat.new_var();
-            self.synced_vars += 1;
-        }
-        while self.synced_clauses < self.bb.cnf.num_clauses() {
-            self.sat.add_clause(self.bb.cnf.clause(self.synced_clauses));
-            self.synced_clauses += 1;
-        }
-        reused
     }
 
     /// Checks satisfiability of the permanent assertions plus the groups
@@ -520,79 +498,22 @@ impl<'a> IncrementalSolver<'a> {
     /// On unsat caused by the activation set,
     /// [`failed_groups`](Self::failed_groups) names a failed core.
     pub fn check(&mut self, active: &[Activation], budget: Budget) -> SmtResult {
-        let _sp = alive2_obs::span(alive2_obs::Phase::Query);
-        let started = std::time::Instant::now();
-        let mut prof = alive2_obs::QueryProfile {
-            incremental: true,
-            ..alive2_obs::QueryProfile::default()
-        };
-        let result = self.check_live(active, budget, &mut prof);
-        match &result {
-            SmtResult::Sat(_) => alive2_obs::stats::record_smt_sat(),
-            SmtResult::Unsat => alive2_obs::stats::record_smt_unsat(),
-            SmtResult::Timeout | SmtResult::OutOfMemory => alive2_obs::stats::record_smt_unknown(),
-        }
-        prof.wall_us = started.elapsed().as_micros() as u64;
-        prof.result = result_str(&result);
-        alive2_obs::profile::record_query(prof);
-        result
-    }
-
-    fn check_live(
-        &mut self,
-        active: &[Activation],
-        budget: Budget,
-        prof: &mut alive2_obs::QueryProfile,
-    ) -> SmtResult {
-        if self.falsified {
-            return SmtResult::Unsat;
-        }
-        let reused = self.sync();
-        alive2_obs::stats::record_incremental_solve();
-        alive2_obs::stats::record_clauses_reused(reused as u64);
-        alive2_obs::stats::record_learnts_kept(self.sat.num_learnts() as u64);
-        // As on the one-shot path, "pre" is the blasted CNF and "post" is
-        // the resident clause population at dispatch.
-        prof.vars_pre = u64::from(self.bb.cnf.num_vars());
-        prof.clauses_pre = self.bb.cnf.clauses().len() as u64;
-        prof.vars_post = u64::from(self.bb.cnf.num_vars());
-        prof.solved = true;
-        self.checks += 1;
-        // Bounded inprocessing once the database has grown by ≥25% since
-        // the last pass — keeps long-lived solvers from drowning in
-        // subsumed clauses without paying the sweep on every check.
-        let live = self.sat.num_clauses();
-        if self.checks > 1 && live > self.simplified_at + self.simplified_at / 4 {
-            self.sat.simplify();
-            self.simplified_at = self.sat.num_clauses();
-        } else if self.checks == 1 {
-            self.simplified_at = live;
-        }
-        if self.zero_phase {
-            self.sat.reset_phases();
-        }
-        prof.clauses_post = self.sat.num_clauses() as u64;
-        let assumptions: Vec<Lit> = active.iter().map(|a| a.0).collect();
-        let outcome = self.sat.solve_assuming(&assumptions, budget);
-        let st = self.sat.stats();
-        prof.conflicts = st.conflicts;
-        prof.decisions = st.decisions;
-        prof.propagations = st.propagations;
-        prof.restarts = st.restarts;
-        prof.learnts_kept = self.sat.num_learnts() as u64;
-        match outcome {
-            SatOutcome::TimedOut => SmtResult::Timeout,
-            SatOutcome::OutOfMemory => SmtResult::OutOfMemory,
-            SatOutcome::Unsat => {
-                if !self.sat.failed_assumptions().is_empty() {
-                    alive2_obs::stats::record_assumption_core();
-                }
-                SmtResult::Unsat
-            }
-            SatOutcome::Sat => {
-                SmtResult::Sat(project_model(self.ctx, &self.bb, &self.sat, &self.roots))
-            }
-        }
+        profiled(true, |prof| {
+            let reused = std::mem::replace(&mut self.checked_clauses, self.bb.num_clauses());
+            alive2_obs::stats::record_incremental_solve();
+            alive2_obs::stats::record_clauses_reused(reused as u64);
+            alive2_obs::stats::record_learnts_kept(self.bb.sat.num_learnts() as u64);
+            self.bb.sat.reset_phases();
+            let assumptions: Vec<Lit> = active.iter().map(|a| a.0).collect();
+            search(
+                self.ctx,
+                &mut self.bb,
+                &self.roots,
+                &assumptions,
+                budget,
+                prof,
+            )
+        })
     }
 
     /// The failed-assumption core of the most recent unsat check, mapped
@@ -600,7 +521,8 @@ impl<'a> IncrementalSolver<'a> {
     /// that is already jointly unsatisfiable with the permanent clauses.
     /// Empty when the permanent assertions are unsat on their own.
     pub fn failed_groups(&self) -> Vec<Activation> {
-        self.sat
+        self.bb
+            .sat
             .failed_assumptions()
             .iter()
             .map(|&l| Activation(l))
@@ -926,12 +848,21 @@ mod tests {
             (0, 0, 0),
             "incremental checks must bypass the query cache: {d1:?}"
         );
+        // What the first check reported as `clauses_pre`.
+        let pre1 = s.bb.num_clauses() as u64;
         s.assert(ctx.bv_ult(ctx.bv_lit_u64(8, 50), x));
         let (r2, d2) = probe_inc(&mut s, &[], Budget::unlimited());
         assert!(r2.is_sat());
         assert_eq!(d2.incremental_solves, 1);
         assert!(d2.clauses_reused > 0, "second check reuses the db: {d2:?}");
         assert_eq!((d2.cache_hits, d2.cache_misses), (0, 0));
+        // Each check reuses exactly what the previous one was given,
+        // clauses the blaster emitted since then excluded.
+        assert_eq!(d2.clauses_reused, pre1, "{d2:?}");
+        let pre2 = s.bb.num_clauses() as u64;
+        assert!(pre2 > pre1, "the second assertion emitted no clause");
+        let (_, d3) = probe_inc(&mut s, &[], Budget::unlimited());
+        assert_eq!(d3.clauses_reused, pre2, "{d3:?}");
     }
 
     #[test]
@@ -944,20 +875,18 @@ mod tests {
         // x - y runs the same carry chain as x <u y: x + ¬y + 1.
         let g2_body = ctx.eq(ctx.bv_sub(x, y), ctx.bv_lit_u64(8, 5));
         let mut s = IncrementalSolver::new(&ctx);
-        // Blast the assertions as written, as the blaster below does.
-        s.set_rewrite(false);
         s.assert(small_y);
         let g1 = s.new_group();
         s.assert_in(g1, g1_body);
-        let before = s.bb.cnf.num_clauses();
+        let before = s.bb.num_clauses();
         let g2 = s.new_group();
         s.assert_in(g2, g2_body);
-        let added = s.bb.cnf.num_clauses() - before;
+        let added = s.bb.num_clauses() - before;
         // The same assertion blasted without g1's gates.
         let mut alone = BitBlaster::new(&ctx);
         alone.assert_term(g2_body);
         assert!(
-            added < alone.cnf.num_clauses() - 1,
+            added < alone.num_clauses() - 1,
             "g2 reused none of g1's gates: {added} clauses"
         );
         // Every activation set, g1 retracted included, agrees with a
@@ -1035,5 +964,21 @@ mod tests {
         s.assert(ctx.fals()); // permanently unsat
         assert!(s.check(&[], Budget::unlimited()).is_unsat());
         assert!(s.check(&[g], Budget::unlimited()).is_unsat());
+    }
+
+    #[test]
+    fn permanent_false_survives_later_folded_groups() {
+        // A group body that folds to a constant, pushed after a permanent
+        // `false`, must not make the solver forget the `false`.
+        let ctx = Ctx::new();
+        for body in [ctx.tru(), ctx.fals()] {
+            let mut s = IncrementalSolver::new(&ctx);
+            s.assert(ctx.fals());
+            let g = s.new_group();
+            s.assert_in(g, body);
+            let r = s.check(&[], Budget::unlimited());
+            assert!(r.is_unsat(), "assert(false), assert_in(g, {body:?}): {r:?}");
+            assert!(s.check(&[g], Budget::unlimited()).is_unsat());
+        }
     }
 }
