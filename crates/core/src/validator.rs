@@ -19,7 +19,7 @@ use alive2_smt::model::Model;
 use alive2_smt::sat::Budget;
 use alive2_smt::solver::{SmtResult, Solver};
 use alive2_smt::term::{Ctx, Sort, TermId};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::time::Instant;
 
 /// The outcome of validating one function pair.
@@ -300,15 +300,6 @@ fn call_constraints(ctx: &Ctx, src_calls: &[CallSite], tgt_calls: &[CallSite]) -
     ctx.and_many(&parts)
 }
 
-/// Builds a symbolic seed instantiation for CEGQI: source non-determinism
-/// variables are matched, in creation order per sort, with entries from a
-/// pool of target-side terms. Source and target encode similar code, so
-/// "the source's k-th undef choice equals the target's k-th" is usually
-/// exactly the witness that lets the source reproduce the target's
-/// behavior, collapsing the CEGQI loop to one iteration. When `cyclic`,
-/// the pool wraps around so several source variables can share one target
-/// term (e.g. `x+x` vs `2*x`). Purely heuristic: soundness and
-/// completeness do not depend on seed quality.
 /// How [`build_seed`] assigns pool entries to universals.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum SeedMode {
@@ -321,6 +312,31 @@ enum SeedMode {
     AllToLast,
 }
 
+/// Builds a symbolic seed instantiation for CEGQI: source non-determinism
+/// variables are matched with entries from a pool of target-side terms.
+/// Universals go in creation order. Each one is matched within its group,
+/// (name, sort), since encoders name their non-determinism by provenance
+/// ("undef", "freeze", …); when its group has no entry to give, it falls
+/// back to every pool term of its sort, which includes non-variable terms
+/// such as the target's return value. `mode` picks the entry:
+///
+/// - [`SeedMode::InOrder`]: the k-th universal of a group gets the k-th
+///   entry; a universal left over after both pools stays unmapped;
+/// - [`SeedMode::RoundRobin`]: the same, wrapping around the pool, so
+///   several universals can share one target term (e.g. `x+x` vs `2*x`);
+/// - [`SeedMode::AllToLast`]: every universal gets the pool's last entry.
+///
+/// Source and target encode similar code, so "the source's k-th undef
+/// choice equals the target's k-th" is usually exactly the witness that
+/// lets the source reproduce the target's behavior, collapsing the CEGQI
+/// loop to one iteration. Purely heuristic: soundness and completeness do
+/// not depend on seed quality.
+///
+/// Seed settling calls this a second time with *live* terms only: the
+/// universals and the pool variables that occur free in φ (non-variable
+/// pool terms stay). An undef register is re-instantiated on every read,
+/// so earlier instantiations are often dead in φ, and in creation order
+/// they would take the pool entries the live ones need.
 fn build_seed(
     ctx: &Ctx,
     universals: &[TermId],
@@ -395,6 +411,12 @@ fn build_seed(
     seed
 }
 
+/// The seed of every [`SeedMode`], in the order CEGQI adds them.
+fn build_seeds(ctx: &Ctx, universals: &[TermId], pool: &[TermId]) -> [HashMap<TermId, TermId>; 3] {
+    [SeedMode::InOrder, SeedMode::RoundRobin, SeedMode::AllToLast]
+        .map(|mode| build_seed(ctx, universals, pool, mode))
+}
+
 /// Shared state for dispatching the §5.3 queries.
 struct QueryEngine<'a> {
     ctx: &'a Ctx,
@@ -405,6 +427,8 @@ struct QueryEngine<'a> {
     /// The source function's precondition (sink unreachability §7,
     /// NaN-pattern constraints §3.5): a *hypothesis* over the universals.
     pre_src: TermId,
+    /// The free variables of `pre_src`, fixed per pair.
+    pre_vars: HashSet<TermId>,
     universals: Vec<TermId>,
     pool: Vec<TermId>,
     overapprox_vars: Vec<TermId>,
@@ -445,12 +469,11 @@ impl<'a> QueryEngine<'a> {
             .chain(extra_universals)
             .copied()
             .collect();
-        let pre_vars = ctx.free_vars(self.pre_src);
-        let pre_mentions_universals = univ0.iter().any(|u| pre_vars.contains(u));
+        let pre_mentions_universals = univ0.iter().any(|u| self.pre_vars.contains(u));
         let src_part = if pre_mentions_universals {
             let mut rename = HashMap::new();
             for &u in &univ0 {
-                if pre_vars.contains(&u) {
+                if self.pre_vars.contains(&u) {
                     let fresh = ctx.var("nonvac", ctx.sort(u));
                     rename.insert(u, fresh);
                 }
@@ -473,8 +496,8 @@ impl<'a> QueryEngine<'a> {
         let ack = alive2_smt::ackermann::ackermannize(ctx, &[phi0]);
         let mut phi = ack.assertions[0];
         let mut universals: Vec<TermId> = std::mem::take(&mut univ0);
-        let uni_set: std::collections::HashSet<TermId> = universals.iter().copied().collect();
-        let mut forall_apps: std::collections::HashSet<TermId> = Default::default();
+        let uni_set: HashSet<TermId> = universals.iter().copied().collect();
+        let mut forall_apps: HashSet<TermId> = Default::default();
         let mut exists_apps: Vec<TermId> = Vec::new();
         for (app, var) in &ack.app_vars {
             let deps = ctx.free_vars(*app);
@@ -497,17 +520,29 @@ impl<'a> QueryEngine<'a> {
         let mut pool: Vec<TermId> = self.pool.clone();
         pool.extend(exists_apps);
         pool.extend(extra_pool);
-        let seeds = [
-            build_seed(ctx, &universals, &pool, SeedMode::InOrder),
-            build_seed(ctx, &universals, &pool, SeedMode::RoundRobin),
-            build_seed(ctx, &universals, &pool, SeedMode::AllToLast),
-        ];
+        let seeds = build_seeds(ctx, &universals, &pool);
+        // The settling seeds: the same three maps over φ's live terms
+        // (`live` is φ's free variables).
+        let settle = |live: &HashSet<TermId>| {
+            let live_universals: Vec<TermId> = universals
+                .iter()
+                .copied()
+                .filter(|u| live.contains(u))
+                .collect();
+            let live_pool: Vec<TermId> = pool
+                .iter()
+                .copied()
+                .filter(|t| ctx.as_var(*t).is_none() || live.contains(t))
+                .collect();
+            Vec::from(build_seeds(ctx, &live_universals, &live_pool))
+        };
         match solve_exists_forall_with_seeds(
             ctx,
             &universals,
             phi,
             self.ef,
             &seeds,
+            settle,
             &self.input_flags,
         ) {
             EfResult::Unsat => None,
@@ -599,6 +634,7 @@ fn check_refinement(
         ctx,
         pre_exist,
         pre_src,
+        pre_vars: ctx.free_vars(pre_src),
         universals,
         pool: tgt_pool,
         overapprox_vars,

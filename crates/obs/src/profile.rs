@@ -100,8 +100,10 @@ pub struct QueryProfile {
     /// A live CDCL search actually ran (one-shot solve or incremental
     /// check). `sat_solves + incremental_solves` counts exactly these.
     pub solved: bool,
-    /// A whole ∃∀ obligation answered by the term-tier cache: no CNF was
-    /// built, so the record adds no CNF-size histogram sample.
+    /// A whole ∃∀ obligation answered without a solve: by the term-tier
+    /// cache (`cache` is `hit`), or settled by seed instantiation before
+    /// CEGQI (`discharged` is set too). No CNF was built, so the record
+    /// adds no CNF-size histogram sample.
     pub obligation: bool,
     /// CEGQI iteration index when issued inside the refinement loop.
     pub cegqi_iter: Option<u64>,

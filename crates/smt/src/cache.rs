@@ -919,8 +919,17 @@ mod tests {
                 ctx.bv_ult(z, ctx.bv_lit_u64(8, 3)),
             ),
         );
-        let solve =
-            || solve_exists_forall_with_seeds(&ctx, &[u], phi, EfConfig::default(), &[], &[]);
+        let solve = || {
+            solve_exists_forall_with_seeds(
+                &ctx,
+                &[u],
+                phi,
+                EfConfig::default(),
+                &[],
+                |_| Vec::new(),
+                &[],
+            )
+        };
         let (writer, reader) = scopes(1001);
         let (live, _) = under(Some(writer), solve);
         let (hit, d) = under(Some(reader), solve);
@@ -944,8 +953,17 @@ mod tests {
         let x = ctx.var("x", Sort::BitVec(6));
         let u = ctx.var("u", Sort::BitVec(6));
         let phi = ctx.eq(x, u);
-        let solve =
-            || solve_exists_forall_with_seeds(&ctx, &[u], phi, EfConfig::default(), &[], &[]);
+        let solve = || {
+            solve_exists_forall_with_seeds(
+                &ctx,
+                &[u],
+                phi,
+                EfConfig::default(),
+                &[],
+                |_| Vec::new(),
+                &[],
+            )
+        };
         let (writer, reader) = scopes(1002);
         let (live, d1) = under(Some(writer), solve);
         assert!(live.is_unsat() && d1.cegqi_iters > 0, "{d1:?}");
@@ -999,7 +1017,15 @@ mod tests {
         let key = TermKey::of_obligation(&ctx, &[u], phi, &[], true, &[]);
         global().store_term(writer, &key, forged(&key, x, 0), CnfSizes::default());
         let (r, d) = under(Some(reader), || {
-            solve_exists_forall_with_seeds(&ctx, &[u], phi, EfConfig::default(), &[], &[])
+            solve_exists_forall_with_seeds(
+                &ctx,
+                &[u],
+                phi,
+                EfConfig::default(),
+                &[],
+                |_| Vec::new(),
+                &[],
+            )
         });
         assert_eq!(d.cache_reval, 1, "{d:?}");
         assert!(d.incremental_solves > 0, "the live loop ran: {d:?}");

@@ -13,13 +13,18 @@
 //! The candidate step runs on one [`IncrementalSolver`] kept alive across
 //! the loop: each instantiation is an activation-guarded clause group, so
 //! iteration `k+1` starts from iteration `k`'s learned clauses.
+//!
+//! Before the loop, *seed settling* tries a few caller-chosen
+//! instantiations `Y := s(X)` by simplification alone: when the instances
+//! fold to `false` together, no `X` survives them, so the obligation is
+//! `Unsat` with no CNF and no candidate check.
 
 use crate::cache::{self, CnfSizes, TermKey, TermOutcome, TermScope};
 use crate::model::Model;
 use crate::sat::Budget;
 use crate::solver::{Activation, IncrementalSolver, SmtResult, Solver};
-use crate::term::{Ctx, TermId};
-use std::collections::HashMap;
+use crate::term::{Ctx, Op, TermId};
+use std::collections::{HashMap, HashSet};
 use std::time::Instant;
 
 /// Outcome of an ∃∀ solve.
@@ -90,7 +95,7 @@ pub fn solve_exists_forall(
     phi: TermId,
     config: EfConfig,
 ) -> EfResult {
-    solve_exists_forall_with_seeds(ctx, universals, phi, config, &[], &[])
+    solve_exists_forall_with_seeds(ctx, universals, phi, config, &[], |_| Vec::new(), &[])
 }
 
 /// Like [`solve_exists_forall`], with caller-provided *seed instantiations*
@@ -100,6 +105,21 @@ pub fn solve_exists_forall(
 /// regardless of seed quality — good seeds (e.g. matching a source
 /// function's undef choices to the target's) make the loop converge in one
 /// iteration instead of chasing fresh values.
+///
+/// `settle` builds the seeds for *seed settling* from φ's free variables.
+/// It is called at most once, when the obligation reaches the loop: after
+/// a cache miss, with universals, and when the rewriter leaves φ
+/// unsolved, so a warm or discharged obligation never pays for it. Its
+/// seeds are tried once before the loop and never added to it. Each one
+/// that is not already among `seeds` is substituted into φ (unmapped
+/// universals take zero, as in the loop). The instances are conjoined
+/// and simplified: top-level literal propagation, plus the rewriter when
+/// [`EfConfig::rewrite`] is on. A conjunction that becomes `false`
+/// answers `Unsat`. That is sound for any seeds: if φ(X, s₁(X)) ∧ … ∧
+/// φ(X, s_k(X)) is unsatisfiable for every X, each X is refuted by one of
+/// the instantiations Y := s_i(X), so no witness exists. A witness
+/// satisfies every instance, so settling can never hide a `Sat` answer;
+/// it only replaces a loop `Unsat` or a `Timeout`.
 ///
 /// `prefer_false` names boolean existentials a witness should leave false
 /// when it can (the validator passes each argument's `isundef` and
@@ -112,14 +132,17 @@ pub fn solve_exists_forall(
 /// Inside an engine job the whole obligation is a term-tier cache entry
 /// ([`TermKey::of_obligation`]): φ, the seeds and the settings that shape
 /// the witness are keyed before anything else runs, so a hit skips the
-/// rewriter, every candidate and verify check, and bit-blasting. A stored
-/// witness is re-validated by the verify step before reuse.
+/// rewriter, seed settling, every candidate and verify check, and
+/// bit-blasting. A stored witness is re-validated by the verify step
+/// before reuse. The settling seeds are not keyed: they can only produce
+/// `Unsat`, which is a property of φ and the universals alone.
 pub fn solve_exists_forall_with_seeds(
     ctx: &Ctx,
     universals: &[TermId],
     phi: TermId,
     config: EfConfig,
     seeds: &[HashMap<TermId, TermId>],
+    settle: impl FnOnce(&HashSet<TermId>) -> Vec<HashMap<TermId, TermId>>,
     prefer_false: &[TermId],
 ) -> EfResult {
     for u in universals {
@@ -129,13 +152,13 @@ pub fn solve_exists_forall_with_seeds(
         );
     }
     let Some(scope) = cache::term_scope() else {
-        return solve_live(ctx, universals, phi, config, seeds, prefer_false);
+        return solve_live(ctx, universals, phi, config, seeds, settle, prefer_false);
     };
     let key = TermKey::of_obligation(ctx, universals, phi, seeds, config.rewrite, prefer_false);
     if let Some(r) = replay(ctx, scope, &key, universals, phi, config) {
         return r;
     }
-    let result = solve_live(ctx, universals, phi, config, seeds, prefer_false);
+    let result = solve_live(ctx, universals, phi, config, seeds, settle, prefer_false);
     let outcome = match &result {
         EfResult::Unsat => Some(TermOutcome::Unsat),
         EfResult::Sat(m) => key.encode_model(ctx, m).map(TermOutcome::Sat),
@@ -165,7 +188,7 @@ fn replay(
     let result = match outcome {
         TermOutcome::Unsat => EfResult::Unsat,
         TermOutcome::Sat(bits) => {
-            let exist_vars = existentials(ctx, universals, phi);
+            let exist_vars = existentials(ctx.free_vars(phi), universals);
             match key.decode_model(ctx, &bits).filter(|x| {
                 refute(ctx, phi, &exist_vars, x, config.rewrite, config.budget).is_unsat()
             }) {
@@ -188,11 +211,10 @@ fn replay(
     Some(result)
 }
 
-/// The existential variables of an obligation: φ's free variables that
-/// are not universal.
-fn existentials(ctx: &Ctx, universals: &[TermId], phi: TermId) -> Vec<TermId> {
-    ctx.free_vars(phi)
-        .into_iter()
+/// The existential variables of an obligation: φ's free variables `free`
+/// that are not universal.
+fn existentials(free: HashSet<TermId>, universals: &[TermId]) -> Vec<TermId> {
+    free.into_iter()
         .filter(|v| !universals.contains(v))
         .collect()
 }
@@ -220,13 +242,14 @@ fn refute(
     verify.check(budget)
 }
 
-/// The CEGQI loop itself, with no term-tier traffic.
+/// Seed settling, then the CEGQI loop itself, with no term-tier traffic.
 fn solve_live(
     ctx: &Ctx,
     universals: &[TermId],
     phi: TermId,
     config: EfConfig,
     seeds: &[HashMap<TermId, TermId>],
+    settle: impl FnOnce(&HashSet<TermId>) -> Vec<HashMap<TermId, TermId>>,
     prefer_false: &[TermId],
 ) -> EfResult {
     let start = Instant::now();
@@ -260,16 +283,18 @@ fn solve_live(
     // crawl through refinements one value at a time. `Solver` still
     // rewrites each one-shot verify query the loop issues; the candidate
     // checks are fully instantiated, so the smart constructors fold them.
-    let phi = if config.rewrite && ctx.as_bool_lit(phi).is_none() {
+    // Seed settling instantiates the residue instead: it is equivalent to
+    // φ, and its instances rewrite in about half the time.
+    let (phi, residue) = if config.rewrite && ctx.as_bool_lit(phi).is_none() {
         let r = crate::rewrite::simplify(ctx, phi);
         if ctx.as_bool_lit(r).is_some() {
             alive2_obs::stats::record_rewrite_discharged();
-            r
+            (r, r)
         } else {
-            phi
+            (phi, r)
         }
     } else {
-        phi
+        (phi, phi)
     };
     if let Some(b) = ctx.as_bool_lit(phi) {
         return if b {
@@ -298,30 +323,24 @@ fn solve_live(
         };
     }
 
+    // φ's free variables give the settling seeds their live terms and
+    // the loop its existentials — computed once, not per iteration.
+    let free = ctx.free_vars(phi);
+
     // Instantiation set; seed with the all-zero assignment plus any
     // caller-provided seeds (completed with zeros for unmapped universals).
-    let mut instantiations: Vec<HashMap<TermId, TermId>> = Vec::new();
-    {
-        let mut zero = HashMap::new();
-        for &u in universals {
-            let m = Model::new();
-            zero.insert(u, m.value_term(ctx, u));
-        }
-        for seed in seeds {
-            let mut inst = zero.clone();
-            for (&u, &t) in seed {
-                if inst.contains_key(&u) {
-                    inst.insert(u, t);
-                }
-            }
-            instantiations.push(inst);
-        }
-        instantiations.push(zero);
+    let mut zero = HashMap::new();
+    for &u in universals {
+        let m = Model::new();
+        zero.insert(u, m.value_term(ctx, u));
     }
-
-    // The existential variables are a property of φ alone — computed once,
-    // not per iteration.
-    let exist_vars = existentials(ctx, universals, phi);
+    if settled_by_seed(ctx, residue, &zero, config.rewrite, seeds, &settle(&free)) {
+        return EfResult::Unsat;
+    }
+    let mut instantiations: Vec<HashMap<TermId, TermId>> =
+        seeds.iter().map(|seed| completed(&zero, seed)).collect();
+    instantiations.push(zero);
+    let exist_vars = existentials(free, universals);
 
     // The candidate solver: one solver alive across the whole loop. Each
     // instantiation of φ is pushed exactly once as an activation-guarded
@@ -416,6 +435,110 @@ fn solve_live(
     EfResult::Timeout
 }
 
+/// `seed` over the all-zero instantiation `zero`: universals the seed
+/// leaves unmapped take zero, and entries for other variables are ignored.
+fn completed(
+    zero: &HashMap<TermId, TermId>,
+    seed: &HashMap<TermId, TermId>,
+) -> HashMap<TermId, TermId> {
+    let mut inst = zero.clone();
+    for (&u, &t) in seed {
+        if inst.contains_key(&u) {
+            inst.insert(u, t);
+        }
+    }
+    inst
+}
+
+/// Seed settling (see [`solve_exists_forall_with_seeds`]): true when the
+/// instances of `phi` (φ, or any formula equivalent to it) under the
+/// `settle` seeds that are neither loop seeds nor repeats simplify, as one
+/// conjunction, to `false`. Simplifying the instances together shares the
+/// rewriter's work on the parts of φ that no seed changes. A settled
+/// obligation writes one profile record, with `obligation` and
+/// `discharged` set and no CNF. Nothing is built on an over-budget
+/// context; the loop reports the OOM.
+fn settled_by_seed(
+    ctx: &Ctx,
+    phi: TermId,
+    zero: &HashMap<TermId, TermId>,
+    rewrite: bool,
+    seeds: &[HashMap<TermId, TermId>],
+    settle: &[HashMap<TermId, TermId>],
+) -> bool {
+    if ctx.over_budget() {
+        return false;
+    }
+    let started = Instant::now();
+    let steps_before = alive2_obs::stats::rewrite_steps_now();
+    let instances: Vec<TermId> = settle
+        .iter()
+        .enumerate()
+        .filter(|&(i, seed)| !seeds.contains(seed) && !settle[..i].contains(seed))
+        .map(|(_, seed)| ctx.substitute(phi, &completed(zero, seed)))
+        .collect();
+    if instances.is_empty() {
+        return false;
+    }
+    let mut t = propagate_literals(ctx, ctx.and_many(&instances));
+    if rewrite && ctx.as_bool_lit(t).is_none() {
+        t = crate::rewrite::simplify(ctx, t);
+    }
+    if ctx.as_bool_lit(t) != Some(false) {
+        return false;
+    }
+    alive2_obs::profile::record_query(alive2_obs::QueryProfile {
+        wall_us: started.elapsed().as_micros() as u64,
+        rewrite_steps: alive2_obs::stats::rewrite_steps_now() - steps_before,
+        discharged: true,
+        obligation: true,
+        result: "unsat",
+        ..alive2_obs::QueryProfile::default()
+    });
+    true
+}
+
+/// Top-level literal propagation: each conjunct of `t` that is a Boolean
+/// variable `b` or its negation fixes `b`, and the value is substituted
+/// into the rest, repeated to a fixpoint. The result is satisfiable
+/// exactly when `t` is (the fixed conjuncts drop out), so `false` means
+/// `t` is unsatisfiable; it is not equivalent to `t` otherwise.
+fn propagate_literals(ctx: &Ctx, mut t: TermId) -> TermId {
+    loop {
+        let mut fixed: HashMap<TermId, TermId> = HashMap::new();
+        let mut seen = HashSet::new();
+        let mut stack = vec![t];
+        while let Some(c) = stack.pop() {
+            if !seen.insert(c) {
+                continue;
+            }
+            let (var, value) = match ctx.op(c) {
+                Op::And => {
+                    stack.extend(ctx.args(c));
+                    continue;
+                }
+                Op::Var(_) => (c, true),
+                Op::Not => match ctx.args(c)[0] {
+                    v if ctx.as_var(v).is_some() => (v, false),
+                    _ => continue,
+                },
+                _ => continue,
+            };
+            let lit = ctx.bool_lit(value);
+            if *fixed.entry(var).or_insert(lit) != lit {
+                return ctx.fals();
+            }
+        }
+        if fixed.is_empty() {
+            return t;
+        }
+        t = ctx.substitute(t, &fixed);
+        if ctx.as_bool_lit(t).is_some() {
+            return t;
+        }
+    }
+}
+
 /// The witness preference of [`solve_exists_forall_with_seeds`]: returns
 /// witness `x`, or one that leaves every `prefer_false` flag false. The
 /// alternative is asked for only when `x` sets a flag: one more check of
@@ -454,6 +577,8 @@ fn prefer_defined(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bv::BitVec;
+    use crate::model::Value;
     use crate::term::Sort;
 
     #[test]
@@ -646,8 +771,15 @@ mod tests {
         let e = ctx.var("e", Sort::Bool);
         let phi = ctx.and(ctx.or(d, e), ctx.bv_ule(ctx.bv_and(y, x), y));
         for (keep, other) in [(d, e), (e, d)] {
-            let r =
-                solve_exists_forall_with_seeds(&ctx, &[y], phi, EfConfig::default(), &[], &[keep]);
+            let r = solve_exists_forall_with_seeds(
+                &ctx,
+                &[y],
+                phi,
+                EfConfig::default(),
+                &[],
+                |_| Vec::new(),
+                &[keep],
+            );
             let EfResult::Sat(m) = r else {
                 panic!("expected a witness, got {r:?}");
             };
@@ -656,11 +788,201 @@ mod tests {
         }
         // When every witness sets the flag, the first one stands.
         let phi = ctx.and(d, ctx.bv_ule(ctx.bv_and(y, x), y));
-        let r = solve_exists_forall_with_seeds(&ctx, &[y], phi, EfConfig::default(), &[], &[d]);
+        let r = solve_exists_forall_with_seeds(
+            &ctx,
+            &[y],
+            phi,
+            EfConfig::default(),
+            &[],
+            |_| Vec::new(),
+            &[d],
+        );
         let EfResult::Sat(m) = r else {
             panic!("expected a witness, got {r:?}");
         };
         assert!(m.eval(&ctx, d).as_bool());
+    }
+
+    /// Runs `f` and returns its result with the counters it moved.
+    fn counted<T>(f: impl FnOnce() -> T) -> (T, alive2_obs::JobStats) {
+        let snap = alive2_obs::counters_snapshot();
+        let r = f();
+        let mut d = alive2_obs::JobStats::default();
+        d.absorb_since(&snap);
+        (r, d)
+    }
+
+    #[test]
+    fn a_seed_instance_that_folds_settles_without_the_loop() {
+        // ∃x,p ∀u. ¬p ∧ (p ∨ u ≠ x) has no witness, but the loop refutes
+        // one x at a time. The seed u := x leaves ¬p ∧ p, which only
+        // literal propagation folds, so settling needs no rewriter.
+        let ctx = Ctx::new();
+        let x = ctx.var("x", Sort::BitVec(8));
+        let p = ctx.var("p", Sort::Bool);
+        let u = ctx.var("u", Sort::BitVec(8));
+        let phi = ctx.and(ctx.not(p), ctx.or(p, ctx.ne(u, x)));
+        let settle = [HashMap::from([(u, x)])];
+        let capped = EfConfig {
+            max_iterations: 4,
+            ..EfConfig::default()
+        };
+        let (r, d) = counted(|| solve_exists_forall(&ctx, &[u], phi, capped));
+        assert!(matches!(r, EfResult::Timeout), "{r:?}");
+        assert_eq!(d.cegqi_iter_exhausted, 1, "{d:?}");
+        for rewrite in [false, true] {
+            let config = EfConfig { rewrite, ..capped };
+            let (r, d) = counted(|| {
+                solve_exists_forall_with_seeds(
+                    &ctx,
+                    &[u],
+                    phi,
+                    config,
+                    &[],
+                    |_| settle.to_vec(),
+                    &[],
+                )
+            });
+            assert!(r.is_unsat(), "rewrite {rewrite}: {r:?}");
+            assert_eq!(d.cegqi_iters, 0, "{d:?}");
+            assert_eq!(d.incremental_solves + d.sat_solves, 0, "{d:?}");
+            // One profile record, with no CNF-size sample.
+            assert_eq!(d.h_latency_us.count(), 1, "{d:?}");
+            assert!(d.h_cnf_clauses.is_empty(), "{d:?}");
+            if !rewrite {
+                assert_eq!(d.rewrite_steps, 0, "{d:?}");
+            }
+        }
+        // A settling seed that is also a loop seed is left to the loop.
+        let (r, d) = counted(|| {
+            solve_exists_forall_with_seeds(
+                &ctx,
+                &[u],
+                phi,
+                capped,
+                &settle,
+                |_| settle.to_vec(),
+                &[],
+            )
+        });
+        assert!(r.is_unsat(), "{r:?}");
+        assert!(d.incremental_solves > 0, "{d:?}");
+    }
+
+    #[test]
+    fn a_seed_never_settles_an_obligation_with_a_witness() {
+        // ∃x,p ∀u. (p ∨ u ≠ x) ∧ (u & x) == u holds with p and x = 0xff.
+        // The seed u := x propagates p and folds to true, not false, and
+        // the loop still returns a witness the verify step accepts.
+        let ctx = Ctx::new();
+        let x = ctx.var("x", Sort::BitVec(8));
+        let p = ctx.var("p", Sort::Bool);
+        let u = ctx.var("u", Sort::BitVec(8));
+        let phi = ctx.and(ctx.or(p, ctx.ne(u, x)), ctx.eq(ctx.bv_and(u, x), u));
+        let settle = [HashMap::from([(u, x)])];
+        for rewrite in [false, true] {
+            let config = EfConfig {
+                rewrite,
+                ..EfConfig::default()
+            };
+            let r = solve_exists_forall_with_seeds(
+                &ctx,
+                &[u],
+                phi,
+                config,
+                &[],
+                |_| settle.to_vec(),
+                &[],
+            );
+            let EfResult::Sat(m) = r else {
+                panic!("rewrite {rewrite}: expected a witness, got {r:?}");
+            };
+            let exist_vars = existentials(ctx.free_vars(phi), &[u]);
+            assert!(refute(&ctx, phi, &exist_vars, &m, rewrite, Budget::unlimited()).is_unsat());
+        }
+    }
+
+    #[test]
+    fn settling_agrees_with_brute_force_on_small_problems() {
+        // Random ∃x,p ∀u,q problems over 2-bit vectors with random seeds:
+        // settling may answer Unsat only where brute force finds no
+        // witness, and the whole solve must give the brute-force answer.
+        let ctx = Ctx::new();
+        let (x, u) = (ctx.var("x", Sort::BitVec(2)), ctx.var("u", Sort::BitVec(2)));
+        let (p, q) = (ctx.var("p", Sort::Bool), ctx.var("q", Sort::Bool));
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut rand = |n: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % n
+        };
+        let lit = |v: u64| ctx.bv_lit_u64(2, v);
+        let mut settled = 0;
+        for round in 0..600 {
+            let bv = |rand: &mut dyn FnMut(u64) -> u64, over_u: bool| {
+                let a = [x, lit(rand(4)), u][rand(if over_u { 3 } else { 2 }) as usize];
+                match rand(5) {
+                    0 => ctx.bv_add(a, [x, lit(1)][rand(2) as usize]),
+                    1 => ctx.bv_and(a, x),
+                    2 => ctx.bv_not(a),
+                    _ => a,
+                }
+            };
+            let mut clauses = Vec::new();
+            for _ in 0..1 + rand(3) {
+                let mut lits = Vec::new();
+                for _ in 0..1 + rand(2) {
+                    let (a, b) = (bv(&mut rand, true), bv(&mut rand, true));
+                    let atom = [ctx.eq(a, b), ctx.bv_ult(a, b), p, q][rand(4) as usize];
+                    lits.push(if rand(2) == 0 { ctx.not(atom) } else { atom });
+                }
+                clauses.push(ctx.or_many(&lits));
+            }
+            let phi = ctx.and_many(&clauses);
+            let u_term = bv(&mut rand, false);
+            let q_term = [p, ctx.not(p), ctx.eq(x, lit(rand(4)))][rand(3) as usize];
+            let settle = [HashMap::from([(u, u_term), (q, q_term)])];
+            let holds = |xv: u64, pv: bool, uv: u64, qv: bool| {
+                let mut m = Model::new();
+                for (t, val) in [
+                    (x, Value::Bv(BitVec::from_u64(2, xv))),
+                    (u, Value::Bv(BitVec::from_u64(2, uv))),
+                    (p, Value::Bool(pv)),
+                    (q, Value::Bool(qv)),
+                ] {
+                    m.set(ctx.as_var(t).unwrap(), val);
+                }
+                m.eval(&ctx, phi).as_bool()
+            };
+            let witness = (0..8).any(|e| (0..8).all(|a| holds(e & 3, e >= 4, a & 3, a >= 4)));
+            let zero = HashMap::from([(u, lit(0)), (q, ctx.fals())]);
+            for rewrite in [false, true] {
+                let settles = settled_by_seed(&ctx, phi, &zero, rewrite, &[], &settle);
+                assert!(
+                    !(settles && witness),
+                    "round {round}: settled {} under {settle:?}",
+                    ctx.display(phi)
+                );
+                settled += usize::from(settles);
+                let config = EfConfig {
+                    rewrite,
+                    ..EfConfig::default()
+                };
+                let r = solve_exists_forall_with_seeds(
+                    &ctx,
+                    &[u, q],
+                    phi,
+                    config,
+                    &[],
+                    |_| settle.to_vec(),
+                    &[],
+                );
+                assert_eq!(r.is_sat(), witness, "round {round}: {r:?}");
+                assert_eq!(r.is_unsat(), !witness, "round {round}: {r:?}");
+            }
+        }
+        assert!(settled > 100, "too few problems settled: {settled}");
     }
 
     #[test]

@@ -94,3 +94,63 @@ fn escaped_stack_miss_reports_correct_not_timeout() {
         }
     }
 }
+
+/// The query whose obligation detects each bug, in the validator's check
+/// order. Seed settling answers `Unsat` before the CEGQI loop, so a
+/// settled detecting obligation would move the detection to a later query
+/// or lose it.
+const DETECTING_QUERY: [(&str, &str); 29] = [
+    ("mul2-to-add-i8", "ret_value"),
+    ("mul2-to-add-i16", "ret_value"),
+    ("mul2-to-add-in-branch", "ret_value"),
+    ("freeze-duplicated", "ret_value"),
+    ("introduce-undef-expr", "ret_undef"),
+    ("select-undef-arm-introduced", "ret_poison"),
+    ("mul2-to-add-i64", "ret_value"),
+    ("dup-undef-observation", "ret_value"),
+    ("select-to-branch", "target_more_ub"),
+    ("select-to-branch-with-arith", "target_more_ub"),
+    ("dead-branch-introduced", "target_more_ub"),
+    ("switch-introduced", "target_more_ub"),
+    ("vectorize-keeps-nsw", "ret_poison"),
+    ("shuffle-undef-mask-to-poison", "ret_poison"),
+    ("extract-wrong-lane", "ret_poison"),
+    ("select-to-and", "ret_poison"),
+    ("select-to-or", "ret_poison"),
+    ("select-to-and-poison-arm", "ret_poison"),
+    ("shl-udiv-fold-i8", "ret_value"),
+    ("shl-udiv-fold-i32", "ret_value"),
+    ("nuw-flag-introduced", "ret_poison"),
+    ("licm-hoists-load", "target_more_ub"),
+    ("store-sunk-out-of-loop", "memory"),
+    ("fadd-poszero-fold", "ret_value"),
+    ("fsub-zero-to-fneg", "ret_value"),
+    ("remat-f32-bitcast", "ret_value"),
+    ("remat-f64-bitcast", "ret_value"),
+    ("dse-narrow-clobber", "memory"),
+    ("store-forward-wrong-type", "ret_value"),
+];
+
+#[test]
+fn no_detecting_obligation_is_settled_by_a_seed() {
+    let cfg = EncodeConfig::default();
+    let detected: Vec<_> = known_bugs()
+        .into_iter()
+        .filter(|b| b.expect == Expectation::Detected)
+        .collect();
+    assert_eq!(detected.len(), DETECTING_QUERY.len());
+    for bug in detected {
+        let want = DETECTING_QUERY
+            .iter()
+            .find(|(name, _)| *name == bug.name)
+            .unwrap_or_else(|| panic!("{}: no detecting query listed", bug.name))
+            .1;
+        let src = parse_module(bug.src).unwrap();
+        let tgt = parse_module(bug.tgt).unwrap();
+        let results = validate_modules(&src, &tgt, &cfg);
+        match &results[0].1 {
+            Verdict::Incorrect(cex) => assert_eq!(cex.query.name(), want, "{}", bug.name),
+            other => panic!("{}: expected detection by {want}, got {other:?}", bug.name),
+        }
+    }
+}

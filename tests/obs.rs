@@ -80,6 +80,24 @@ exit:
     (src, tgt)
 }
 
+/// Two pairs whose obligations reach the CEGQI loop: a detected
+/// `mul 2` → `add x, x` and a correct `(x & y) | x` → `x`. The fault
+/// corpus's healthy pair is settled by seed instantiation without any
+/// solve, so these give the parity check live solver traffic.
+fn live_corpus() -> (Module, Module) {
+    let src = parse_module(
+        "define i8 @twice(i8 %x) {\nentry:\n  %r = mul i8 %x, 2\n  ret i8 %r\n}\n\
+         define i8 @mask(i8 %x, i8 %y) {\nentry:\n  %a = and i8 %x, %y\n  %r = or i8 %a, %x\n  ret i8 %r\n}\n",
+    )
+    .unwrap();
+    let tgt = parse_module(
+        "define i8 @twice(i8 %x) {\nentry:\n  %r = add i8 %x, %x\n  ret i8 %r\n}\n\
+         define i8 @mask(i8 %x, i8 %y) {\nentry:\n  ret i8 %x\n}\n",
+    )
+    .unwrap();
+    (src, tgt)
+}
+
 fn jobs_of<'m>(src: &'m Module, tgt: &'m Module, cfg: EncodeConfig) -> Vec<Job<'m>> {
     src.functions
         .iter()
@@ -188,7 +206,9 @@ fn trace_file_is_valid_chrome_json() {
 fn counters_identical_jobs_1_vs_4() {
     let _g = obs_guard(false, true);
     let (src, tgt) = corpus();
-    let jobs = jobs_of(&src, &tgt, tight_cfg());
+    let (live_src, live_tgt) = live_corpus();
+    let mut jobs = jobs_of(&src, &tgt, tight_cfg());
+    jobs.extend(jobs_of(&live_src, &live_tgt, tight_cfg()));
     let run = |workers: usize| {
         ValidationEngine::new(workers)
             .with_fault_marker(Some("doomed".into()))
@@ -200,9 +220,10 @@ fn counters_identical_jobs_1_vs_4() {
     obs_off();
     assert!(seq.stats.queries > 0, "{:?}", seq.stats);
     assert!(seq.stats.smt_unsat > 0, "{:?}", seq.stats);
+    assert!(seq.stats.incremental_solves > 0, "{:?}", seq.stats);
     assert!(seq.stats.insts_encoded > 0, "{:?}", seq.stats);
     assert!(seq.stats.terms > 0, "{:?}", seq.stats);
-    assert_eq!(seq.stats.jobs, 3);
+    assert_eq!(seq.stats.jobs, 5);
     assert!(
         seq.stats.same_counters(&par.stats),
         "{:?} vs {:?}",

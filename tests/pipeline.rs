@@ -6,7 +6,7 @@
 //!   that triggers it — with the right §5.3 query class.
 
 use alive2_core::engine::ValidationEngine;
-use alive2_core::validator::{validate_pair, Verdict};
+use alive2_core::validator::{validate_pair, validate_pair_with_deadline, Verdict};
 use alive2_ir::parser::parse_module;
 use alive2_opt::bugs::{BugId, BugSet};
 use alive2_opt::pass::PassManager;
@@ -158,4 +158,30 @@ fn tiny_deadline_times_out_instead_of_hanging() {
         timeouts > 0,
         "the zero deadline should have timed out at least one changed function"
     );
+}
+
+#[test]
+fn dup_add_gvn_pair_is_correct_within_two_seconds() {
+    // `%a = add %x,%y; %b = add %x,%y; %r = mul %a,%b` → `mul %a,%a`. The
+    // source re-reads its possibly-undef inputs for %b, so the CEGQI
+    // seeds pair dead source reads with the target's and the loop runs
+    // out of time; seed settling proves each obligation without it.
+    let case = corpus().into_iter().find(|c| c.name == "dup-add").unwrap();
+    let module = parse_module(case.text).unwrap();
+    let mut f = module.functions[0].clone();
+    let snapshots = PassManager::default_pipeline(BugSet::none()).run_with_snapshots(&mut f);
+    let (_, before, after) = snapshots
+        .iter()
+        .find(|(pass, _, _)| *pass == "gvn")
+        .expect("GVN changes dup-add");
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(2);
+    let (v, stats) = validate_pair_with_deadline(
+        &module,
+        before,
+        after,
+        &EncodeConfig::default(),
+        Some(deadline),
+    );
+    assert!(v.is_correct(), "{v:?} {stats:?}");
+    assert_eq!(stats.cegqi_iters, 0, "{stats:?}");
 }
