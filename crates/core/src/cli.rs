@@ -18,12 +18,26 @@ use alive2_obs::StatsTotals;
 use alive2_sema::config::EncodeConfig;
 use std::sync::Arc;
 
-/// Parses `--flag VALUE` from an argument list.
+/// Parses `--flag VALUE` from an argument list: `None` when the flag is
+/// absent. A flag without a value, or with one that does not parse as
+/// `T`, ends the process with status 2 and a message naming the flag:
+/// a limit dropped in silence would run every job without it.
 pub fn flag_value<T: std::str::FromStr>(args: &[String], flag: &str) -> Option<T> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
+    parse_flag(args, flag).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    })
+}
+
+/// [`flag_value`]'s parse, with the error message instead of the exit.
+fn parse_flag<T: std::str::FromStr>(args: &[String], flag: &str) -> Result<Option<T>, String> {
+    let Some(i) = args.iter().position(|a| a == flag) else {
+        return Ok(None);
+    };
+    let v = args.get(i + 1).ok_or(format!("{flag} needs a value"))?;
+    v.parse()
+        .map(Some)
+        .map_err(|_| format!("bad value `{v}` for {flag}"))
 }
 
 fn marker_from(args: &[String], flag: &str, env: &str) -> Option<String> {
@@ -380,6 +394,21 @@ mod tests {
         let e2 = engine_from_args(&[]);
         assert!(e2.workers >= 1);
         assert_eq!(e2.deadline_ms, None);
+    }
+
+    #[test]
+    fn malformed_or_missing_flag_values_are_errors() {
+        let args = argv(&["--deadline-ms", "2s", "--jobs", "3", "--mem-budget-mb"]);
+        assert_eq!(parse_flag::<usize>(&args, "--jobs"), Ok(Some(3)));
+        assert_eq!(parse_flag::<usize>(&args, "--procs"), Ok(None));
+        assert_eq!(
+            parse_flag::<u64>(&args, "--deadline-ms"),
+            Err("bad value `2s` for --deadline-ms".to_string())
+        );
+        assert_eq!(
+            parse_flag::<usize>(&args, "--mem-budget-mb"),
+            Err("--mem-budget-mb needs a value".to_string())
+        );
     }
 
     #[test]

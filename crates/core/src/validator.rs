@@ -165,42 +165,37 @@ pub fn validate_pair_with_deadline(
     }
     let env = {
         let _sp = alive2_obs::span(Phase::Encode);
-        Env::new(*cfg, module, src)
+        Env::new(*cfg, module, src).map(|env| env.with_deadline(deadline))
     };
     let env = match env {
         Ok(e) => e,
         Err(u) => return seal(stats, Verdict::Unsupported(u.reason), None),
     };
+    // Encoding polls the deadline once per instruction, so a deadline
+    // that passes mid-function is reported as a timeout in the *encode*
+    // phase rather than lingering until the first SAT-budget boundary
+    // deep in the solve phase.
+    let stopped = |e: EncodeError| match e {
+        EncodeError::Unsupported(u) => Verdict::Unsupported(u.reason),
+        EncodeError::OutOfMemory => Verdict::OutOfMemory,
+        EncodeError::Timeout => Verdict::Timeout,
+    };
     let mut src_enc = match encode_function(&env, src) {
         Ok(e) => e,
-        Err(EncodeError::Unsupported(u)) => {
-            let sealed = seal(stats, Verdict::Unsupported(u.reason), Some(&env.ctx));
-            return finish(sealed, env);
-        }
-        Err(EncodeError::OutOfMemory) => {
-            let sealed = seal(stats, Verdict::OutOfMemory, Some(&env.ctx));
+        Err(e) => {
+            let sealed = seal(stats, stopped(e), Some(&env.ctx));
             return finish(sealed, env);
         }
     };
-    // Span-close deadline checks: encoding alone can consume the whole
-    // job budget, and a deadline that fires here is reported as a timeout
-    // in the *encode* phase rather than lingering until the first
-    // SAT-budget boundary deep in the solve phase.
-    if past_deadline() {
-        let sealed = seal(stats, Verdict::Timeout, Some(&env.ctx));
-        return finish(sealed, env);
-    }
     let mut tgt_enc = match encode_function(&env, tgt) {
         Ok(e) => e,
-        Err(EncodeError::Unsupported(u)) => {
-            let sealed = seal(stats, Verdict::Unsupported(u.reason), Some(&env.ctx));
-            return finish(sealed, env);
-        }
-        Err(EncodeError::OutOfMemory) => {
-            let sealed = seal(stats, Verdict::OutOfMemory, Some(&env.ctx));
+        Err(e) => {
+            let sealed = seal(stats, stopped(e), Some(&env.ctx));
             return finish(sealed, env);
         }
     };
+    // The same check once more for the target's tail after its last
+    // instruction.
     if past_deadline() {
         let sealed = seal(stats, Verdict::Timeout, Some(&env.ctx));
         return finish(sealed, env);

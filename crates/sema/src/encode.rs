@@ -25,6 +25,7 @@ use alive2_ir::verify::verify_function;
 use alive2_smt::bv::BitVec;
 use alive2_smt::term::{Ctx, FuncId, Sort, TermId};
 use std::collections::HashMap;
+use std::time::Instant;
 
 /// A feature the encoder cannot handle at all; the function pair must be
 /// skipped and reported as *unsupported* (§3.8).
@@ -42,17 +43,20 @@ impl std::fmt::Display for Unsupported {
 
 impl std::error::Error for Unsupported {}
 
-/// Why an encoding attempt stopped: either the fragment is outside the
-/// supported subset (skip the pair) or the term DAG blew through the
+/// Why an encoding attempt stopped: the fragment is outside the
+/// supported subset (skip the pair), the term DAG blew through the
 /// configured memory budget (report out-of-memory, keep the process
-/// alive). Resource exhaustion is an *expected* per-job outcome in a
-/// corpus run (paper Fig. 7's OOM column), never a process-fatal event.
+/// alive), or the job's deadline passed (report a timeout). Resource
+/// exhaustion is an *expected* per-job outcome in a corpus run (paper
+/// Fig. 7's OOM and timeout columns), never a process-fatal event.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum EncodeError {
     /// The function uses unsupported features (§3.8).
     Unsupported(Unsupported),
     /// The per-job term-DAG memory budget was exhausted mid-encoding.
     OutOfMemory,
+    /// The job's deadline ([`Env::deadline`]) passed mid-encoding.
+    Timeout,
 }
 
 impl From<Unsupported> for EncodeError {
@@ -66,6 +70,7 @@ impl std::fmt::Display for EncodeError {
         match self {
             EncodeError::Unsupported(u) => u.fmt(f),
             EncodeError::OutOfMemory => f.write_str("term memory budget exhausted"),
+            EncodeError::Timeout => f.write_str("deadline passed while encoding"),
         }
     }
 }
@@ -135,6 +140,9 @@ pub struct Env {
     pub arg_block_sizes: Vec<TermId>,
     /// Shared UF for initial non-local memory contents.
     pub init_mem: FuncId,
+    /// The job's absolute wall-clock deadline (`None` = unlimited; set
+    /// with [`Env::with_deadline`]).
+    pub deadline: Option<Instant>,
     /// Precondition contributed by the environment (argument attributes,
     /// pointer-argument bid ranges).
     pub pre: TermId,
@@ -218,11 +226,18 @@ impl Env {
             global_names,
             arg_block_sizes,
             init_mem,
+            deadline: None,
             pre,
             shared_blocks,
             module: module.clone(),
             uf_cache: std::cell::RefCell::new(HashMap::new()),
         })
+    }
+
+    /// This environment with the job's deadline: encoding then stops with
+    /// [`EncodeError::Timeout`] once it passes.
+    pub fn with_deadline(self, deadline: Option<Instant>) -> Env {
+        Env { deadline, ..self }
     }
 
     fn arg_value(
@@ -390,10 +405,11 @@ struct FnEncoder<'e> {
 ///
 /// Returns [`EncodeError::Unsupported`] when the function uses features
 /// outside the supported fragment (irreducible loops, mismatched
-/// signature, …), and [`EncodeError::OutOfMemory`] when the term DAG
-/// exceeds the configured [`EncodeConfig::mem_budget_mb`] mid-encoding —
-/// checked once per encoded instruction, so encoding explosions surface
-/// long before the SAT solver starts learning clauses.
+/// signature, …), [`EncodeError::OutOfMemory`] when the term DAG
+/// exceeds the configured [`EncodeConfig::mem_budget_mb`] mid-encoding,
+/// and [`EncodeError::Timeout`] when [`Env::deadline`] passes. Both
+/// limits are checked once per encoded instruction, so encoding
+/// explosions surface long before the SAT solver starts learning clauses.
 pub fn encode_function(env: &Env, f: &Function) -> Result<EncodedFn, EncodeError> {
     let _sp = alive2_obs::span_labeled(alive2_obs::Phase::Encode, &f.name);
     // Signature must match the environment (built from the source).
@@ -499,6 +515,9 @@ pub fn encode_function(env: &Env, f: &Function) -> Result<EncodedFn, EncodeError
             // can mint millions of terms, and nothing below here frees.
             if ctx.over_budget() {
                 return Err(EncodeError::OutOfMemory);
+            }
+            if env.deadline.is_some_and(|d| Instant::now() >= d) {
+                return Err(EncodeError::Timeout);
             }
             alive2_obs::stats::record_insts_encoded(1);
             let _inst_sp = alive2_obs::trace::detail()

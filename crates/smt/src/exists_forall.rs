@@ -110,16 +110,17 @@ pub fn solve_exists_forall(
 /// It is called at most once, when the obligation reaches the loop: after
 /// a cache miss, with universals, and when the rewriter leaves φ
 /// unsolved, so a warm or discharged obligation never pays for it. Its
-/// seeds are tried once before the loop and never added to it. Each one
-/// that is not already among `seeds` is substituted into φ (unmapped
-/// universals take zero, as in the loop). The instances are conjoined
-/// and simplified: top-level literal propagation, plus the rewriter when
-/// [`EfConfig::rewrite`] is on. A conjunction that becomes `false`
-/// answers `Unsat`. That is sound for any seeds: if φ(X, s₁(X)) ∧ … ∧
-/// φ(X, s_k(X)) is unsatisfiable for every X, each X is refuted by one of
-/// the instantiations Y := s_i(X), so no witness exists. A witness
-/// satisfies every instance, so settling can never hide a `Sat` answer;
-/// it only replaces a loop `Unsat` or a `Timeout`.
+/// seeds are tried once before the loop and never added to it. Each
+/// distinct one is substituted into φ (unmapped universals take zero, as
+/// in the loop), loop seeds included. The instances are conjoined and
+/// simplified: top-level propagation of Boolean literals and of equality
+/// classes of variables, plus the rewriter when [`EfConfig::rewrite`] is
+/// on. A conjunction that becomes `false` answers `Unsat`. That is sound
+/// for any seeds: if φ(X, s₁(X)) ∧ … ∧ φ(X, s_k(X)) is unsatisfiable for
+/// every X, each X is refuted by one of the instantiations Y := s_i(X),
+/// so no witness exists. A witness satisfies every instance, so settling
+/// can never hide a `Sat` answer; it only replaces a loop `Unsat` or a
+/// `Timeout`.
 ///
 /// `prefer_false` names boolean existentials a witness should leave false
 /// when it can (the validator passes each argument's `isundef` and
@@ -334,7 +335,7 @@ fn solve_live(
         let m = Model::new();
         zero.insert(u, m.value_term(ctx, u));
     }
-    if settled_by_seed(ctx, residue, &zero, config.rewrite, seeds, &settle(&free)) {
+    if settled_by_seed(ctx, residue, &zero, config.rewrite, &settle(&free)) {
         return EfResult::Unsat;
     }
     let mut instantiations: Vec<HashMap<TermId, TermId>> =
@@ -452,18 +453,16 @@ fn completed(
 
 /// Seed settling (see [`solve_exists_forall_with_seeds`]): true when the
 /// instances of `phi` (φ, or any formula equivalent to it) under the
-/// `settle` seeds that are neither loop seeds nor repeats simplify, as one
-/// conjunction, to `false`. Simplifying the instances together shares the
-/// rewriter's work on the parts of φ that no seed changes. A settled
-/// obligation writes one profile record, with `obligation` and
-/// `discharged` set and no CNF. Nothing is built on an over-budget
-/// context; the loop reports the OOM.
+/// distinct `settle` seeds simplify, as one conjunction, to `false`.
+/// Simplifying the instances together shares the rewriter's work on the
+/// parts of φ that no seed changes. A settled obligation writes one
+/// profile record, with `obligation` and `discharged` set and no CNF.
+/// Nothing is built on an over-budget context; the loop reports the OOM.
 fn settled_by_seed(
     ctx: &Ctx,
     phi: TermId,
     zero: &HashMap<TermId, TermId>,
     rewrite: bool,
-    seeds: &[HashMap<TermId, TermId>],
     settle: &[HashMap<TermId, TermId>],
 ) -> bool {
     if ctx.over_budget() {
@@ -474,7 +473,7 @@ fn settled_by_seed(
     let instances: Vec<TermId> = settle
         .iter()
         .enumerate()
-        .filter(|&(i, seed)| !seeds.contains(seed) && !settle[..i].contains(seed))
+        .filter(|&(i, seed)| !settle[..i].contains(seed))
         .map(|(_, seed)| ctx.substitute(phi, &completed(zero, seed)))
         .collect();
     if instances.is_empty() {
@@ -498,30 +497,51 @@ fn settled_by_seed(
     true
 }
 
-/// Top-level literal propagation: each conjunct of `t` that is a Boolean
-/// variable `b` or its negation fixes `b`, and the value is substituted
-/// into the rest, repeated to a fixpoint. The result is satisfiable
-/// exactly when `t` is (the fixed conjuncts drop out), so `false` means
+/// Top-level propagation: each conjunct of `t` that is a Boolean variable
+/// `b` or its negation fixes `b`, and each conjunct `v = w` between two
+/// variables puts them in one class. Every class is replaced by its
+/// fixed value when a member is fixed, else by its lowest-id member
+/// (two different values in one class give `false`), repeated to a
+/// fixpoint. Every model of `t` gives all members of a class one value,
+/// so the result is satisfiable exactly when `t` is, and `false` means
 /// `t` is unsatisfiable; it is not equivalent to `t` otherwise.
 fn propagate_literals(ctx: &Ctx, mut t: TermId) -> TermId {
+    let is_var = |v: TermId| ctx.as_var(v).is_some();
     loop {
+        // Union-find over variable terms, each class rooted at its lowest
+        // id, so neither the roots nor the map below depend on the order
+        // in which conjuncts are found.
+        let mut parent: HashMap<TermId, TermId> = HashMap::new();
+        let find = |parent: &HashMap<TermId, TermId>, mut v: TermId| {
+            while let Some(&p) = parent.get(&v) {
+                v = p;
+            }
+            v
+        };
         let mut fixed: HashMap<TermId, TermId> = HashMap::new();
+        let mut members: Vec<TermId> = Vec::new();
         let mut seen = HashSet::new();
         let mut stack = vec![t];
         while let Some(c) = stack.pop() {
             if !seen.insert(c) {
                 continue;
             }
+            let args = ctx.args(c);
             let (var, value) = match ctx.op(c) {
                 Op::And => {
-                    stack.extend(ctx.args(c));
+                    stack.extend(args);
                     continue;
                 }
                 Op::Var(_) => (c, true),
-                Op::Not => match ctx.args(c)[0] {
-                    v if ctx.as_var(v).is_some() => (v, false),
-                    _ => continue,
-                },
+                Op::Not if is_var(args[0]) => (args[0], false),
+                Op::Eq if is_var(args[0]) && is_var(args[1]) => {
+                    members.extend(&args);
+                    let (a, b) = (find(&parent, args[0]), find(&parent, args[1]));
+                    if a != b {
+                        parent.insert(a.max(b), a.min(b));
+                    }
+                    continue;
+                }
                 _ => continue,
             };
             let lit = ctx.bool_lit(value);
@@ -529,10 +549,24 @@ fn propagate_literals(ctx: &Ctx, mut t: TermId) -> TermId {
                 return ctx.fals();
             }
         }
-        if fixed.is_empty() {
+        let mut class_value: HashMap<TermId, TermId> = HashMap::new();
+        for (&v, &lit) in &fixed {
+            if *class_value.entry(find(&parent, v)).or_insert(lit) != lit {
+                return ctx.fals();
+            }
+        }
+        let mut map: HashMap<TermId, TermId> = HashMap::new();
+        for v in members.into_iter().chain(fixed.into_keys()) {
+            let root = find(&parent, v);
+            let to = class_value.get(&root).copied().unwrap_or(root);
+            if to != v {
+                map.insert(v, to);
+            }
+        }
+        if map.is_empty() {
             return t;
         }
-        t = ctx.substitute(t, &fixed);
+        t = ctx.substitute(t, &map);
         if ctx.as_bool_lit(t).is_some() {
             return t;
         }
@@ -853,7 +887,7 @@ mod tests {
                 assert_eq!(d.rewrite_steps, 0, "{d:?}");
             }
         }
-        // A settling seed that is also a loop seed is left to the loop.
+        // A settling seed that is also a loop seed settles too.
         let (r, d) = counted(|| {
             solve_exists_forall_with_seeds(
                 &ctx,
@@ -866,7 +900,51 @@ mod tests {
             )
         });
         assert!(r.is_unsat(), "{r:?}");
-        assert!(d.incremental_solves > 0, "{d:?}");
+        assert_eq!(d.cegqi_iters, 0, "{d:?}");
+        assert_eq!(d.incremental_solves + d.sat_solves, 0, "{d:?}");
+    }
+
+    #[test]
+    fn a_seed_instance_that_needs_a_variable_class_settles() {
+        // ∃x,w ∀u. x = w ∧ u·w ≠ x·x has no witness: u := x refutes every
+        // x. Under the seed u := x the instance is x = w ∧ x·w ≠ x·x,
+        // which only folds once w joins x's class; the rewriter alone
+        // leaves it, and the loop alone hits a 4-round cap.
+        let ctx = Ctx::new();
+        let x = ctx.var("x", Sort::BitVec(8));
+        let w = ctx.var("w", Sort::BitVec(8));
+        let u = ctx.var("u", Sort::BitVec(8));
+        let phi = ctx.and(ctx.eq(x, w), ctx.ne(ctx.bv_mul(u, w), ctx.bv_mul(x, x)));
+        let settle = [HashMap::from([(u, x)])];
+        let instance = ctx.substitute(phi, &settle[0]);
+        assert_eq!(
+            ctx.as_bool_lit(crate::rewrite::simplify(&ctx, instance)),
+            None
+        );
+        let capped = EfConfig {
+            max_iterations: 4,
+            ..EfConfig::default()
+        };
+        let (r, d) = counted(|| solve_exists_forall(&ctx, &[u], phi, capped));
+        assert!(matches!(r, EfResult::Timeout), "{r:?}");
+        assert_eq!(d.cegqi_iter_exhausted, 1, "{d:?}");
+        for rewrite in [false, true] {
+            let config = EfConfig { rewrite, ..capped };
+            let (r, d) = counted(|| {
+                solve_exists_forall_with_seeds(
+                    &ctx,
+                    &[u],
+                    phi,
+                    config,
+                    &[],
+                    |_| settle.to_vec(),
+                    &[],
+                )
+            });
+            assert!(r.is_unsat(), "rewrite {rewrite}: {r:?}");
+            assert_eq!(d.cegqi_iters, 0, "{d:?}");
+            assert_eq!(d.incremental_solves + d.sat_solves, 0, "{d:?}");
+        }
     }
 
     #[test]
@@ -904,12 +982,18 @@ mod tests {
 
     #[test]
     fn settling_agrees_with_brute_force_on_small_problems() {
-        // Random ∃x,p ∀u,q problems over 2-bit vectors with random seeds:
-        // settling may answer Unsat only where brute force finds no
+        // Random ∃x,y,p,r ∀u,q problems over 2-bit vectors with random
+        // seeds: settling may answer Unsat only where brute force finds no
         // witness, and the whole solve must give the brute-force answer.
+        // Some problems also get top-level equalities between two
+        // variables of one sort, Bool pairs included, and a fixed Boolean,
+        // so settling meets equality classes and classes fixed to a
+        // literal.
         let ctx = Ctx::new();
-        let (x, u) = (ctx.var("x", Sort::BitVec(2)), ctx.var("u", Sort::BitVec(2)));
-        let (p, q) = (ctx.var("p", Sort::Bool), ctx.var("q", Sort::Bool));
+        let bv2 = |name| ctx.var(name, Sort::BitVec(2));
+        let boolean = |name| ctx.var(name, Sort::Bool);
+        let (x, y, u) = (bv2("x"), bv2("y"), bv2("u"));
+        let (p, r, q) = (boolean("p"), boolean("r"), boolean("q"));
         let mut state = 0x9e37_79b9_7f4a_7c15u64;
         let mut rand = |n: u64| {
             state ^= state << 13;
@@ -918,10 +1002,10 @@ mod tests {
             state % n
         };
         let lit = |v: u64| ctx.bv_lit_u64(2, v);
-        let mut settled = 0;
+        let (mut settled, mut changed) = (0, 0);
         for round in 0..600 {
             let bv = |rand: &mut dyn FnMut(u64) -> u64, over_u: bool| {
-                let a = [x, lit(rand(4)), u][rand(if over_u { 3 } else { 2 }) as usize];
+                let a = [x, y, lit(rand(4)), u][rand(if over_u { 4 } else { 3 }) as usize];
                 match rand(5) {
                     0 => ctx.bv_add(a, [x, lit(1)][rand(2) as usize]),
                     1 => ctx.bv_and(a, x),
@@ -934,31 +1018,64 @@ mod tests {
                 let mut lits = Vec::new();
                 for _ in 0..1 + rand(2) {
                     let (a, b) = (bv(&mut rand, true), bv(&mut rand, true));
-                    let atom = [ctx.eq(a, b), ctx.bv_ult(a, b), p, q][rand(4) as usize];
+                    let atom = [ctx.eq(a, b), ctx.bv_ult(a, b), p, q, r][rand(5) as usize];
                     lits.push(if rand(2) == 0 { ctx.not(atom) } else { atom });
                 }
                 clauses.push(ctx.or_many(&lits));
             }
+            // Equalities between two variables: mostly top-level, where
+            // they form classes, and sometimes negated or in a disjunction,
+            // where they must not.
+            let classes = rand(3);
+            for _ in 0..classes {
+                let vars = if rand(2) == 0 { [x, y, u] } else { [p, r, q] };
+                let i = rand(3) as usize;
+                let eq = ctx.eq(vars[i], vars[(i + 1 + rand(2) as usize) % 3]);
+                clauses.push(match rand(4) {
+                    0 => ctx.not(eq),
+                    1 => ctx.or(eq, [p, r][rand(2) as usize]),
+                    _ => eq,
+                });
+                if rand(3) == 0 {
+                    let b = [p, r][rand(2) as usize];
+                    clauses.push(if rand(2) == 0 { ctx.not(b) } else { b });
+                }
+            }
             let phi = ctx.and_many(&clauses);
             let u_term = bv(&mut rand, false);
-            let q_term = [p, ctx.not(p), ctx.eq(x, lit(rand(4)))][rand(3) as usize];
+            let q_term = [p, ctx.not(p), r, ctx.eq(x, lit(rand(4)))][rand(4) as usize];
             let settle = [HashMap::from([(u, u_term), (q, q_term)])];
-            let holds = |xv: u64, pv: bool, uv: u64, qv: bool| {
+            // `e` packs x, y, p, r and `a` packs u, q.
+            let holds = |t: TermId, e: u64, a: u64| {
                 let mut m = Model::new();
                 for (t, val) in [
-                    (x, Value::Bv(BitVec::from_u64(2, xv))),
-                    (u, Value::Bv(BitVec::from_u64(2, uv))),
-                    (p, Value::Bool(pv)),
-                    (q, Value::Bool(qv)),
+                    (x, Value::Bv(BitVec::from_u64(2, e & 3))),
+                    (y, Value::Bv(BitVec::from_u64(2, e >> 2 & 3))),
+                    (p, Value::Bool(e & 16 != 0)),
+                    (r, Value::Bool(e & 32 != 0)),
+                    (u, Value::Bv(BitVec::from_u64(2, a & 3))),
+                    (q, Value::Bool(a & 4 != 0)),
                 ] {
                     m.set(ctx.as_var(t).unwrap(), val);
                 }
-                m.eval(&ctx, phi).as_bool()
+                m.eval(&ctx, t).as_bool()
             };
-            let witness = (0..8).any(|e| (0..8).all(|a| holds(e & 3, e >= 4, a & 3, a >= 4)));
+            let witness = (0..64).any(|e| (0..8).all(|a| holds(phi, e, a)));
             let zero = HashMap::from([(u, lit(0)), (q, ctx.fals())]);
+            // Propagation keeps the instance satisfiable exactly when it was.
+            let instance = ctx.substitute(phi, &completed(&zero, &settle[0]));
+            let propagated = propagate_literals(&ctx, instance);
+            let sat = |t: TermId| (0..64).any(|e| holds(t, e, 0));
+            assert_eq!(
+                sat(instance),
+                sat(propagated),
+                "round {round}: {} became {}",
+                ctx.display(instance),
+                ctx.display(propagated)
+            );
+            changed += usize::from(classes > 0 && propagated != instance);
             for rewrite in [false, true] {
-                let settles = settled_by_seed(&ctx, phi, &zero, rewrite, &[], &settle);
+                let settles = settled_by_seed(&ctx, phi, &zero, rewrite, &settle);
                 assert!(
                     !(settles && witness),
                     "round {round}: settled {} under {settle:?}",
@@ -983,6 +1100,10 @@ mod tests {
             }
         }
         assert!(settled > 100, "too few problems settled: {settled}");
+        assert!(
+            changed > 100,
+            "too few problems with equalities changed: {changed}"
+        );
     }
 
     #[test]

@@ -1044,6 +1044,33 @@ impl<'a> Rewriter<'a> {
             let inner = ctx.concat(ha[1], l);
             return ctx.concat(ha[0], inner);
         }
+        // Adjacent ites on one condition share it:
+        // concat(ite(c,a,b), ite(c,d,e)) → ite(c, concat(a,d), concat(b,e)),
+        // so the slice fusion below can rebuild a word stored byte by byte.
+        // No rule pushes an ite back into a concat.
+        if let Op::Ite = ctx.op(h) {
+            let ha = ctx.args(h);
+            let merge = |x: TermId| -> Option<TermId> {
+                let Op::Ite = ctx.op(x) else {
+                    return None;
+                };
+                let xa = ctx.args(x);
+                (xa[0] == ha[0]).then(|| {
+                    let th = ctx.concat(ha[1], xa[1]);
+                    let el = ctx.concat(ha[2], xa[2]);
+                    ctx.ite(ha[0], th, el)
+                })
+            };
+            if let Some(m) = merge(l) {
+                return m;
+            }
+            if let Op::Concat = ctx.op(l) {
+                let la = ctx.args(l);
+                if let Some(m) = merge(la[0]) {
+                    return ctx.concat(m, la[1]);
+                }
+            }
+        }
         // Merge a literal with the literal head of the low side.
         if let (Some(v1), Op::Concat) = (ctx.as_bv_lit(h), ctx.op(l)) {
             let la = ctx.args(l);
@@ -1305,6 +1332,33 @@ mod tests {
         let l = ctx.extract(x, 3, 0);
         let f = ctx.eq(ctx.concat(h, l), x);
         assert_eq!(ctx.as_bool_lit(simplify(&ctx, f)), Some(true));
+    }
+
+    #[test]
+    fn bytes_under_one_condition_fuse_back_into_the_word() {
+        // A word stored byte by byte and read back: each byte is
+        // ite(c, u[8i+7:8i], x[8i+7:8i]), concatenated high byte first.
+        let (ctx, x, u) = ctx_x_y(32);
+        let c = ctx.var("c", Sort::Bool);
+        let bytes: Vec<TermId> = (0..4)
+            .rev()
+            .map(|i| {
+                let (hi, lo) = (8 * i + 7, 8 * i);
+                ctx.ite(c, ctx.extract(u, hi, lo), ctx.extract(x, hi, lo))
+            })
+            .collect();
+        let word = ctx.ite(c, u, x);
+        assert_eq!(simplify(&ctx, ctx.concat_many(&bytes)), word);
+        let right = ctx.concat(
+            bytes[0],
+            ctx.concat(bytes[1], ctx.concat(bytes[2], bytes[3])),
+        );
+        assert_eq!(simplify(&ctx, right), word);
+        // Two bytes on `c` above a plain low half: the right-nested case.
+        let low = ctx.extract(x, 15, 0);
+        let mixed = ctx.concat(bytes[0], ctx.concat(bytes[1], low));
+        let high = ctx.ite(c, ctx.extract(u, 31, 16), ctx.extract(x, 31, 16));
+        assert_eq!(simplify(&ctx, mixed), ctx.concat(high, low));
     }
 
     #[test]

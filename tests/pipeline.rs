@@ -185,3 +185,62 @@ fn dup_add_gvn_pair_is_correct_within_two_seconds() {
     assert!(v.is_correct(), "{v:?} {stats:?}");
     assert_eq!(stats.cegqi_iters, 0, "{stats:?}");
 }
+
+#[test]
+fn dup_call_and_two_slot_pairs_settle_through_every_pipeline() {
+    // `dup-readnone-call`: GVN keeps one of two `sqrt(%x)` calls, and the
+    // §6 call relation equates the two source outputs, so seed settling
+    // needs that equality class to fold the two double adders into one.
+    // `promote-two-slots`: each load reads back four bytes
+    // `ite(isundef, undef[..], x[..])`, which the rewriter fuses into the
+    // word mem2reg left once the shared condition leaves the concat.
+    // Both used to reach the CEGQI loop (3 and 35 iterations) and time
+    // out at the unit_pipeline limit.
+    let cfg = EncodeConfig::default();
+    let mut pipelines = vec![BugSet::none()];
+    pipelines.extend(BugId::all().into_iter().map(BugSet::only));
+    for name in ["dup-readnone-call", "promote-two-slots"] {
+        let case = corpus().into_iter().find(|c| c.name == name).unwrap();
+        let module = parse_module(case.text).unwrap();
+        let mut validated = 0;
+        for bugs in &pipelines {
+            let mut f = module.functions[0].clone();
+            let pm = PassManager::default_pipeline(bugs.clone());
+            for (pass, before, after) in pm.run_with_snapshots(&mut f) {
+                let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+                let (v, stats) =
+                    validate_pair_with_deadline(&module, &before, &after, &cfg, Some(deadline));
+                assert!(v.is_correct(), "{name} {pass}: {v:?} {stats:?}");
+                assert_eq!(stats.cegqi_iters, 0, "{name} {pass}: {stats:?}");
+                assert_eq!(stats.incremental_solves, 0, "{name} {pass}: {stats:?}");
+                validated += 1;
+            }
+        }
+        assert!(validated >= pipelines.len(), "{name}: {validated} pairs");
+    }
+}
+
+#[test]
+fn a_deadline_stops_encoding_mid_function() {
+    // `%v_i = add %v_{i-1}, %x` for 1,000 instructions takes seconds to
+    // encode; the deadline is polled per instruction, so the job stops
+    // well before the chain's end and reports a timeout while encoding.
+    const LEN: u32 = 1_000;
+    let mut text = String::from("define i32 @f(i32 %x) {\nentry:\n  %v0 = add i32 %x, %x\n");
+    for i in 1..LEN {
+        text += &format!("  %v{i} = add i32 %v{}, %x\n", i - 1);
+    }
+    let src = parse_module(&format!("{text}  ret i32 %v{}\n}}", LEN - 1)).unwrap();
+    let tgt = parse_module(&format!("{text}  ret i32 %v{}\n}}", LEN - 2)).unwrap();
+    let deadline = std::time::Instant::now() + std::time::Duration::from_millis(50);
+    let (v, stats) = validate_pair_with_deadline(
+        &src,
+        &src.functions[0],
+        &tgt.functions[0],
+        &EncodeConfig::default(),
+        Some(deadline),
+    );
+    assert!(matches!(v, Verdict::Timeout), "{v:?}");
+    assert_eq!(stats.phase, alive2_core::obs::Phase::Encode, "{stats:?}");
+    assert!(stats.insts_encoded < LEN, "{stats:?}");
+}

@@ -131,7 +131,7 @@ fn gen_bv(ctx: &Ctx, rng: &mut Rng64, depth: u32) -> TermId {
     }
     let a = gen_bv(ctx, rng, depth - 1);
     let b = gen_bv(ctx, rng, depth - 1);
-    match rng.range_usize(0, 16) {
+    match rng.range_usize(0, 21) {
         0 => ctx.bv_add(a, b),
         1 => ctx.bv_sub(a, b),
         2 => ctx.bv_mul(a, b),
@@ -147,10 +147,57 @@ fn gen_bv(ctx: &Ctx, rng: &mut Rng64, depth: u32) -> TermId {
         12 => ctx.bv_srem(a, b),
         13 => ctx.bv_not(a),
         14 => ctx.bv_neg(a),
-        _ => {
+        15 => {
             let c = gen_bool(ctx, rng, depth - 1);
             ctx.ite(c, a, b)
         }
+        // A slice of the 16-bit concat, straddling the seam or not.
+        16 => {
+            let lo = rng.range_usize(0, W as usize + 1) as u32;
+            ctx.extract(ctx.concat(a, b), lo + W - 1, lo)
+        }
+        // A low slice of `a`, extended back to the word.
+        17 => {
+            let low = ctx.extract(a, rng.range_usize(0, W as usize - 1) as u32, 0);
+            if rng.range_usize(0, 2) == 0 {
+                ctx.zext(low, W)
+            } else {
+                ctx.sext(low, W)
+            }
+        }
+        // Three arms' weight: only sliced words put two ites on one
+        // condition side by side under a concat.
+        _ => {
+            let c = gen_bool(ctx, rng, depth - 1);
+            gen_sliced_word(ctx, rng, c, a, b)
+        }
+    }
+}
+
+/// A word built from slices of `a` and `b` at the positions they hold in
+/// the word, as a load reads back bytes a store wrote: each part is
+/// usually `ite(c, a[..], b[..])` on the one shared condition `c`, else a
+/// swapped `ite` or a plain slice of `a`. The parts are concatenated high
+/// part first, nested to the left or to the right.
+fn gen_sliced_word(ctx: &Ctx, rng: &mut Rng64, c: TermId, a: TermId, b: TermId) -> TermId {
+    const SPLITS: [&[u32]; 5] = [&[4, 4], &[2, 6], &[2, 3, 3], &[2, 2, 2, 2], &[1, 3, 4]];
+    let mut hi = W;
+    let mut parts = Vec::new();
+    for &w in SPLITS[rng.range_usize(0, SPLITS.len())] {
+        let (h, l) = (hi - 1, hi - w);
+        hi -= w;
+        let (sa, sb) = (ctx.extract(a, h, l), ctx.extract(b, h, l));
+        parts.push(match rng.range_usize(0, 6) {
+            0 => ctx.ite(c, sb, sa),
+            1 => sa,
+            _ => ctx.ite(c, sa, sb),
+        });
+    }
+    if rng.range_usize(0, 2) == 0 {
+        ctx.concat_many(&parts)
+    } else {
+        let (last, rest) = parts.split_last().unwrap();
+        rest.iter().rev().fold(*last, |acc, &p| ctx.concat(p, acc))
     }
 }
 
