@@ -242,6 +242,17 @@ done
 # entries) and CEGQI candidate checks.
 test "$KB_INC" -eq 30
 test "$KB_LIVE" -eq 84
+# The term DAG of the default run is pinned too: its node count and the
+# hash-cons table's hits and misses. A change to interning or to the
+# smart constructors that builds another DAG (and so other term ids,
+# operand orders and searches) fails here, by name.
+for pin in terms:24268 hc_hits:29539 hc_misses:24268; do
+  found=$(kbsum "$SMOKE/kb_inc.out" | grep -o "\"${pin%%:*}\":[0-9]*" | head -n 1 | cut -d: -f2)
+  if [ "$found" != "${pin#*:}" ]; then
+    echo "DAG pin ${pin%%:*}: found $found, pinned ${pin#*:}"
+    exit 1
+  fi
+done
 
 # ---- validation-service smoke (see DESIGN.md, "Validation as a service") --
 # The known-bugs corpus through one warm `alive2-serve` daemon as two

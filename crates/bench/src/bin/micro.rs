@@ -13,8 +13,11 @@ use alive2_ir::parser::{parse_function, parse_module};
 use alive2_sema::config::EncodeConfig;
 use alive2_sema::encode::{encode_function, Env};
 use alive2_sema::unroll::unroll_loops;
+use alive2_smt::cache::TermKey;
+use alive2_smt::fxhash::FxHashMap;
 use alive2_smt::prelude::*;
 use alive2_smt::sat::{Budget, Lit, SatOutcome, SatSolver};
+use alive2_testgen::known_bugs::known_bugs;
 
 const FIG1: &str = r#"define i32 @fn(i32 %a, i32 %b) {
 entry:
@@ -125,6 +128,61 @@ fn main() {
         let y = ctx.var("y", Sort::BitVec(8));
         let phi = ctx.eq(ctx.bv_and(x, y), y);
         assert!(solve_exists_forall(&ctx, &[y], phi, EfConfig::default()).is_sat());
+    });
+
+    // ---- term kernels ----------------------------------------------------
+    // Hash-consing: 1,000 lookups of existing nodes, and 1,000 new nodes
+    // in a fresh context.
+    let ctx = Ctx::new();
+    let vars: Vec<TermId> = (0..1001)
+        .map(|i| ctx.var(&format!("v{i}"), Sort::BitVec(32)))
+        .collect();
+    run("term/intern-hit-x1000", &mut || {
+        for w in vars.windows(2) {
+            std::hint::black_box(ctx.bv_and(w[0], w[1]));
+        }
+    });
+    run("term/intern-miss-x1000", &mut || {
+        let ctx = Ctx::new();
+        let x = ctx.var("x", Sort::BitVec(32));
+        std::hint::black_box((0..1000).fold(x, |acc, _| ctx.bv_add(acc, x)));
+    });
+    // The walks over one obligation of a known_bugs pair: ∃ args ∀ source
+    // non-determinism. the source is defined and the target's return
+    // value differs from the source's, or the target has UB.
+    let bug = known_bugs()
+        .into_iter()
+        .find(|b| b.name == "fsub-zero-to-fneg")
+        .expect("known bug");
+    let (bsrc, btgt) = (
+        parse_module(bug.src).unwrap(),
+        parse_module(bug.tgt).unwrap(),
+    );
+    let env = Env::new(EncodeConfig::default(), &bsrc, &bsrc.functions[0]).unwrap();
+    let (es, et) = (
+        encode_function(&env, &bsrc.functions[0]).unwrap(),
+        encode_function(&env, &btgt.functions[0]).unwrap(),
+    );
+    let c = &env.ctx;
+    let (rs, rt) = (
+        es.ret.as_ref().unwrap().as_scalar(),
+        et.ret.as_ref().unwrap().as_scalar(),
+    );
+    let differs = c.or(et.ub, c.and(c.not(rs.poison), c.ne(rs.value, rt.value)));
+    let phi = c.and(c.not(es.ub), differs);
+    let zero: FxHashMap<TermId, TermId> = es
+        .nondet
+        .iter()
+        .map(|&u| (u, Model::new().value_term(c, u)))
+        .collect();
+    run("term/substitute-kb-obligation", &mut || {
+        std::hint::black_box(c.substitute(phi, &zero));
+    });
+    run("term/free-vars-kb-obligation", &mut || {
+        std::hint::black_box(c.free_vars(phi));
+    });
+    run("cache/key-kb-obligation", &mut || {
+        std::hint::black_box(TermKey::of_obligation(c, &es.nondet, phi, &[], true, &[]));
     });
 
     // ---- end-to-end refinement (former refine_micro.rs) ----------------

@@ -15,11 +15,12 @@ use alive2_obs::Phase;
 use alive2_sema::config::EncodeConfig;
 use alive2_sema::encode::{encode_function, CallSite, EncodeError, EncodedFn, Env};
 use alive2_smt::exists_forall::{solve_exists_forall_with_seeds, EfConfig, EfResult};
+use alive2_smt::fxhash::{FxHashMap, FxHashSet, FxHasher};
 use alive2_smt::model::Model;
 use alive2_smt::sat::Budget;
 use alive2_smt::solver::{SmtResult, Solver};
-use alive2_smt::term::{Ctx, Sort, TermId};
-use std::collections::{HashMap, HashSet};
+use alive2_smt::term::{Ctx, Sort, TermId, VarId};
+use std::hash::{Hash, Hasher};
 use std::time::Instant;
 
 /// The outcome of validating one function pair.
@@ -307,13 +308,57 @@ enum SeedMode {
     AllToLast,
 }
 
-/// Builds a symbolic seed instantiation for CEGQI: source non-determinism
-/// variables are matched with entries from a pool of target-side terms.
-/// Universals go in creation order. Each one is matched within its group,
-/// (name, sort), since encoders name their non-determinism by provenance
+/// The group of every universal and pool term of one query, `(name
+/// class, sort)`: variables with equal names share a class, and class 0
+/// holds the unnamed, non-variable pool terms. Built once per query, so
+/// seeding compares names once per term and never copies one.
+struct SeedGroups {
+    of: FxHashMap<TermId, (u32, Sort)>,
+}
+
+impl SeedGroups {
+    fn new(ctx: &Ctx, terms: impl IntoIterator<Item = TermId>) -> SeedGroups {
+        // Name hash → every (variable, class) seen with a name of that hash.
+        let mut named: FxHashMap<u64, Vec<(VarId, u32)>> = FxHashMap::default();
+        let mut classes = 0u32;
+        let mut of = FxHashMap::default();
+        for t in terms {
+            let mut class = 0;
+            if let Some(v) = ctx.as_var(t) {
+                let hash = ctx.with_var_name(v, |n| {
+                    let mut h = FxHasher::default();
+                    n.hash(&mut h);
+                    (!n.is_empty()).then(|| h.finish())
+                });
+                if let Some(hash) = hash {
+                    let same_hash = named.entry(hash).or_default();
+                    let same_name = |&&(w, _): &&(VarId, u32)| {
+                        ctx.with_var_name(v, |a| ctx.with_var_name(w, |b| a == b))
+                    };
+                    class = match same_hash.iter().find(same_name) {
+                        Some(&(_, c)) => c,
+                        None => {
+                            classes += 1;
+                            same_hash.push((v, classes));
+                            classes
+                        }
+                    };
+                }
+            }
+            of.insert(t, (class, ctx.sort(t)));
+        }
+        SeedGroups { of }
+    }
+}
+
+/// Builds the symbolic seed instantiation of every [`SeedMode`] for
+/// CEGQI, in the order CEGQI adds them: source non-determinism variables
+/// are matched with entries from a pool of target-side terms. Universals
+/// go in creation order. Each one is matched within its group, (name,
+/// sort), since encoders name their non-determinism by provenance
 /// ("undef", "freeze", …); when its group has no entry to give, it falls
 /// back to every pool term of its sort, which includes non-variable terms
-/// such as the target's return value. `mode` picks the entry:
+/// such as the target's return value. The mode picks the entry:
 ///
 /// - [`SeedMode::InOrder`]: the k-th universal of a group gets the k-th
 ///   entry; a universal left over after both pools stays unmapped;
@@ -332,37 +377,42 @@ enum SeedMode {
 /// pool terms stay). An undef register is re-instantiated on every read,
 /// so earlier instantiations are often dead in φ, and in creation order
 /// they would take the pool entries the live ones need.
-fn build_seed(
-    ctx: &Ctx,
+fn build_seeds(
+    groups: &SeedGroups,
     universals: &[TermId],
     pool: &[TermId],
-    mode: SeedMode,
-) -> HashMap<TermId, TermId> {
+) -> [FxHashMap<TermId, TermId>; 3] {
     // Group pool terms by (name, sort) for variables — encoders name their
     // non-determinism by provenance ("undef", "uninit", "freeze",
     // "nan_pattern", …), so like matches like — and by sort alone for
     // non-variable pool terms (e.g. the target's return-value expression).
-    let group_of = |t: TermId| -> (String, Sort) {
-        match ctx.as_var(t) {
-            Some(v) => (ctx.var_name(v), ctx.sort(t)),
-            None => (String::new(), ctx.sort(t)),
-        }
-    };
-    let mut by_group: HashMap<(String, Sort), Vec<TermId>> = HashMap::new();
+    let mut by_group: FxHashMap<(u32, Sort), Vec<TermId>> = FxHashMap::default();
+    let mut by_sort: FxHashMap<Sort, Vec<TermId>> = FxHashMap::default();
     for &t in pool {
-        by_group.entry(group_of(t)).or_default().push(t);
+        let g = groups.of[&t];
+        by_group.entry(g).or_default().push(t);
+        by_sort.entry(g.1).or_default().push(t);
     }
-    let mut by_sort: HashMap<Sort, Vec<TermId>> = HashMap::new();
-    for &t in pool {
-        by_sort.entry(ctx.sort(t)).or_default().push(t);
-    }
-    let mut gcursor: HashMap<(String, Sort), usize> = HashMap::new();
-    let mut scursor: HashMap<Sort, usize> = HashMap::new();
-    let mut seed = HashMap::new();
     let mut ordered = universals.to_vec();
     ordered.sort();
-    for u in ordered {
-        let g = group_of(u);
+    [SeedMode::InOrder, SeedMode::RoundRobin, SeedMode::AllToLast]
+        .map(|mode| build_seed(groups, &ordered, &by_group, &by_sort, mode))
+}
+
+/// The seed of one mode (see [`build_seeds`]) for the universals in
+/// creation order, `ordered`.
+fn build_seed(
+    groups: &SeedGroups,
+    ordered: &[TermId],
+    by_group: &FxHashMap<(u32, Sort), Vec<TermId>>,
+    by_sort: &FxHashMap<Sort, Vec<TermId>>,
+    mode: SeedMode,
+) -> FxHashMap<TermId, TermId> {
+    let mut gcursor: FxHashMap<(u32, Sort), usize> = FxHashMap::default();
+    let mut scursor: FxHashMap<Sort, usize> = FxHashMap::default();
+    let mut seed = FxHashMap::default();
+    for &u in ordered {
+        let g = groups.of[&u];
         let pick = |p: &Vec<TermId>, c: &mut usize| -> Option<TermId> {
             if p.is_empty() {
                 return None;
@@ -395,21 +445,14 @@ fn build_seed(
                 continue;
             }
         }
-        let sort = ctx.sort(u);
-        if let Some(p) = by_sort.get(&sort) {
-            let c = scursor.entry(sort).or_insert(0);
+        if let Some(p) = by_sort.get(&g.1) {
+            let c = scursor.entry(g.1).or_insert(0);
             if let Some(t) = pick(p, c) {
                 seed.insert(u, t);
             }
         }
     }
     seed
-}
-
-/// The seed of every [`SeedMode`], in the order CEGQI adds them.
-fn build_seeds(ctx: &Ctx, universals: &[TermId], pool: &[TermId]) -> [HashMap<TermId, TermId>; 3] {
-    [SeedMode::InOrder, SeedMode::RoundRobin, SeedMode::AllToLast]
-        .map(|mode| build_seed(ctx, universals, pool, mode))
 }
 
 /// Shared state for dispatching the §5.3 queries.
@@ -423,7 +466,7 @@ struct QueryEngine<'a> {
     /// NaN-pattern constraints §3.5): a *hypothesis* over the universals.
     pre_src: TermId,
     /// The free variables of `pre_src`, fixed per pair.
-    pre_vars: HashSet<TermId>,
+    pre_vars: FxHashSet<TermId>,
     universals: Vec<TermId>,
     pool: Vec<TermId>,
     overapprox_vars: Vec<TermId>,
@@ -466,7 +509,7 @@ impl<'a> QueryEngine<'a> {
             .collect();
         let pre_mentions_universals = univ0.iter().any(|u| self.pre_vars.contains(u));
         let src_part = if pre_mentions_universals {
-            let mut rename = HashMap::new();
+            let mut rename = FxHashMap::default();
             for &u in &univ0 {
                 if self.pre_vars.contains(&u) {
                     let fresh = ctx.var("nonvac", ctx.sort(u));
@@ -491,8 +534,8 @@ impl<'a> QueryEngine<'a> {
         let ack = alive2_smt::ackermann::ackermannize(ctx, &[phi0]);
         let mut phi = ack.assertions[0];
         let mut universals: Vec<TermId> = std::mem::take(&mut univ0);
-        let uni_set: HashSet<TermId> = universals.iter().copied().collect();
-        let mut forall_apps: HashSet<TermId> = Default::default();
+        let uni_set: FxHashSet<TermId> = universals.iter().copied().collect();
+        let mut forall_apps: FxHashSet<TermId> = Default::default();
         let mut exists_apps: Vec<TermId> = Vec::new();
         for (app, var) in &ack.app_vars {
             let deps = ctx.free_vars(*app);
@@ -515,10 +558,11 @@ impl<'a> QueryEngine<'a> {
         let mut pool: Vec<TermId> = self.pool.clone();
         pool.extend(exists_apps);
         pool.extend(extra_pool);
-        let seeds = build_seeds(ctx, &universals, &pool);
+        let groups = SeedGroups::new(ctx, universals.iter().chain(&pool).copied());
+        let seeds = build_seeds(&groups, &universals, &pool);
         // The settling seeds: the same three maps over φ's live terms
         // (`live` is φ's free variables).
-        let settle = |live: &HashSet<TermId>| {
+        let settle = |live: &FxHashSet<TermId>| {
             let live_universals: Vec<TermId> = universals
                 .iter()
                 .copied()
@@ -529,7 +573,7 @@ impl<'a> QueryEngine<'a> {
                 .copied()
                 .filter(|t| ctx.as_var(*t).is_none() || live.contains(t))
                 .collect();
-            Vec::from(build_seeds(ctx, &live_universals, &live_pool))
+            Vec::from(build_seeds(&groups, &live_universals, &live_pool))
         };
         match solve_exists_forall_with_seeds(
             ctx,
@@ -622,7 +666,9 @@ fn check_refinement(
             .chain(&tgt.overapprox)
             .copied()
             .collect();
-        ctx.free_vars_many(&roots).into_iter().collect()
+        let mut vars: Vec<TermId> = ctx.free_vars_many(&roots).into_iter().collect();
+        vars.sort_unstable();
+        vars
     };
 
     let engine = QueryEngine {
@@ -1196,13 +1242,14 @@ exit:
         // "take the pool's last element" must not panic on an empty pool.
         let ctx = Ctx::new();
         let u = ctx.var("undef", Sort::BitVec(8));
-        for mode in [SeedMode::InOrder, SeedMode::RoundRobin, SeedMode::AllToLast] {
-            let seed = build_seed(&ctx, &[u], &[], mode);
-            assert!(seed.is_empty(), "{mode:?} must fall back to no-seed");
+        let groups = SeedGroups::new(&ctx, [u]);
+        for seed in build_seeds(&groups, &[u], &[]) {
+            assert!(seed.is_empty(), "every mode must fall back to no-seed");
         }
         // Sanity: a one-element pool still seeds under AllToLast.
         let p = ctx.var("undef", Sort::BitVec(8));
-        let seed = build_seed(&ctx, &[u], &[p], SeedMode::AllToLast);
-        assert_eq!(seed.get(&u), Some(&p));
+        let groups = SeedGroups::new(&ctx, [u, p]);
+        let [_, _, all_to_last] = build_seeds(&groups, &[u], &[p]);
+        assert_eq!(all_to_last.get(&u), Some(&p));
     }
 }

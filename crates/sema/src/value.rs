@@ -2,8 +2,9 @@
 //! with the per-register set of undef variables of §3.3.
 
 use alive2_ir::types::Type;
+use alive2_smt::fxhash::FxHashMap;
 use alive2_smt::term::{Ctx, TermId};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
 /// A symbolic scalar: an SMT value term, a poison flag, and the undef
 /// variables embedded in `value` that must be refreshed on each observation.
@@ -116,7 +117,7 @@ impl SymValue {
                 if s.undef_vars.is_empty() {
                     return self.clone();
                 }
-                let mut map = HashMap::new();
+                let mut map = FxHashMap::default();
                 let mut new_vars = BTreeSet::new();
                 for &uv in &s.undef_vars {
                     let sort = ctx.sort(uv);

@@ -6,8 +6,8 @@
 //! complete for quantifier-free formulas and lets the bit-blaster stay
 //! purely propositional.
 
+use crate::fxhash::FxHashMap;
 use crate::term::{Ctx, FuncId, Op, TermId};
-use std::collections::HashMap;
 
 /// Result of Ackermannizing a set of assertions.
 #[derive(Debug)]
@@ -27,11 +27,11 @@ pub struct Ackermannized {
 /// applications against old ones are emitted — each exactly once.
 #[derive(Debug, Default)]
 pub struct Ackermannizer {
-    memo: HashMap<TermId, TermId>,
+    memo: FxHashMap<TermId, TermId>,
     /// (func, rewritten args) -> replacement var
-    table: HashMap<(FuncId, Vec<TermId>), TermId>,
+    table: FxHashMap<(FuncId, Vec<TermId>), TermId>,
     /// per func: list of (rewritten args, var)
-    by_func: HashMap<FuncId, Vec<(Vec<TermId>, TermId)>>,
+    by_func: FxHashMap<FuncId, Vec<(Vec<TermId>, TermId)>>,
     app_vars: Vec<(TermId, TermId)>,
 }
 
@@ -55,15 +55,15 @@ impl Ackermannizer {
         if let Some(&r) = self.memo.get(&t) {
             return r;
         }
-        let op = ctx.op(t);
         let args = ctx.args(t);
-        let new_args: Vec<TermId> = args
-            .iter()
-            .map(|&a| self.rewrite(ctx, a, constraints))
-            .collect();
-        let r = match op {
-            Op::Apply(f) => {
-                let key = (f, new_args.clone());
+        let new_args = args.map(|a| self.rewrite(ctx, a, constraints));
+        let apply = ctx.with_node(t, |op, _, _| match op {
+            Op::Apply(f) => Some(*f),
+            _ => None,
+        });
+        let r = match apply {
+            Some(f) => {
+                let key = (f, new_args.to_vec());
                 if let Some(&v) = self.table.get(&key) {
                     v
                 } else {
@@ -73,27 +73,24 @@ impl Ackermannizer {
                     for (args_i, var_i) in prior.iter() {
                         let eqs: Vec<TermId> = args_i
                             .iter()
-                            .zip(&new_args)
+                            .zip(new_args.iter())
                             .map(|(&a, &b)| ctx.eq(a, b))
                             .collect();
                         let all_eq = ctx.and_many(&eqs);
                         let res_eq = ctx.eq(*var_i, v);
                         constraints.push(ctx.implies(all_eq, res_eq));
                     }
-                    prior.push((new_args, v));
+                    prior.push((new_args.to_vec(), v));
                     self.table.insert(key, v);
                     self.app_vars.push((t, v));
                     v
                 }
             }
-            Op::Var(_) => t,
-            _ => {
-                if new_args == args {
-                    t
-                } else {
-                    ctx.rebuild(op, &new_args)
-                }
-            }
+            // Variables and literals have no operands, so they keep `t`;
+            // a node with operands is never a literal, so its operator
+            // copies without touching the heap.
+            None if *new_args == *args => t,
+            None => ctx.rebuild(ctx.op(t), &new_args),
         };
         self.memo.insert(t, r);
         r

@@ -9,9 +9,9 @@
 //! chains of three-input gates: an XOR3 sum and a majority carry.
 
 use crate::bv::BitVec;
+use crate::fxhash::FxHashMap;
 use crate::sat::{Lit, SatSolver};
 use crate::term::{Ctx, Op, TermId, VarId};
-use std::collections::HashMap;
 
 /// A key of the gate table: a gate kind over normalized inputs, so every
 /// spelling of one gate finds the same output literal.
@@ -67,13 +67,13 @@ pub struct BitBlaster<'a> {
     pub(crate) sat: SatSolver,
     /// What [`num_clauses`](Self::num_clauses) reports.
     emitted: usize,
-    bool_memo: HashMap<TermId, Lit>,
-    bv_memo: HashMap<TermId, Vec<Lit>>,
-    var_bool: HashMap<VarId, Lit>,
-    var_bits: HashMap<VarId, Vec<Lit>>,
+    bool_memo: FxHashMap<TermId, Lit>,
+    bv_memo: FxHashMap<TermId, Vec<Lit>>,
+    var_bool: FxHashMap<VarId, Lit>,
+    var_bits: FxHashMap<VarId, Vec<Lit>>,
     /// Output literal of every gate built so far. Only ever looked up,
     /// never iterated, so its hash order cannot reach the CNF.
-    gates: HashMap<Gate, Lit>,
+    gates: FxHashMap<Gate, Lit>,
     true_lit: Lit,
 }
 
@@ -99,11 +99,11 @@ impl<'a> BitBlaster<'a> {
             ctx,
             sat,
             emitted: 0,
-            bool_memo: HashMap::new(),
-            bv_memo: HashMap::new(),
-            var_bool: HashMap::new(),
-            var_bits: HashMap::new(),
-            gates: HashMap::new(),
+            bool_memo: FxHashMap::default(),
+            bv_memo: FxHashMap::default(),
+            var_bool: FxHashMap::default(),
+            var_bits: FxHashMap::default(),
+            gates: FxHashMap::default(),
             true_lit,
         };
         bb.add_clause(&[true_lit]);

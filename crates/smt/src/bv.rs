@@ -26,11 +26,80 @@ use std::fmt;
 pub struct BitVec {
     width: u32,
     /// Little-endian 64-bit words; always exactly `words_for(width)` long.
-    words: Vec<u64>,
+    words: Words,
 }
 
 fn words_for(width: u32) -> usize {
     ((width as usize) + 63) / 64
+}
+
+/// The words of a [`BitVec`]: inline up to two (128 bits, which covers
+/// the integer, float and pointer widths of typical IR), so building or
+/// copying such a value allocates nothing; on the heap beyond. Compares
+/// and hashes as its word slice.
+#[derive(Clone)]
+enum Words {
+    Inline(u8, [u64; 2]),
+    Heap(Box<[u64]>),
+}
+
+impl Words {
+    fn zeroed(n: usize) -> Words {
+        if n <= 2 {
+            Words::Inline(n as u8, [0; 2])
+        } else {
+            Words::Heap(vec![0; n].into_boxed_slice())
+        }
+    }
+
+    fn copy_of(src: &[u64]) -> Words {
+        let mut w = Words::zeroed(src.len());
+        w.copy_from_slice(src);
+        w
+    }
+}
+
+impl std::ops::Deref for Words {
+    type Target = [u64];
+
+    fn deref(&self) -> &[u64] {
+        match self {
+            Words::Inline(n, w) => &w[..*n as usize],
+            Words::Heap(w) => w,
+        }
+    }
+}
+
+impl std::ops::DerefMut for Words {
+    fn deref_mut(&mut self) -> &mut [u64] {
+        match self {
+            Words::Inline(n, w) => &mut w[..*n as usize],
+            Words::Heap(w) => w,
+        }
+    }
+}
+
+impl PartialEq for Words {
+    fn eq(&self, other: &Words) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for Words {}
+
+impl std::hash::Hash for Words {
+    fn hash<H: std::hash::Hasher>(&self, h: &mut H) {
+        (**self).hash(h);
+    }
+}
+
+impl<'a> IntoIterator for &'a Words {
+    type Item = &'a u64;
+    type IntoIter = std::slice::Iter<'a, u64>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
 }
 
 impl BitVec {
@@ -43,7 +112,7 @@ impl BitVec {
         assert!(width > 0, "bit-vector width must be positive");
         BitVec {
             width,
-            words: vec![0; words_for(width)],
+            words: Words::zeroed(words_for(width)),
         }
     }
 
@@ -55,7 +124,7 @@ impl BitVec {
     /// Creates the all-ones value (i.e. `-1` / `UMAX`) of the given width.
     pub fn all_ones(width: u32) -> Self {
         let mut v = Self::zero(width);
-        for w in &mut v.words {
+        for w in v.words.iter_mut() {
             *w = u64::MAX;
         }
         v.canonicalize();
@@ -242,7 +311,7 @@ impl BitVec {
     /// Bitwise NOT.
     pub fn not(&self) -> Self {
         let mut r = self.clone();
-        for w in &mut r.words {
+        for w in r.words.iter_mut() {
             *w = !*w;
         }
         r.canonicalize();
@@ -303,7 +372,7 @@ impl BitVec {
     pub fn mul(&self, rhs: &Self) -> Self {
         assert_eq!(self.width, rhs.width, "width mismatch");
         let n = self.words.len();
-        let mut acc = vec![0u64; n];
+        let mut acc = Words::zeroed(n);
         for i in 0..n {
             let mut carry = 0u128;
             for j in 0..n - i {
@@ -524,7 +593,7 @@ impl BitVec {
         assert!(new_width <= self.width && new_width > 0);
         let mut r = BitVec {
             width: new_width,
-            words: self.words[..words_for(new_width)].to_vec(),
+            words: Words::copy_of(&self.words[..words_for(new_width)]),
         };
         r.canonicalize();
         r

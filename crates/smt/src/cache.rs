@@ -38,10 +38,11 @@
 //! on how jobs were spread over workers or processes, and the cache
 //! counters repeat exactly across worker counts.
 
+use crate::fxhash::{self, FxHashMap, FxHashSet, FxHasher};
 use crate::model::{Model, Value};
-use crate::term::{Ctx, FuncId, Op, Sort, TermId, VarId};
+use crate::term::{Args, Ctx, FuncId, Op, Sort, TermId, VarId};
 use std::cell::Cell;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::{Mutex, OnceLock};
 
@@ -49,9 +50,10 @@ use std::sync::{Mutex, OnceLock};
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct Fingerprint(pub u64, pub u64);
 
-/// Two independent FNV-1a-style lanes over a word stream. 64 bits alone
-/// invites birthday collisions over a long-lived daemon's cache; two
-/// lanes with different offsets and a rotation in the second make an
+/// Two independent FNV-1a-style lanes over a word stream, one multiply
+/// per word and lane. 64 bits alone invites birthday collisions over a
+/// long-lived daemon's cache; two lanes with different offsets and a
+/// rotation in the second (which carries high bits back down) make an
 /// accidental double collision astronomically unlikely (and the entry's
 /// node/variable counts are still checked on every hit).
 struct Fnv2 {
@@ -70,7 +72,8 @@ impl Fnv2 {
     }
 
     fn word(&mut self, w: u64) {
-        self.write(&w.to_le_bytes());
+        self.a = (self.a ^ w).wrapping_mul(Self::PRIME);
+        self.b = (self.b ^ w).wrapping_mul(Self::PRIME).rotate_left(23);
     }
 
     fn fingerprint(&self) -> Fingerprint {
@@ -78,15 +81,31 @@ impl Fnv2 {
     }
 }
 
-/// Lets derived `Hash` impls (term operators, sorts) feed the stream.
+/// Lets derived `Hash` impls (term operators, sorts) feed the stream, a
+/// word per integer (std's signed writes forward to the unsigned ones).
 impl Hasher for Fnv2 {
     fn write(&mut self, bytes: &[u8]) {
-        for &byte in bytes {
-            self.a = (self.a ^ u64::from(byte)).wrapping_mul(Self::PRIME);
-            self.b = (self.b ^ u64::from(byte))
-                .wrapping_mul(Self::PRIME)
-                .rotate_left(23);
-        }
+        fxhash::write_words(bytes, |w| self.word(w));
+    }
+
+    fn write_u8(&mut self, i: u8) {
+        self.word(u64::from(i));
+    }
+
+    fn write_u16(&mut self, i: u16) {
+        self.word(u64::from(i));
+    }
+
+    fn write_u32(&mut self, i: u32) {
+        self.word(u64::from(i));
+    }
+
+    fn write_u64(&mut self, i: u64) {
+        self.word(i);
+    }
+
+    fn write_usize(&mut self, i: usize) {
+        self.word(i as u64);
     }
 
     fn finish(&self) -> u64 {
@@ -125,27 +144,6 @@ const REC_PREFER: u64 = 0xA5;
 const KEY_QUERY: u64 = 0xB1;
 const KEY_OBLIGATION: u64 = 0xB2;
 
-/// The state of an ordering hash (FxHash's step): fast, and only ever
-/// used to order operands, never as a key.
-#[derive(Clone, Copy, Default)]
-struct Mix(u64);
-
-impl Hasher for Mix {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
-        }
-    }
-
-    fn write_u64(&mut self, w: u64) {
-        self.0 = (self.0.rotate_left(5) ^ w).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
 fn is_commutative(op: &Op) -> bool {
     matches!(
         op,
@@ -172,23 +170,31 @@ fn hash_op(op: &Op, sort: Sort, h: &mut impl Hasher) {
     }
 }
 
-/// A node copied out of the context, with its ordering hashes and its
-/// operands in canonical visiting order.
+/// Which variable or function a node names, if any: the part of a node
+/// that [`hash_op`] leaves out.
+#[derive(Clone, Copy)]
+enum Names {
+    Var(VarId),
+    Apply(FuncId),
+    Nothing,
+}
+
+/// A node's operands in canonical visiting order, with its ordering
+/// hashes. The operator stays in the context and is read in place.
 struct KeyNode {
-    op: Op,
-    sort: Sort,
-    args: Vec<TermId>,
+    names: Names,
+    args: Args,
     shape: u64,
     named: u64,
 }
 
 struct KeyBuilder<'a> {
     ctx: &'a Ctx,
-    universals: HashSet<TermId>,
-    nodes: HashMap<TermId, KeyNode>,
-    ids: HashMap<TermId, u32>,
+    universals: FxHashSet<TermId>,
+    nodes: FxHashMap<TermId, KeyNode>,
+    ids: FxHashMap<TermId, u32>,
     vars: Vec<TermId>,
-    funcs: HashMap<FuncId, u32>,
+    funcs: FxHashMap<FuncId, u32>,
     h: Fnv2,
 }
 
@@ -199,17 +205,17 @@ impl<'a> KeyBuilder<'a> {
         KeyBuilder {
             ctx,
             universals: universals.iter().copied().collect(),
-            nodes: HashMap::new(),
-            ids: HashMap::new(),
+            nodes: FxHashMap::default(),
+            ids: FxHashMap::default(),
             vars: Vec::new(),
-            funcs: HashMap::new(),
+            funcs: FxHashMap::default(),
             h,
         }
     }
 
-    /// Copies every node under `root` out of the context and computes its
-    /// ordering hashes bottom-up (iteratively: term DAGs can be deeper
-    /// than a worker thread's stack).
+    /// Visits every node under `root` and computes its ordering hashes
+    /// bottom-up (iteratively: term DAGs can be deeper than a worker
+    /// thread's stack).
     fn shapes(&mut self, root: TermId) {
         let mut stack = vec![(root, false)];
         while let Some((t, expanded)) = stack.pop() {
@@ -220,16 +226,14 @@ impl<'a> KeyBuilder<'a> {
             if self.nodes.contains_key(&t) {
                 continue;
             }
-            let ctx = self.ctx;
             let node = KeyNode {
-                op: ctx.op(t),
-                sort: ctx.sort(t),
-                args: ctx.args(t),
+                names: Names::Nothing,
+                args: self.ctx.args(t),
                 shape: 0,
                 named: 0,
             };
             stack.push((t, true));
-            for &a in &node.args {
+            for &a in node.args.iter() {
                 if !self.nodes.contains_key(&a) {
                     stack.push((a, false));
                 }
@@ -241,35 +245,42 @@ impl<'a> KeyBuilder<'a> {
     /// Computes a node's two ordering hashes once its operands have
     /// theirs, and sorts the operands of a commutative node.
     fn hash_node(&mut self, t: TermId) {
-        let node = &self.nodes[&t];
-        let mut shape = Mix::default();
-        hash_op(&node.op, node.sort, &mut shape);
+        let ctx = self.ctx;
+        let (mut shape, names, commutative) = ctx.with_node(t, |op, _, sort| {
+            let mut shape = FxHasher::default();
+            hash_op(op, sort, &mut shape);
+            let names = match op {
+                Op::Var(v) => Names::Var(*v),
+                Op::Apply(f) => Names::Apply(*f),
+                _ => Names::Nothing,
+            };
+            (shape, names, is_commutative(op))
+        });
         let mut named = shape;
-        match node.op {
-            Op::Var(v) => {
+        match names {
+            Names::Var(v) => {
                 self.universals.contains(&t).hash(&mut shape);
                 named = shape;
-                self.ctx.var_name(v).hash(&mut named);
+                ctx.with_var_name(v, |n| n.hash(&mut named));
             }
-            Op::Apply(f) => self.ctx.func_name(f).hash(&mut named),
-            _ => {}
+            Names::Apply(f) => ctx.with_func_name(f, |n| n.hash(&mut named)),
+            Names::Nothing => {}
         }
-        let mut args: Vec<(u64, u64, TermId)> = node
-            .args
-            .iter()
-            .map(|a| (self.nodes[a].shape, self.nodes[a].named, *a))
-            .collect();
-        if is_commutative(&node.op) {
-            args.sort_unstable();
+        let nodes = &self.nodes;
+        let order = |a: &TermId| (nodes[a].shape, nodes[a].named, *a);
+        let mut args = nodes[&t].args.clone();
+        if commutative {
+            args.sort_unstable_by_key(order);
         }
-        for &(s, n, _) in &args {
-            shape.write_u64(s);
-            named.write_u64(n);
+        for a in args.iter() {
+            shape.write_u64(nodes[a].shape);
+            named.write_u64(nodes[a].named);
         }
-        let node = self.nodes.get_mut(&t).expect("node copied before hashing");
+        let node = self.nodes.get_mut(&t).expect("node visited before hashing");
+        node.names = names;
         node.shape = shape.finish();
         node.named = named.finish();
-        node.args = args.into_iter().map(|(_, _, a)| a).collect();
+        node.args = args;
     }
 
     /// Numbers every node under `root` in canonical post-order, feeding
@@ -301,22 +312,22 @@ impl<'a> KeyBuilder<'a> {
         let node = &self.nodes[&t];
         let h = &mut self.h;
         h.word(REC_NODE);
-        hash_op(&node.op, node.sort, h);
-        match node.op {
-            Op::Var(_) => {
+        self.ctx.with_node(t, |op, _, sort| hash_op(op, sort, h));
+        match node.names {
+            Names::Var(_) => {
                 // Each node is emitted once, so this is its first occurrence.
                 h.word(self.vars.len() as u64);
                 h.word(u64::from(self.universals.contains(&t)));
                 self.vars.push(t);
             }
-            Op::Apply(f) => {
+            Names::Apply(f) => {
                 let next = self.funcs.len() as u32;
                 h.word(u64::from(*self.funcs.entry(f).or_insert(next)));
             }
-            _ => {}
+            Names::Nothing => {}
         }
         h.word(node.args.len() as u64);
-        for a in &node.args {
+        for a in node.args.iter() {
             h.word(u64::from(self.ids[a]));
         }
     }
@@ -362,7 +373,7 @@ impl TermKey {
         ctx: &Ctx,
         universals: &[TermId],
         phi: TermId,
-        seeds: &[HashMap<TermId, TermId>],
+        seeds: &[FxHashMap<TermId, TermId>],
         rewrite: bool,
         prefer_false: &[TermId],
     ) -> TermKey {
@@ -408,7 +419,7 @@ impl TermKey {
     /// solving, such as an Ackermann result), which makes the answer
     /// uncacheable.
     pub fn encode_model(&self, ctx: &Ctx, model: &Model) -> Option<Vec<(u32, Value)>> {
-        let index: HashMap<VarId, u32> = self
+        let index: FxHashMap<VarId, u32> = self
             .vars
             .iter()
             .enumerate()
@@ -766,7 +777,7 @@ mod tests {
     struct Built {
         universals: Vec<TermId>,
         phi: TermId,
-        seeds: Vec<HashMap<TermId, TermId>>,
+        seeds: Vec<FxHashMap<TermId, TermId>>,
         x: TermId,
         /// The `x & u` node.
         xu: TermId,
@@ -806,7 +817,7 @@ mod tests {
                 ctx.and(d, ctx.eq(low, ctx.bv_lit_u64(4, 3))),
             ),
         );
-        let seed = HashMap::from([(u, ctx.bv_add(x, ctx.bv_lit_u64(8, sh.seed_add)))]);
+        let seed = FxHashMap::from_iter([(u, ctx.bv_add(x, ctx.bv_lit_u64(8, sh.seed_add)))]);
         Built {
             universals: if sh.u_universal { vec![u] } else { vec![] },
             phi,

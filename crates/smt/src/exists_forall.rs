@@ -20,11 +20,11 @@
 //! `Unsat` with no CNF and no candidate check.
 
 use crate::cache::{self, CnfSizes, TermKey, TermOutcome, TermScope};
+use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::model::Model;
 use crate::sat::Budget;
 use crate::solver::{Activation, IncrementalSolver, SmtResult, Solver};
 use crate::term::{Ctx, Op, TermId};
-use std::collections::{HashMap, HashSet};
 use std::time::Instant;
 
 /// Outcome of an ∃∀ solve.
@@ -142,8 +142,8 @@ pub fn solve_exists_forall_with_seeds(
     universals: &[TermId],
     phi: TermId,
     config: EfConfig,
-    seeds: &[HashMap<TermId, TermId>],
-    settle: impl FnOnce(&HashSet<TermId>) -> Vec<HashMap<TermId, TermId>>,
+    seeds: &[FxHashMap<TermId, TermId>],
+    settle: impl FnOnce(&FxHashSet<TermId>) -> Vec<FxHashMap<TermId, TermId>>,
     prefer_false: &[TermId],
 ) -> EfResult {
     for u in universals {
@@ -213,11 +213,15 @@ fn replay(
 }
 
 /// The existential variables of an obligation: φ's free variables `free`
-/// that are not universal.
-fn existentials(free: HashSet<TermId>, universals: &[TermId]) -> Vec<TermId> {
-    free.into_iter()
+/// that are not universal, in id order (the verify step builds their
+/// values in this order).
+fn existentials(free: FxHashSet<TermId>, universals: &[TermId]) -> Vec<TermId> {
+    let mut exist: Vec<TermId> = free
+        .into_iter()
         .filter(|v| !universals.contains(v))
-        .collect()
+        .collect();
+    exist.sort_unstable();
+    exist
 }
 
 /// CEGQI's verify step: fixes the existentials to candidate `x` and
@@ -232,7 +236,7 @@ fn refute(
     rewrite: bool,
     budget: Budget,
 ) -> SmtResult {
-    let x_subst: HashMap<TermId, TermId> = exist_vars
+    let x_subst: FxHashMap<TermId, TermId> = exist_vars
         .iter()
         .map(|&v| (v, x.value_term(ctx, v)))
         .collect();
@@ -249,8 +253,8 @@ fn solve_live(
     universals: &[TermId],
     phi: TermId,
     config: EfConfig,
-    seeds: &[HashMap<TermId, TermId>],
-    settle: impl FnOnce(&HashSet<TermId>) -> Vec<HashMap<TermId, TermId>>,
+    seeds: &[FxHashMap<TermId, TermId>],
+    settle: impl FnOnce(&FxHashSet<TermId>) -> Vec<FxHashMap<TermId, TermId>>,
     prefer_false: &[TermId],
 ) -> EfResult {
     let start = Instant::now();
@@ -330,7 +334,7 @@ fn solve_live(
 
     // Instantiation set; seed with the all-zero assignment plus any
     // caller-provided seeds (completed with zeros for unmapped universals).
-    let mut zero = HashMap::new();
+    let mut zero = FxHashMap::default();
     for &u in universals {
         let m = Model::new();
         zero.insert(u, m.value_term(ctx, u));
@@ -338,7 +342,7 @@ fn solve_live(
     if settled_by_seed(ctx, residue, &zero, config.rewrite, &settle(&free)) {
         return EfResult::Unsat;
     }
-    let mut instantiations: Vec<HashMap<TermId, TermId>> =
+    let mut instantiations: Vec<FxHashMap<TermId, TermId>> =
         seeds.iter().map(|seed| completed(&zero, seed)).collect();
     instantiations.push(zero);
     let exist_vars = existentials(free, universals);
@@ -420,7 +424,7 @@ fn solve_live(
                 return EfResult::Sat(x);
             }
             SmtResult::Sat(y_model) => {
-                let mut inst = HashMap::new();
+                let mut inst = FxHashMap::default();
                 for &u in universals {
                     inst.insert(u, y_model.value_term(ctx, u));
                 }
@@ -439,9 +443,9 @@ fn solve_live(
 /// `seed` over the all-zero instantiation `zero`: universals the seed
 /// leaves unmapped take zero, and entries for other variables are ignored.
 fn completed(
-    zero: &HashMap<TermId, TermId>,
-    seed: &HashMap<TermId, TermId>,
-) -> HashMap<TermId, TermId> {
+    zero: &FxHashMap<TermId, TermId>,
+    seed: &FxHashMap<TermId, TermId>,
+) -> FxHashMap<TermId, TermId> {
     let mut inst = zero.clone();
     for (&u, &t) in seed {
         if inst.contains_key(&u) {
@@ -461,9 +465,9 @@ fn completed(
 fn settled_by_seed(
     ctx: &Ctx,
     phi: TermId,
-    zero: &HashMap<TermId, TermId>,
+    zero: &FxHashMap<TermId, TermId>,
     rewrite: bool,
-    settle: &[HashMap<TermId, TermId>],
+    settle: &[FxHashMap<TermId, TermId>],
 ) -> bool {
     if ctx.over_budget() {
         return false;
@@ -511,16 +515,16 @@ fn propagate_literals(ctx: &Ctx, mut t: TermId) -> TermId {
         // Union-find over variable terms, each class rooted at its lowest
         // id, so neither the roots nor the map below depend on the order
         // in which conjuncts are found.
-        let mut parent: HashMap<TermId, TermId> = HashMap::new();
-        let find = |parent: &HashMap<TermId, TermId>, mut v: TermId| {
+        let mut parent: FxHashMap<TermId, TermId> = FxHashMap::default();
+        let find = |parent: &FxHashMap<TermId, TermId>, mut v: TermId| {
             while let Some(&p) = parent.get(&v) {
                 v = p;
             }
             v
         };
-        let mut fixed: HashMap<TermId, TermId> = HashMap::new();
+        let mut fixed: FxHashMap<TermId, TermId> = FxHashMap::default();
         let mut members: Vec<TermId> = Vec::new();
-        let mut seen = HashSet::new();
+        let mut seen = FxHashSet::default();
         let mut stack = vec![t];
         while let Some(c) = stack.pop() {
             if !seen.insert(c) {
@@ -529,7 +533,7 @@ fn propagate_literals(ctx: &Ctx, mut t: TermId) -> TermId {
             let args = ctx.args(c);
             let (var, value) = match ctx.op(c) {
                 Op::And => {
-                    stack.extend(args);
+                    stack.extend_from_slice(&args);
                     continue;
                 }
                 Op::Var(_) => (c, true),
@@ -549,13 +553,13 @@ fn propagate_literals(ctx: &Ctx, mut t: TermId) -> TermId {
                 return ctx.fals();
             }
         }
-        let mut class_value: HashMap<TermId, TermId> = HashMap::new();
+        let mut class_value: FxHashMap<TermId, TermId> = FxHashMap::default();
         for (&v, &lit) in &fixed {
             if *class_value.entry(find(&parent, v)).or_insert(lit) != lit {
                 return ctx.fals();
             }
         }
-        let mut map: HashMap<TermId, TermId> = HashMap::new();
+        let mut map: FxHashMap<TermId, TermId> = FxHashMap::default();
         for v in members.into_iter().chain(fixed.into_keys()) {
             let root = find(&parent, v);
             let to = class_value.get(&root).copied().unwrap_or(root);
@@ -758,7 +762,7 @@ mod tests {
                     panic!("problem {i}: expected a witness, got {r:?}");
                 };
                 // The witness really holds for every universal value.
-                let x_subst = HashMap::from([(x, m.value_term(&ctx, x))]);
+                let x_subst = FxHashMap::from_iter([(x, m.value_term(&ctx, x))]);
                 let inst = ctx.substitute(*phi, &x_subst);
                 assert_eq!(
                     crate::solver::is_valid(&ctx, inst, Budget::unlimited()),
@@ -856,7 +860,7 @@ mod tests {
         let p = ctx.var("p", Sort::Bool);
         let u = ctx.var("u", Sort::BitVec(8));
         let phi = ctx.and(ctx.not(p), ctx.or(p, ctx.ne(u, x)));
-        let settle = [HashMap::from([(u, x)])];
+        let settle = [FxHashMap::from_iter([(u, x)])];
         let capped = EfConfig {
             max_iterations: 4,
             ..EfConfig::default()
@@ -915,7 +919,7 @@ mod tests {
         let w = ctx.var("w", Sort::BitVec(8));
         let u = ctx.var("u", Sort::BitVec(8));
         let phi = ctx.and(ctx.eq(x, w), ctx.ne(ctx.bv_mul(u, w), ctx.bv_mul(x, x)));
-        let settle = [HashMap::from([(u, x)])];
+        let settle = [FxHashMap::from_iter([(u, x)])];
         let instance = ctx.substitute(phi, &settle[0]);
         assert_eq!(
             ctx.as_bool_lit(crate::rewrite::simplify(&ctx, instance)),
@@ -957,7 +961,7 @@ mod tests {
         let p = ctx.var("p", Sort::Bool);
         let u = ctx.var("u", Sort::BitVec(8));
         let phi = ctx.and(ctx.or(p, ctx.ne(u, x)), ctx.eq(ctx.bv_and(u, x), u));
-        let settle = [HashMap::from([(u, x)])];
+        let settle = [FxHashMap::from_iter([(u, x)])];
         for rewrite in [false, true] {
             let config = EfConfig {
                 rewrite,
@@ -1044,7 +1048,7 @@ mod tests {
             let phi = ctx.and_many(&clauses);
             let u_term = bv(&mut rand, false);
             let q_term = [p, ctx.not(p), r, ctx.eq(x, lit(rand(4)))][rand(4) as usize];
-            let settle = [HashMap::from([(u, u_term), (q, q_term)])];
+            let settle = [FxHashMap::from_iter([(u, u_term), (q, q_term)])];
             // `e` packs x, y, p, r and `a` packs u, q.
             let holds = |t: TermId, e: u64, a: u64| {
                 let mut m = Model::new();
@@ -1061,7 +1065,7 @@ mod tests {
                 m.eval(&ctx, t).as_bool()
             };
             let witness = (0..64).any(|e| (0..8).all(|a| holds(phi, e, a)));
-            let zero = HashMap::from([(u, lit(0)), (q, ctx.fals())]);
+            let zero = FxHashMap::from_iter([(u, lit(0)), (q, ctx.fals())]);
             // Propagation keeps the instance satisfiable exactly when it was.
             let instance = ctx.substitute(phi, &completed(&zero, &settle[0]));
             let propagated = propagate_literals(&ctx, instance);

@@ -38,6 +38,7 @@ pub mod bitblast;
 pub mod bv;
 pub mod cache;
 pub mod exists_forall;
+pub mod fxhash;
 pub mod model;
 pub mod rewrite;
 pub mod sat;

@@ -1,8 +1,8 @@
 //! Models (satisfying assignments) and a concrete term evaluator.
 
 use crate::bv::BitVec;
+use crate::fxhash::FxHashMap;
 use crate::term::{Ctx, Op, Sort, TermId, VarId};
-use std::collections::HashMap;
 
 /// A concrete value: either a boolean or a bit-vector.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -55,7 +55,7 @@ impl Value {
 /// model did not matter for satisfiability.
 #[derive(Clone, Debug, Default)]
 pub struct Model {
-    values: HashMap<VarId, Value>,
+    values: FxHashMap<VarId, Value>,
 }
 
 impl Model {
@@ -99,7 +99,7 @@ impl Model {
     /// arguments and return zero (callers should Ackermannize first if
     /// function values matter).
     pub fn eval(&self, ctx: &Ctx, t: TermId) -> Value {
-        let mut memo = HashMap::new();
+        let mut memo = FxHashMap::default();
         self.eval_rec(ctx, t, &mut memo)
     }
 
@@ -121,13 +121,13 @@ impl Model {
         self.eval(ctx, t).as_bv().clone()
     }
 
-    fn eval_rec(&self, ctx: &Ctx, t: TermId, memo: &mut HashMap<TermId, Value>) -> Value {
+    fn eval_rec(&self, ctx: &Ctx, t: TermId, memo: &mut FxHashMap<TermId, Value>) -> Value {
         if let Some(v) = memo.get(&t) {
             return v.clone();
         }
         let op = ctx.op(t);
         let args = ctx.args(t);
-        let b = |i: usize, memo: &mut HashMap<TermId, Value>| -> Value {
+        let b = |i: usize, memo: &mut FxHashMap<TermId, Value>| -> Value {
             self.eval_rec(ctx, args[i], memo)
         };
         let val = match op {
@@ -197,7 +197,7 @@ impl Model {
     /// indefinite condition is definite only when both branches agree.
     /// Uninterpreted applications are always indefinite.
     pub fn try_eval(&self, ctx: &Ctx, t: TermId) -> Option<Value> {
-        let mut memo = HashMap::new();
+        let mut memo = FxHashMap::default();
         self.try_eval_rec(ctx, t, &mut memo)
     }
 
@@ -205,7 +205,7 @@ impl Model {
         &self,
         ctx: &Ctx,
         t: TermId,
-        memo: &mut HashMap<TermId, Option<Value>>,
+        memo: &mut FxHashMap<TermId, Option<Value>>,
     ) -> Option<Value> {
         if let Some(v) = memo.get(&t) {
             return v.clone();

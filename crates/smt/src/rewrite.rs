@@ -19,9 +19,9 @@
 //! differential harness in `tests/rewrite.rs` checks against the solver.
 
 use crate::bv::BitVec;
+use crate::fxhash::FxHashMap;
 use crate::term::{Ctx, Op, TermId};
 use alive2_obs::stats::RewriteFamily;
-use std::collections::HashMap;
 
 /// All rule families, in `family_idx` order (for the flush loop).
 const FAMILIES: [RewriteFamily; 6] = [
@@ -86,7 +86,7 @@ pub fn simplify(ctx: &Ctx, t: TermId) -> TermId {
 pub fn simplify_with_fuel(ctx: &Ctx, t: TermId, fuel: u64) -> TermId {
     let mut rw = Rewriter {
         ctx,
-        memo: HashMap::new(),
+        memo: FxHashMap::default(),
         fuel,
         steps: 0,
         fams: [0; 6],
@@ -106,7 +106,7 @@ pub fn simplify_with_fuel(ctx: &Ctx, t: TermId, fuel: u64) -> TermId {
 
 struct Rewriter<'a> {
     ctx: &'a Ctx,
-    memo: HashMap<TermId, TermId>,
+    memo: FxHashMap<TermId, TermId>,
     fuel: u64,
     steps: u64,
     /// Per-family fire counts, indexed like [`FAMILIES`].
@@ -127,14 +127,16 @@ impl<'a> Rewriter<'a> {
         let mut hops = 0u32;
         loop {
             let args = self.ctx.args(cur);
-            if !args.is_empty() {
-                let new_args: Vec<TermId> = args.iter().map(|&a| self.simp(a)).collect();
-                if new_args != args {
-                    let rebuilt = self.ctx.rebuild(self.ctx.op(cur), &new_args);
-                    if rebuilt != cur {
-                        cur = rebuilt;
-                        continue;
-                    }
+            // No rule rewrites a leaf (a literal or a variable).
+            if args.is_empty() {
+                break;
+            }
+            let new_args = args.map(|a| self.simp(a));
+            if *new_args != *args {
+                let rebuilt = self.ctx.rebuild(self.ctx.op(cur), &new_args);
+                if rebuilt != cur {
+                    cur = rebuilt;
+                    continue;
                 }
             }
             if self.fuel == 0 || self.ctx.over_budget() {
@@ -494,10 +496,10 @@ impl<'a> Rewriter<'a> {
     /// Decomposes `t` through BvAdd/BvSub/BvNeg/BvLit into atom
     /// coefficients plus a net literal. `None` when the tree is too large
     /// to be worth normalizing.
-    fn linear_decompose(&self, t: TermId) -> Option<(HashMap<TermId, i64>, BitVec)> {
+    fn linear_decompose(&self, t: TermId) -> Option<(FxHashMap<TermId, i64>, BitVec)> {
         let ctx = self.ctx;
         let w = ctx.sort(t).width();
-        let mut map: HashMap<TermId, i64> = HashMap::new();
+        let mut map: FxHashMap<TermId, i64> = FxHashMap::default();
         let mut lit = BitVec::zero(w);
         let mut stack: Vec<(TermId, i64)> = vec![(t, 1)];
         let mut pops = 0usize;
@@ -1103,7 +1105,7 @@ impl<'a> Rewriter<'a> {
 /// Flattens a nested chain of the same binary operator into its leaves.
 fn collect_chain(ctx: &Ctx, op: &Op, t: TermId, out: &mut Vec<TermId>) {
     if ctx.op(t) == *op {
-        for a in ctx.args(t) {
+        for &a in ctx.args(t).iter() {
             collect_chain(ctx, op, a, out);
         }
     } else {

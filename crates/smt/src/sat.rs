@@ -134,6 +134,10 @@ const LEARNT: u32 = 2;
 /// The clause length sits above the two flag bits.
 const LEN_SHIFT: u32 = 2;
 
+/// Propagations between two reads of the clock in a solve: a few
+/// milliseconds of work on the largest formulas the validator blasts.
+const POLL_PROPAGATIONS: u64 = 4096;
+
 #[derive(Clone, Copy)]
 struct Watcher {
     clause: ClauseRef,
@@ -810,7 +814,7 @@ impl SatSolver {
                     .unwrap(),
             )
         });
-        let locked: std::collections::HashSet<ClauseRef> =
+        let locked: crate::fxhash::FxHashSet<ClauseRef> =
             self.reason.iter().flatten().copied().collect();
         let target = learnt_ids.len() / 2;
         let mut removed = 0;
@@ -950,6 +954,13 @@ impl SatSolver {
         // previous call's assumptions).
         self.backtrack(0);
         let start = Instant::now();
+        let out_of_time =
+            || start.elapsed().as_millis() as u64 >= budget.max_millis || budget.deadline_passed();
+        // Conflicts and decisions alone do not pace every search: one with
+        // few of either can still propagate for seconds over a large
+        // formula. So the clock is also read every `POLL_PROPAGATIONS`
+        // propagations; that decides nothing until the budget is spent.
+        let mut next_poll = POLL_PROPAGATIONS;
         let mut restart_num = 1u64;
         let mut conflicts_until_restart = 32 * Self::luby(restart_num);
         // Every clause ever attached counts, tombstones too; basing the
@@ -957,7 +968,15 @@ impl SatSolver {
         let mut max_learnts = (self.crefs.len() / 3).max(1000);
         let mut decisions = 0u64;
         loop {
-            if let Some(conflict) = self.propagate() {
+            let conflict = self.propagate();
+            if self.stats.propagations >= next_poll {
+                next_poll = self.stats.propagations + POLL_PROPAGATIONS;
+                if out_of_time() {
+                    self.backtrack(0);
+                    return SatOutcome::TimedOut;
+                }
+            }
+            if let Some(conflict) = conflict {
                 self.stats.conflicts += 1;
                 if self.decision_level() == 0 {
                     self.ok = false;
@@ -980,10 +999,7 @@ impl SatSolver {
                     self.backtrack(0);
                     return SatOutcome::TimedOut;
                 }
-                if self.stats.conflicts % 256 == 0
-                    && (start.elapsed().as_millis() as u64 >= budget.max_millis
-                        || budget.deadline_passed())
-                {
+                if self.stats.conflicts.is_multiple_of(256) && out_of_time() {
                     self.backtrack(0);
                     return SatOutcome::TimedOut;
                 }
@@ -1039,10 +1055,7 @@ impl SatSolver {
                 // solve cooperatively reports Timeout instead of relying
                 // on an external watchdog.
                 decisions += 1;
-                if decisions % 512 == 0
-                    && (start.elapsed().as_millis() as u64 >= budget.max_millis
-                        || budget.deadline_passed())
-                {
+                if decisions.is_multiple_of(512) && out_of_time() {
                     self.backtrack(0);
                     return SatOutcome::TimedOut;
                 }
@@ -1363,6 +1376,33 @@ mod tests {
         assert_eq!(out, SatOutcome::TimedOut);
         // With a real budget the same formula is trivially Sat.
         assert_eq!(s.solve(Budget::unlimited()), SatOutcome::Sat);
+    }
+
+    #[test]
+    fn propagation_heavy_search_still_observes_time_budget() {
+        // Eight chains of 4,096 variables tied by equivalences: each
+        // decision propagates a whole chain, so the search makes eight
+        // decisions, no conflict and 32k propagations. Neither the
+        // conflict-gated nor the decision-gated check fires in so few
+        // steps; the propagation-gated one must still see the exhausted
+        // budget before the 512th decision.
+        let mut s = SatSolver::new();
+        for _ in 0..8 {
+            let chain: Vec<SatVar> = (0..4096).map(|_| s.new_var()).collect();
+            for w in chain.windows(2) {
+                s.add_clause(&[Lit::new(w[0], false), Lit::new(w[1], true)]);
+                s.add_clause(&[Lit::new(w[0], true), Lit::new(w[1], false)]);
+            }
+        }
+        let out = s.solve(Budget {
+            max_millis: 0,
+            ..Budget::unlimited()
+        });
+        assert_eq!(out, SatOutcome::TimedOut);
+        assert!(s.stats.decisions < 512, "{:?}", s.stats);
+        // With a real budget the same formula is Sat after eight decisions.
+        assert_eq!(s.solve(Budget::unlimited()), SatOutcome::Sat);
+        assert_eq!(s.stats.conflicts, 0);
     }
 
     #[test]

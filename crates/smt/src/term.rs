@@ -7,9 +7,10 @@
 //! the Alive2 paper.
 
 use crate::bv::BitVec;
+use crate::fxhash::{FxHashMap, FxHashSet, FxHasher};
 use std::cell::RefCell;
-use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// Handle to a term inside a [`Ctx`].
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
@@ -142,11 +143,75 @@ pub enum Op {
     Apply(FuncId),
 }
 
-#[derive(Clone, PartialEq, Eq, Hash)]
+/// A stored node. Its operands are `Inner::operands[first..first + arity]`.
 struct Node {
     op: Op,
-    args: Box<[TermId]>,
     sort: Sort,
+    first: u32,
+    arity: u32,
+}
+
+/// A node's operands, copied out of its [`Ctx`]: inline for arity ≤ 3
+/// (every operator but a wider `Apply`), so a walk over the DAG makes no
+/// heap allocation per node. Derefs to `[TermId]`.
+#[derive(Clone, Debug)]
+pub struct Args(ArgsRepr);
+
+#[derive(Clone, Debug)]
+enum ArgsRepr {
+    Inline(u8, [TermId; 3]),
+    Heap(Box<[TermId]>),
+}
+
+impl Args {
+    fn copy_of(ids: &[TermId]) -> Args {
+        Args(match ids.len() {
+            n @ 0..=3 => {
+                let mut inline = [TermId(0); 3];
+                inline[..n].copy_from_slice(ids);
+                ArgsRepr::Inline(n as u8, inline)
+            }
+            _ => ArgsRepr::Heap(ids.into()),
+        })
+    }
+
+    /// `f` of every operand, in order.
+    pub(crate) fn map(&self, mut f: impl FnMut(TermId) -> TermId) -> Args {
+        let mut out = self.clone();
+        for t in out.iter_mut() {
+            *t = f(*t);
+        }
+        out
+    }
+}
+
+impl std::ops::Deref for Args {
+    type Target = [TermId];
+
+    fn deref(&self) -> &[TermId] {
+        match &self.0 {
+            ArgsRepr::Inline(n, ids) => &ids[..*n as usize],
+            ArgsRepr::Heap(ids) => ids,
+        }
+    }
+}
+
+impl std::ops::DerefMut for Args {
+    fn deref_mut(&mut self) -> &mut [TermId] {
+        match &mut self.0 {
+            ArgsRepr::Inline(n, ids) => &mut ids[..*n as usize],
+            ArgsRepr::Heap(ids) => ids,
+        }
+    }
+}
+
+impl<'a> IntoIterator for &'a Args {
+    type Item = &'a TermId;
+    type IntoIter = std::slice::Iter<'a, TermId>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
 }
 
 struct VarInfo {
@@ -160,9 +225,43 @@ struct FuncInfo {
     ret_sort: Sort,
 }
 
+/// End of a hash-cons chain.
+const NIL: u32 = u32::MAX;
+
+/// The bytes [`Inner::node_bytes`] charges a node besides its operands.
+/// It is the size a node had when each one kept two boxed copies of its
+/// operands (one in the node list, one in the key of a std `HashMap`);
+/// the charge is kept, so a `--mem-budget-mb` cap trips on the node it
+/// always tripped on.
+const NODE_CHARGE: usize = 56;
+
+/// The hash-cons key of a node: its operator, operands and sort, hashed in
+/// place.
+fn node_hash(op: &Op, args: &[TermId], sort: Sort) -> u64 {
+    let mut h = FxHasher::default();
+    op.hash(&mut h);
+    sort.hash(&mut h);
+    args.hash(&mut h);
+    h.finish()
+}
+
 struct Inner {
     nodes: Vec<Node>,
-    dedup: HashMap<Node, TermId>,
+    /// Every node's operands, back to back in node order.
+    operands: Vec<TermId>,
+    /// The hash-cons table, chained over node ids: `heads[b]` is the
+    /// newest node of bucket `b` (the top bits of its hash), `next[id]`
+    /// the node after `id` in its bucket and `hashes[id]` its full hash.
+    /// A probe compares every candidate's whole node, and the table is
+    /// never iterated, so its hash decides nothing but the probe's cost.
+    heads: Vec<u32>,
+    next: Vec<u32>,
+    hashes: Vec<u64>,
+    /// `heads.len() == 1 << (64 - shift)`.
+    shift: u32,
+    /// Masks every node hash; all ones except in tests that force
+    /// collisions.
+    hash_mask: u64,
     vars: Vec<VarInfo>,
     funcs: Vec<FuncInfo>,
     /// Approximate bytes held by the DAG (nodes + dedup entries + operand
@@ -181,12 +280,29 @@ struct Inner {
 }
 
 impl Inner {
-    /// Approximate heap cost of one interned node: the node stored in
-    /// `nodes`, its clone in the `dedup` key, and both `args` boxes.
-    fn node_bytes(node: &Node) -> usize {
-        2 * (std::mem::size_of::<Node>()
-            + node.args.len() * std::mem::size_of::<TermId>()
-            + std::mem::size_of::<TermId>())
+    fn new(hash_mask: u64) -> Inner {
+        Inner {
+            nodes: Vec::new(),
+            operands: Vec::new(),
+            heads: Vec::new(),
+            next: Vec::new(),
+            hashes: Vec::new(),
+            shift: 64,
+            hash_mask,
+            vars: Vec::new(),
+            funcs: Vec::new(),
+            mem_bytes: 0,
+            mem_budget: None,
+            over: false,
+            hc_hits: 0,
+            hc_misses: 0,
+        }
+    }
+
+    /// Approximate heap cost of one interned node with `arity` operands:
+    /// the node, its dedup entry and two copies of its operands.
+    fn node_bytes(arity: usize) -> usize {
+        2 * (NODE_CHARGE + arity * std::mem::size_of::<TermId>() + std::mem::size_of::<TermId>())
     }
 
     fn charge(&mut self, bytes: usize) {
@@ -196,6 +312,63 @@ impl Inner {
                 self.over = true;
             }
         }
+    }
+
+    fn operands(&self, node: &Node) -> &[TermId] {
+        &self.operands[node.first as usize..(node.first + node.arity) as usize]
+    }
+
+    fn bucket(&self, hash: u64) -> usize {
+        // `checked_shr`: an empty table has shift 64.
+        hash.checked_shr(self.shift).unwrap_or(0) as usize
+    }
+
+    /// The node equal to `(op, args, sort)`, if one is stored.
+    fn find(&self, hash: u64, op: &Op, args: &[TermId], sort: Sort) -> Option<TermId> {
+        let mut id = *self.heads.get(self.bucket(hash))?;
+        while id != NIL {
+            let node = &self.nodes[id as usize];
+            if self.hashes[id as usize] == hash
+                && node.sort == sort
+                && node.op == *op
+                && self.operands(node) == args
+            {
+                return Some(TermId(id));
+            }
+            id = self.next[id as usize];
+        }
+        None
+    }
+
+    /// Stores a node `find` did not find and links it into its bucket,
+    /// doubling the table first once it holds a node per bucket.
+    fn insert(&mut self, hash: u64, op: Op, args: &[TermId], sort: Sort) -> TermId {
+        let id = self.nodes.len() as u32;
+        assert!(id < NIL, "term DAG exceeds u32::MAX nodes");
+        self.nodes.push(Node {
+            op,
+            sort,
+            first: self.operands.len() as u32,
+            arity: args.len() as u32,
+        });
+        self.operands.extend_from_slice(args);
+        self.hashes.push(hash);
+        self.next.push(NIL);
+        if self.nodes.len() > self.heads.len() {
+            let buckets = (self.heads.len() * 2).max(64);
+            self.shift = 64 - buckets.trailing_zeros();
+            self.heads = vec![NIL; buckets];
+            for i in 0..self.nodes.len() {
+                let b = self.bucket(self.hashes[i]);
+                self.next[i] = self.heads[b];
+                self.heads[b] = i as u32;
+            }
+        } else {
+            let b = self.bucket(hash);
+            self.next[id as usize] = self.heads[b];
+            self.heads[b] = id;
+        }
+        TermId(id)
     }
 }
 
@@ -240,17 +413,16 @@ impl Ctx {
     /// Creates an empty context.
     pub fn new() -> Self {
         Ctx {
-            inner: RefCell::new(Inner {
-                nodes: Vec::new(),
-                dedup: HashMap::new(),
-                vars: Vec::new(),
-                funcs: Vec::new(),
-                mem_bytes: 0,
-                mem_budget: None,
-                over: false,
-                hc_hits: 0,
-                hc_misses: 0,
-            }),
+            inner: RefCell::new(Inner::new(u64::MAX)),
+        }
+    }
+
+    /// A context whose hash-cons table sees every node hash masked by
+    /// `mask`, so tests can force long probe chains.
+    #[cfg(test)]
+    fn with_hash_mask(mask: u64) -> Self {
+        Ctx {
+            inner: RefCell::new(Inner::new(mask)),
         }
     }
 
@@ -297,23 +469,18 @@ impl Ctx {
         self.inner.borrow().hc_misses
     }
 
+    /// The id of the node `(op, args, sort)`: probed in place, and stored
+    /// (the only allocation) when it is new.
     fn intern(&self, op: Op, args: &[TermId], sort: Sort) -> TermId {
-        let node = Node {
-            op,
-            args: args.into(),
-            sort,
-        };
         let mut inner = self.inner.borrow_mut();
-        if let Some(&id) = inner.dedup.get(&node) {
+        let hash = node_hash(&op, args, sort) & inner.hash_mask;
+        if let Some(id) = inner.find(hash, &op, args, sort) {
             inner.hc_hits += 1;
             return id;
         }
         inner.hc_misses += 1;
-        let id = TermId(inner.nodes.len() as u32);
-        let bytes = Inner::node_bytes(&node);
-        inner.dedup.insert(node.clone(), id);
-        inner.nodes.push(node);
-        inner.charge(bytes);
+        let id = inner.insert(hash, op, args, sort);
+        inner.charge(Inner::node_bytes(args.len()));
         id
     }
 
@@ -327,9 +494,10 @@ impl Ctx {
         self.inner.borrow().nodes[t.index()].op.clone()
     }
 
-    /// The operands of a term.
-    pub fn args(&self, t: TermId) -> Vec<TermId> {
-        self.inner.borrow().nodes[t.index()].args.to_vec()
+    /// The operands of a term (a copy, inline for arity ≤ 3).
+    pub fn args(&self, t: TermId) -> Args {
+        let inner = self.inner.borrow();
+        Args::copy_of(inner.operands(&inner.nodes[t.index()]))
     }
 
     /// Declares a fresh variable. Names need not be unique; each call
@@ -359,6 +527,12 @@ impl Ctx {
     /// The name of a variable.
     pub fn var_name(&self, v: VarId) -> String {
         self.inner.borrow().vars[v.0 as usize].name.clone()
+    }
+
+    /// Calls `f` on the name of a variable without copying it. `f` must
+    /// not build terms: the context is borrowed while it runs.
+    pub fn with_var_name<R>(&self, v: VarId, f: impl FnOnce(&str) -> R) -> R {
+        f(&self.inner.borrow().vars[v.0 as usize].name)
     }
 
     /// The sort of a variable.
@@ -391,6 +565,21 @@ impl Ctx {
     /// The name of an uninterpreted function.
     pub fn func_name(&self, f: FuncId) -> String {
         self.inner.borrow().funcs[f.0 as usize].name.clone()
+    }
+
+    /// Calls `f` on the name of an uninterpreted function without copying
+    /// it. `f` must not build terms: the context is borrowed while it runs.
+    pub(crate) fn with_func_name<R>(&self, f: FuncId, g: impl FnOnce(&str) -> R) -> R {
+        g(&self.inner.borrow().funcs[f.0 as usize].name)
+    }
+
+    /// Calls `f` on the operator, operands and sort of a term without
+    /// copying them (a literal's value included). `f` must not build
+    /// terms: the context is borrowed while it runs.
+    pub(crate) fn with_node<R>(&self, t: TermId, f: impl FnOnce(&Op, &[TermId], Sort) -> R) -> R {
+        let inner = self.inner.borrow();
+        let node = &inner.nodes[t.index()];
+        f(&node.op, inner.operands(node), node.sort)
     }
 
     /// The result sort of an uninterpreted function.
@@ -539,17 +728,18 @@ impl Ctx {
         if a == b {
             return self.tru();
         }
-        match (self.as_bv_lit(a), self.as_bv_lit(b)) {
-            (Some(x), Some(y)) => return self.bool_lit(x == y),
-            _ => {}
+        // Hash-consing keeps one node per literal value, so two literal
+        // nodes are equal exactly when their ids are.
+        if self.is_bv_lit(a) && self.is_bv_lit(b) {
+            return self.fals();
         }
         // (ite c k1 k2) = k  simplifies to c / !c / true / false when the
         // branches are literals; keeps bool↔bv1 conversions cheap.
-        for (x, y) in [(a, b), (b, a)] {
-            if let (Op::Ite, Some(k)) = (self.op(x), self.as_bv_lit(y)) {
+        for (x, k) in [(a, b), (b, a)] {
+            if self.is_bv_lit(k) && self.with_node(x, |op, _, _| matches!(op, Op::Ite)) {
                 let args = self.args(x);
-                if let (Some(t), Some(e)) = (self.as_bv_lit(args[1]), self.as_bv_lit(args[2])) {
-                    return match (t == k, e == k) {
+                if self.is_bv_lit(args[1]) && self.is_bv_lit(args[2]) {
+                    return match (args[1] == k, args[2] == k) {
                         (true, true) => self.tru(),
                         (true, false) => args[0],
                         (false, true) => self.not(args[0]),
@@ -626,10 +816,41 @@ impl Ctx {
 
     /// If the term is a bit-vector literal, its value.
     pub fn as_bv_lit(&self, t: TermId) -> Option<BitVec> {
+        self.map_bv_lit(t, BitVec::clone)
+    }
+
+    /// True if the term is a bit-vector literal.
+    pub(crate) fn is_bv_lit(&self, t: TermId) -> bool {
+        matches!(self.inner.borrow().nodes[t.index()].op, Op::BvLit(_))
+    }
+
+    /// `f` of a bit-vector literal's value, which it reads in place;
+    /// `None` when the term is not a literal. `f` must not build terms.
+    pub(crate) fn map_bv_lit<R>(&self, t: TermId, f: impl FnOnce(&BitVec) -> R) -> Option<R> {
         match &self.inner.borrow().nodes[t.index()].op {
-            Op::BvLit(v) => Some(v.clone()),
+            Op::BvLit(v) => Some(f(v)),
             _ => None,
         }
+    }
+
+    /// `f` of two literals' values, read in place; `None` unless both
+    /// terms are literals.
+    fn map_bv_lits<R>(
+        &self,
+        a: TermId,
+        b: TermId,
+        f: impl FnOnce(&BitVec, &BitVec) -> R,
+    ) -> Option<R> {
+        let inner = self.inner.borrow();
+        match (&inner.nodes[a.index()].op, &inner.nodes[b.index()].op) {
+            (Op::BvLit(x), Op::BvLit(y)) => Some(f(x, y)),
+            _ => None,
+        }
+    }
+
+    /// True if `t` is the literal zero.
+    fn is_zero_lit(&self, t: TermId) -> bool {
+        self.map_bv_lit(t, BitVec::is_zero) == Some(true)
     }
 
     fn bv_binop(
@@ -641,16 +862,16 @@ impl Ctx {
     ) -> TermId {
         let sort = self.sort(a);
         assert_eq!(sort, self.sort(b), "bit-vector operand width mismatch");
-        if let (Some(x), Some(y)) = (self.as_bv_lit(a), self.as_bv_lit(b)) {
-            return self.bv_lit(fold(&x, &y));
+        if let Some(v) = self.map_bv_lits(a, b, fold) {
+            return self.bv_lit(v);
         }
         self.intern(op, &[a, b], sort)
     }
 
     /// Bitwise complement.
     pub fn bv_not(&self, a: TermId) -> TermId {
-        if let Some(x) = self.as_bv_lit(a) {
-            return self.bv_lit(x.not());
+        if let Some(x) = self.map_bv_lit(a, BitVec::not) {
+            return self.bv_lit(x);
         }
         if let Op::BvNot = self.op(a) {
             return self.args(a)[0];
@@ -661,8 +882,8 @@ impl Ctx {
 
     /// Two's-complement negation.
     pub fn bv_neg(&self, a: TermId) -> TermId {
-        if let Some(x) = self.as_bv_lit(a) {
-            return self.bv_lit(x.neg());
+        if let Some(x) = self.map_bv_lit(a, BitVec::neg) {
+            return self.bv_lit(x);
         }
         if let Op::BvNeg = self.op(a) {
             return self.args(a)[0];
@@ -686,13 +907,10 @@ impl Ctx {
     pub fn bv_and(&self, a: TermId, b: TermId) -> TermId {
         self.assert_same_width(a, b);
         for (x, y) in [(a, b), (b, a)] {
-            if let Some(v) = self.as_bv_lit(x) {
-                if v.is_zero() {
-                    return x;
-                }
-                if v.is_all_ones() {
-                    return y;
-                }
+            match self.map_bv_lit(x, |v| (v.is_zero(), v.is_all_ones())) {
+                Some((true, _)) => return x,
+                Some((_, true)) => return y,
+                _ => {}
             }
         }
         if a == b {
@@ -706,13 +924,10 @@ impl Ctx {
     pub fn bv_or(&self, a: TermId, b: TermId) -> TermId {
         self.assert_same_width(a, b);
         for (x, y) in [(a, b), (b, a)] {
-            if let Some(v) = self.as_bv_lit(x) {
-                if v.is_zero() {
-                    return y;
-                }
-                if v.is_all_ones() {
-                    return x;
-                }
+            match self.map_bv_lit(x, |v| (v.is_zero(), v.is_all_ones())) {
+                Some((true, _)) => return y,
+                Some((_, true)) => return x,
+                _ => {}
             }
         }
         if a == b {
@@ -726,10 +941,8 @@ impl Ctx {
     pub fn bv_xor(&self, a: TermId, b: TermId) -> TermId {
         self.assert_same_width(a, b);
         for (x, y) in [(a, b), (b, a)] {
-            if let Some(v) = self.as_bv_lit(x) {
-                if v.is_zero() {
-                    return y;
-                }
+            if self.is_zero_lit(x) {
+                return y;
             }
         }
         if a == b {
@@ -744,10 +957,8 @@ impl Ctx {
     pub fn bv_add(&self, a: TermId, b: TermId) -> TermId {
         self.assert_same_width(a, b);
         for (x, y) in [(a, b), (b, a)] {
-            if let Some(v) = self.as_bv_lit(x) {
-                if v.is_zero() {
-                    return y;
-                }
+            if self.is_zero_lit(x) {
+                return y;
             }
         }
         let (a, b) = if a <= b { (a, b) } else { (b, a) };
@@ -757,10 +968,8 @@ impl Ctx {
     /// Wrapping subtraction.
     pub fn bv_sub(&self, a: TermId, b: TermId) -> TermId {
         self.assert_same_width(a, b);
-        if let Some(v) = self.as_bv_lit(b) {
-            if v.is_zero() {
-                return a;
-            }
+        if self.is_zero_lit(b) {
+            return a;
         }
         if a == b {
             let w = self.sort(a).width();
@@ -773,13 +982,10 @@ impl Ctx {
     pub fn bv_mul(&self, a: TermId, b: TermId) -> TermId {
         self.assert_same_width(a, b);
         for (x, y) in [(a, b), (b, a)] {
-            if let Some(v) = self.as_bv_lit(x) {
-                if v.is_zero() {
-                    return x;
-                }
-                if v.is_one() {
-                    return y;
-                }
+            match self.map_bv_lit(x, |v| (v.is_zero(), v.is_one())) {
+                Some((true, _)) => return x,
+                Some((_, true)) => return y,
+                _ => {}
             }
         }
         let (a, b) = if a <= b { (a, b) } else { (b, a) };
@@ -809,10 +1015,8 @@ impl Ctx {
     /// Logical shift left.
     pub fn bv_shl(&self, a: TermId, b: TermId) -> TermId {
         self.assert_same_width(a, b);
-        if let Some(v) = self.as_bv_lit(b) {
-            if v.is_zero() {
-                return a;
-            }
+        if self.is_zero_lit(b) {
+            return a;
         }
         self.bv_binop(Op::BvShl, a, b, BitVec::shl)
     }
@@ -820,10 +1024,8 @@ impl Ctx {
     /// Logical shift right.
     pub fn bv_lshr(&self, a: TermId, b: TermId) -> TermId {
         self.assert_same_width(a, b);
-        if let Some(v) = self.as_bv_lit(b) {
-            if v.is_zero() {
-                return a;
-            }
+        if self.is_zero_lit(b) {
+            return a;
         }
         self.bv_binop(Op::BvLshr, a, b, BitVec::lshr)
     }
@@ -831,10 +1033,8 @@ impl Ctx {
     /// Arithmetic shift right.
     pub fn bv_ashr(&self, a: TermId, b: TermId) -> TermId {
         self.assert_same_width(a, b);
-        if let Some(v) = self.as_bv_lit(b) {
-            if v.is_zero() {
-                return a;
-            }
+        if self.is_zero_lit(b) {
+            return a;
         }
         self.bv_binop(Op::BvAshr, a, b, BitVec::ashr)
     }
@@ -847,8 +1047,8 @@ impl Ctx {
         fold: impl Fn(&BitVec, &BitVec) -> bool,
     ) -> TermId {
         assert_eq!(self.sort(a), self.sort(b), "comparison width mismatch");
-        if let (Some(x), Some(y)) = (self.as_bv_lit(a), self.as_bv_lit(b)) {
-            return self.bool_lit(fold(&x, &y));
+        if let Some(v) = self.map_bv_lits(a, b, fold) {
+            return self.bool_lit(v);
         }
         self.intern(op, &[a, b], Sort::Bool)
     }
@@ -908,8 +1108,8 @@ impl Ctx {
     /// Concatenation; `hi` becomes the high bits.
     pub fn concat(&self, hi: TermId, lo: TermId) -> TermId {
         let w = self.sort(hi).width() + self.sort(lo).width();
-        if let (Some(x), Some(y)) = (self.as_bv_lit(hi), self.as_bv_lit(lo)) {
-            return self.bv_lit(x.concat(&y));
+        if let Some(v) = self.map_bv_lits(hi, lo, BitVec::concat) {
+            return self.bv_lit(v);
         }
         self.intern(Op::Concat, &[hi, lo], Sort::BitVec(w))
     }
@@ -939,8 +1139,8 @@ impl Ctx {
         if lo == 0 && hi == w - 1 {
             return t;
         }
-        if let Some(x) = self.as_bv_lit(t) {
-            return self.bv_lit(x.extract(hi, lo));
+        if let Some(v) = self.map_bv_lit(t, |x| x.extract(hi, lo)) {
+            return self.bv_lit(v);
         }
         // extract of concat: resolve if fully within one side.
         if let Op::Concat = self.op(t) {
@@ -963,8 +1163,8 @@ impl Ctx {
         if width == w {
             return t;
         }
-        if let Some(x) = self.as_bv_lit(t) {
-            return self.bv_lit(x.zext(width));
+        if let Some(v) = self.map_bv_lit(t, |x| x.zext(width)) {
+            return self.bv_lit(v);
         }
         self.intern(Op::ZExt(width), &[t], Sort::BitVec(width))
     }
@@ -976,8 +1176,8 @@ impl Ctx {
         if width == w {
             return t;
         }
-        if let Some(x) = self.as_bv_lit(t) {
-            return self.bv_lit(x.sext(width));
+        if let Some(v) = self.map_bv_lit(t, |x| x.sext(width)) {
+            return self.bv_lit(v);
         }
         self.intern(Op::SExt(width), &[t], Sort::BitVec(width))
     }
@@ -1009,44 +1209,56 @@ impl Ctx {
     // ---- traversals ------------------------------------------------------
 
     /// Collects the set of variables appearing in `t`.
-    pub fn free_vars(&self, t: TermId) -> HashSet<TermId> {
-        let mut seen = HashSet::new();
-        let mut out = HashSet::new();
-        let mut stack = vec![t];
-        while let Some(cur) = stack.pop() {
-            if !seen.insert(cur) {
-                continue;
-            }
-            if matches!(self.op(cur), Op::Var(_)) {
-                out.insert(cur);
-            }
-            stack.extend(self.args(cur));
-        }
+    pub fn free_vars(&self, t: TermId) -> FxHashSet<TermId> {
+        let mut out = FxHashSet::default();
+        self.collect_free_vars(t, &mut FxHashSet::default(), &mut out);
         out
     }
 
     /// Collects variables of many roots.
-    pub fn free_vars_many(&self, ts: &[TermId]) -> HashSet<TermId> {
-        let mut out = HashSet::new();
+    pub fn free_vars_many(&self, ts: &[TermId]) -> FxHashSet<TermId> {
+        let (mut seen, mut out) = (FxHashSet::default(), FxHashSet::default());
         for &t in ts {
-            out.extend(self.free_vars(t));
+            self.collect_free_vars(t, &mut seen, &mut out);
         }
         out
+    }
+
+    /// Adds the variables under `t` to `out`, skipping the nodes in `seen`
+    /// (and adding the ones it visits).
+    fn collect_free_vars(
+        &self,
+        t: TermId,
+        seen: &mut FxHashSet<TermId>,
+        out: &mut FxHashSet<TermId>,
+    ) {
+        let mut stack = vec![t];
+        let inner = self.inner.borrow();
+        while let Some(cur) = stack.pop() {
+            if !seen.insert(cur) {
+                continue;
+            }
+            let node = &inner.nodes[cur.index()];
+            if let Op::Var(_) = node.op {
+                out.insert(cur);
+            }
+            stack.extend_from_slice(inner.operands(node));
+        }
     }
 
     /// Rebuilds `t` with variables substituted per `map` (var term → term).
     /// Substitution happens simultaneously; results are simplified by the
     /// smart constructors.
-    pub fn substitute(&self, t: TermId, map: &HashMap<TermId, TermId>) -> TermId {
-        let mut memo: HashMap<TermId, TermId> = HashMap::new();
+    pub fn substitute(&self, t: TermId, map: &FxHashMap<TermId, TermId>) -> TermId {
+        let mut memo: FxHashMap<TermId, TermId> = FxHashMap::default();
         self.subst_rec(t, map, &mut memo)
     }
 
     fn subst_rec(
         &self,
         t: TermId,
-        map: &HashMap<TermId, TermId>,
-        memo: &mut HashMap<TermId, TermId>,
+        map: &FxHashMap<TermId, TermId>,
+        memo: &mut FxHashMap<TermId, TermId>,
     ) -> TermId {
         if let Some(&r) = memo.get(&t) {
             return r;
@@ -1055,13 +1267,14 @@ impl Ctx {
             memo.insert(t, r);
             return r;
         }
-        let op = self.op(t);
         let args = self.args(t);
-        let new_args: Vec<TermId> = args.iter().map(|&a| self.subst_rec(a, map, memo)).collect();
-        let r = if new_args == args {
+        let new_args = args.map(|a| self.subst_rec(a, map, memo));
+        // A node with operands is never a literal, so its operator copies
+        // without touching the heap.
+        let r = if *new_args == *args {
             t
         } else {
-            self.rebuild(op, &new_args)
+            self.rebuild(self.op(t), &new_args)
         };
         memo.insert(t, r);
         r
@@ -1130,7 +1343,7 @@ impl Ctx {
             Op::Apply(f) => {
                 out.push('(');
                 out.push_str(&self.func_name(f));
-                for a in args {
+                for &a in args.iter() {
                     out.push(' ');
                     self.display_rec(a, out, depth + 1);
                 }
@@ -1189,7 +1402,7 @@ impl Ctx {
                 };
                 out.push('(');
                 out.push_str(name);
-                for a in args {
+                for &a in args.iter() {
                     out.push(' ');
                     self.display_rec(a, out, depth + 1);
                 }
@@ -1370,12 +1583,12 @@ mod tests {
         let x = ctx.var("x", Sort::BitVec(8));
         let y = ctx.var("y", Sort::BitVec(8));
         let t = ctx.bv_add(x, x);
-        let mut map = HashMap::new();
+        let mut map = FxHashMap::default();
         map.insert(x, y);
         assert_eq!(ctx.substitute(t, &map), ctx.bv_add(y, y));
         // substituting a constant folds
         let three = ctx.bv_lit_u64(8, 3);
-        let mut map2 = HashMap::new();
+        let mut map2 = FxHashMap::default();
         map2.insert(x, three);
         assert_eq!(ctx.as_bv_lit(ctx.substitute(t, &map2)).unwrap().to_u64(), 6);
     }
@@ -1420,6 +1633,88 @@ mod tests {
         let v = ctx.bool_to_bv1(c);
         assert_eq!(ctx.sort(v), Sort::BitVec(1));
         assert_eq!(ctx.bv1_to_bool(v), c);
+    }
+
+    /// The chained intern table against a brute-force dedup by linear
+    /// scan: random node sequences (literals of widths 1–128, variables,
+    /// 3-ary ites, applications of 4 to 6 operands, binary and unary
+    /// nodes over earlier ones) must get the same ids, hit and miss counts
+    /// and memory charge. The masks run the real hash, hashes cut to their
+    /// top four bits (long chains of unequal hashes) and one hash for
+    /// every node (every probe compares whole nodes).
+    #[test]
+    fn intern_table_matches_a_linear_scan_dedup() {
+        for mask in [u64::MAX, 0xF000_0000_0000_0000, 0] {
+            let ctx = Ctx::with_hash_mask(mask);
+            let mut seen: Vec<(Op, Vec<TermId>, Sort)> = Vec::new();
+            let (mut hits, mut misses, mut bytes) = (0u64, 0u64, 0usize);
+            let mut state = 0x2545_f491_4f6c_dd1du64;
+            let mut rand = |n: u64| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state % n
+            };
+            for _ in 0..4000 {
+                // Operands come from the newest nodes, so repeats are common.
+                let n = seen.len() as u64;
+                let operands = |k: u64, rand: &mut dyn FnMut(u64) -> u64| -> Vec<TermId> {
+                    (0..k)
+                        .map(|_| TermId((n - 1 - rand(n.min(24))) as u32))
+                        .collect()
+                };
+                let sort = [Sort::Bool, Sort::BitVec(1), Sort::BitVec(32)][rand(3) as usize];
+                let node = match if n == 0 { 0 } else { rand(6) } {
+                    0 => {
+                        let width = 1 + rand(128) as u32;
+                        let v = BitVec::from_words(width, &[rand(3), rand(2) << 63]);
+                        (Op::BvLit(v), vec![], Sort::BitVec(width))
+                    }
+                    1 => (Op::Var(VarId(rand(6) as u32)), vec![], sort),
+                    2 => (Op::Ite, operands(3, &mut rand), sort),
+                    3 => {
+                        let k = 4 + rand(3);
+                        (
+                            Op::Apply(FuncId(rand(2) as u32)),
+                            operands(k, &mut rand),
+                            sort,
+                        )
+                    }
+                    4 => {
+                        let op = [Op::And, Op::BvAdd, Op::Eq, Op::Concat][rand(4) as usize].clone();
+                        (op, operands(2, &mut rand), sort)
+                    }
+                    _ => (Op::Extract(rand(2) as u32, 0), operands(1, &mut rand), sort),
+                };
+                let want = match seen.iter().position(|m| *m == node) {
+                    Some(i) => {
+                        hits += 1;
+                        TermId(i as u32)
+                    }
+                    None => {
+                        misses += 1;
+                        // What a node has always been charged.
+                        bytes += 2 * (56 + 4 * node.1.len() + 4);
+                        seen.push(node.clone());
+                        TermId(n as u32)
+                    }
+                };
+                let (op, args, sort) = node;
+                assert_eq!(ctx.intern(op, &args, sort), want, "mask {mask:#x}");
+            }
+            assert!(hits > 1000 && misses > 1000, "{hits} hits, {misses} misses");
+            assert_eq!(
+                (ctx.hc_hits(), ctx.hc_misses(), ctx.mem_bytes()),
+                (hits, misses, bytes),
+                "mask {mask:#x}"
+            );
+            for (i, (op, args, sort)) in seen.iter().enumerate() {
+                let t = TermId(i as u32);
+                assert_eq!(ctx.op(t), *op);
+                assert_eq!(*ctx.args(t), args[..]);
+                assert_eq!(ctx.sort(t), *sort);
+            }
+        }
     }
 
     #[test]
