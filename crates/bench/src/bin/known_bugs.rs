@@ -70,10 +70,7 @@ fn main() {
     }
     let mut counts = Counts::default();
     for o in &outcomes {
-        counts.pairs += 1;
-        counts.diff += 1;
-        counts.record(&o.verdict);
-        counts.stats.add_job(&o.stats);
+        counts.add_outcome(o);
     }
     engine.fold_supervision_into(&mut counts.stats);
     counts.millis = started.elapsed().as_millis() as u64;

@@ -104,10 +104,7 @@ fn main() {
     let mut per_category: HashMap<BugCategory, u32> = HashMap::new();
     let mut counts = Counts::default();
     for (c, o) in candidates.iter().zip(&outcomes) {
-        counts.pairs += 1;
-        counts.diff += 1;
-        counts.record(&o.verdict);
-        counts.stats.add_job(&o.stats);
+        counts.add_outcome(o);
         if o.verdict.is_incorrect() {
             *per_category.entry(c.category).or_default() += 1;
         }

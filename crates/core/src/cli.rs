@@ -40,10 +40,8 @@ fn parse_flag<T: std::str::FromStr>(args: &[String], flag: &str) -> Result<Optio
         .map_err(|_| format!("bad value `{v}` for {flag}"))
 }
 
-fn marker_from(args: &[String], flag: &str, env: &str) -> Option<String> {
-    flag_value::<String>(args, flag)
-        .or_else(|| std::env::var(env).ok())
-        .filter(|s| !s.is_empty())
+fn marker_from(args: &[String], flag: &str) -> Option<String> {
+    flag_value::<String>(args, flag).filter(|s| !s.is_empty())
 }
 
 /// Strips the flags a supervising parent must not forward to its worker
@@ -137,9 +135,9 @@ pub fn positional_args(args: &[String], extra_valued: &[&str]) -> Vec<String> {
 ///   with `--watchdog-ms MS` / `--shard-size N` / `--shard-retries N`
 ///   tuning the watchdog, shard planner, and quarantine threshold;
 /// - `--worker-shard RUN:START:END` — (internal) run as a worker child;
-/// - `--inject-panic` / `--inject-abort` / `--inject-hang` MARKER (or
-///   the `ALIVE2_INJECT_{PANIC,ABORT,HANG}` env vars) — deterministic
-///   fault injection for the containment/supervision smoke tests.
+/// - `--inject-panic` / `--inject-abort` / `--inject-hang` MARKER —
+///   deterministic fault injection for the containment/supervision smoke
+///   tests.
 ///
 /// Exits with a diagnostic if `--journal`/`--resume` name an unusable
 /// path or `--worker-shard` is malformed; fault containment is about
@@ -201,9 +199,9 @@ pub fn engine_from_args(args: &[String]) -> ValidationEngine {
         .with_deadline_ms(deadline_ms)
         .with_journal(journal)
         .with_resume(resume)
-        .with_fault_marker(marker_from(args, "--inject-panic", "ALIVE2_INJECT_PANIC"))
-        .with_abort_marker(marker_from(args, "--inject-abort", "ALIVE2_INJECT_ABORT"))
-        .with_hang_marker(marker_from(args, "--inject-hang", "ALIVE2_INJECT_HANG"))
+        .with_fault_marker(marker_from(args, "--inject-panic"))
+        .with_abort_marker(marker_from(args, "--inject-abort"))
+        .with_hang_marker(marker_from(args, "--inject-hang"))
         .with_supervise(supervise)
         .with_worker_shard(worker_shard)
 }

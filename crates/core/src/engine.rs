@@ -126,6 +126,14 @@ impl Counts {
         }
     }
 
+    /// Counts one validated pair: its verdict and its job statistics.
+    pub fn add_outcome(&mut self, o: &Outcome) {
+        self.pairs += 1;
+        self.diff += 1;
+        self.record(&o.verdict);
+        self.stats.add_job(&o.stats);
+    }
+
     /// True when every verdict column matches `other` — wall-clock time
     /// and pair bookkeeping excluded. This is the invariant `--jobs N`
     /// must preserve against `--jobs 1`, and a resumed run against an
@@ -196,17 +204,17 @@ pub struct ValidationEngine {
     pub deadline_ms: Option<u64>,
     /// Fault-injection hook for testing containment: any job whose name
     /// contains this marker panics deliberately instead of validating.
-    /// Wired to `--inject-panic` / `ALIVE2_INJECT_PANIC` by the drivers.
+    /// Wired to `--inject-panic` by the drivers.
     pub fault_marker: Option<String>,
     /// Fault-injection hook for the *process* firewall: any job whose
     /// name contains this marker calls `std::process::abort()` — which
     /// `catch_unwind` cannot contain, so only `--procs` supervision
-    /// survives it. Wired to `--inject-abort` / `ALIVE2_INJECT_ABORT`.
+    /// survives it. Wired to `--inject-abort`.
     pub abort_marker: Option<String>,
     /// Fault-injection hook for the watchdog: any job whose name contains
     /// this marker enters an uncancellable busy loop (no deadline checks,
     /// no unwinding), so only a supervising parent's SIGKILL ends it.
-    /// Wired to `--inject-hang` / `ALIVE2_INJECT_HANG`.
+    /// Wired to `--inject-hang`.
     pub hang_marker: Option<String>,
     /// Optional outcome journal, appended to (and flushed) as each job
     /// completes — before its verdict is counted.
@@ -605,14 +613,9 @@ impl ValidationEngine {
     pub fn run_counts(&self, jobs: &[Job]) -> (Vec<Outcome>, Counts) {
         let start = Instant::now();
         let outcomes = self.run(jobs);
-        let mut counts = Counts {
-            pairs: jobs.len() as u32,
-            diff: jobs.len() as u32,
-            ..Counts::default()
-        };
+        let mut counts = Counts::default();
         for o in &outcomes {
-            counts.record(&o.verdict);
-            counts.stats.add_job(&o.stats);
+            counts.add_outcome(o);
         }
         self.fold_supervision_into(&mut counts.stats);
         counts.millis = start.elapsed().as_millis() as u64;

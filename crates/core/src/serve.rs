@@ -532,10 +532,7 @@ impl Daemon {
                 }
             };
             for o in self.engine.validate_modules_outcomes(&src, &tgt, &self.cfg) {
-                counts.pairs += 1;
-                counts.diff += 1;
-                counts.record(&o.verdict);
-                counts.stats.add_job(&o.stats);
+                counts.add_outcome(&o);
                 b.sink.send(&pair_line(&b.id, &p.name, &o));
             }
         }
@@ -827,47 +824,46 @@ pub fn serve_listen(daemon: &Arc<Daemon>, spec: &str) -> std::io::Result<Counts>
         ListenAddr::Tcp(addr) => {
             let listener = std::net::TcpListener::bind(&addr)?;
             announce(&format!("{}", listener.local_addr()?));
-            let daemon2 = Arc::clone(daemon);
-            std::thread::spawn(move || {
-                for (n, stream) in listener.incoming().enumerate() {
-                    let Ok(stream) = stream else { continue };
-                    if daemon2.is_shutdown() {
-                        break;
-                    }
-                    let daemon = Arc::clone(&daemon2);
-                    std::thread::spawn(move || {
-                        let Ok(write_half) = stream.try_clone() else {
-                            return;
-                        };
-                        serve_conn(&daemon, stream, write_half, n);
-                    });
-                }
-            });
+            let accept = move || listener.accept().map(|(s, _)| s);
+            spawn_accept_loop(daemon, accept, std::net::TcpStream::try_clone);
         }
         ListenAddr::Unix(path) => {
             let _ = std::fs::remove_file(&path);
             let listener = std::os::unix::net::UnixListener::bind(&path)?;
             announce(&format!("unix:{path}"));
-            let daemon2 = Arc::clone(daemon);
-            std::thread::spawn(move || {
-                for (n, stream) in listener.incoming().enumerate() {
-                    let Ok(stream) = stream else { continue };
-                    if daemon2.is_shutdown() {
-                        break;
-                    }
-                    let daemon = Arc::clone(&daemon2);
-                    std::thread::spawn(move || {
-                        let Ok(write_half) = stream.try_clone() else {
-                            return;
-                        };
-                        serve_conn(&daemon, stream, write_half, n);
-                    });
-                }
-            });
+            let accept = move || listener.accept().map(|(s, _)| s);
+            spawn_accept_loop(daemon, accept, std::os::unix::net::UnixStream::try_clone);
         }
     }
     daemon.run_until_drained();
     Ok(daemon.totals_snapshot())
+}
+
+/// Accepts connections on a thread of its own until the daemon shuts
+/// down, serving each on a new thread with the write half `split`
+/// makes. Connection `n` is the `n`-th accept attempt, failed ones
+/// included.
+fn spawn_accept_loop<S: Read + Write + Send + Sync + 'static>(
+    daemon: &Arc<Daemon>,
+    mut accept: impl FnMut() -> std::io::Result<S> + Send + 'static,
+    split: fn(&S) -> std::io::Result<S>,
+) {
+    let daemon = Arc::clone(daemon);
+    std::thread::spawn(move || {
+        for n in 0.. {
+            let Ok(stream) = accept() else { continue };
+            if daemon.is_shutdown() {
+                break;
+            }
+            let daemon = Arc::clone(&daemon);
+            std::thread::spawn(move || {
+                let Ok(write_half) = split(&stream) else {
+                    return;
+                };
+                serve_conn(&daemon, stream, write_half, n);
+            });
+        }
+    });
 }
 
 fn announce(addr: &str) {

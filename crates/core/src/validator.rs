@@ -14,6 +14,7 @@ use alive2_ir::module::Module;
 use alive2_obs::Phase;
 use alive2_sema::config::EncodeConfig;
 use alive2_sema::encode::{encode_function, CallSite, EncodeError, EncodedFn, Env};
+use alive2_smt::ackermann::ackermannize;
 use alive2_smt::exists_forall::{solve_exists_forall_with_seeds, EfConfig, EfResult};
 use alive2_smt::fxhash::{FxHashMap, FxHashSet, FxHasher};
 use alive2_smt::model::Model;
@@ -524,15 +525,16 @@ impl<'a> QueryEngine<'a> {
         };
         let phi0 = ctx.and(self.pre_exist, src_part);
 
-        // Uninterpreted functions must be handled before the ∃∀ split. An
+        // Uninterpreted functions must be eliminated before the ∃∀ split;
+        // the solvers take QF_BV, so nothing downstream does it. An
         // application whose arguments mention universal variables denotes a
         // value that varies with the ∀ side; we soundly over-approximate it
         // as a fresh universal (dropping its functional-consistency links),
-        // which can only hide counterexamples — never invent them. All
-        // such operators are §3.8 over-approximations anyway, so hidden
-        // counterexamples would have been reported as inconclusive.
-        let ack = alive2_smt::ackermann::ackermannize(ctx, &[phi0]);
-        let mut phi = ack.assertions[0];
+        // which can only hide counterexamples — never invent them. One
+        // that rests on a §3.8 over-approximation would have been
+        // reported as inconclusive anyway; the others are memory reads.
+        let ack = ackermannize(ctx, phi0);
+        let mut phi = ack.formula;
         let mut universals: Vec<TermId> = std::mem::take(&mut univ0);
         let uni_set: FxHashSet<TermId> = universals.iter().copied().collect();
         let mut forall_apps: FxHashSet<TermId> = Default::default();
@@ -558,6 +560,9 @@ impl<'a> QueryEngine<'a> {
         let mut pool: Vec<TermId> = self.pool.clone();
         pool.extend(exists_apps);
         pool.extend(extra_pool);
+        #[cfg(test)]
+        tests::SEED_POOLS_APPLY
+            .with(|p| p.borrow_mut().push(pool.iter().any(|&t| ctx.has_apply(t))));
         let groups = SeedGroups::new(ctx, universals.iter().chain(&pool).copied());
         let seeds = build_seeds(&groups, &universals, &pool);
         // The settling seeds: the same three maps over φ's live terms
@@ -642,15 +647,20 @@ fn check_refinement(
         rewrite: cfg.rewrite,
     };
 
-    // Query 1 (§5.3): is the precondition satisfiable at all?
+    // Query 1 (§5.3): is the precondition satisfiable at all? Every
+    // variable of it is existential, so Ackermannization is exact here.
     stats.queries += 1;
     if ctx.over_budget() {
         return Verdict::OutOfMemory;
     }
     {
+        let ack = ackermannize(ctx, pre);
         let mut s = Solver::new(ctx);
         s.set_rewrite(cfg.rewrite);
-        s.assert(pre);
+        s.assert(ack.formula);
+        for &c in &ack.constraints {
+            s.assert(c);
+        }
         match s.check(ef.budget) {
             SmtResult::Unsat => return Verdict::PreconditionFalse,
             SmtResult::Timeout => return Verdict::Timeout,
@@ -765,19 +775,20 @@ fn check_refinement(
         let both = ctx.and(src.returns, tgt.returns);
         let live = ctx.and(both, not_src_ub);
         let t_flat = t_ret.flatten(ctx);
+        // The return value is the seed pool's one non-variable term. A
+        // seed instantiates φ, which holds no application, so a value
+        // that reads memory through one stays out of the pool.
+        let ret_pool: &[TermId] = if ctx.has_apply(t_flat.value) {
+            &[]
+        } else {
+            std::slice::from_ref(&t_flat.value)
+        };
 
         // Query 4: target poison only where source poison.
         let sp = s_ret.any_poison(ctx);
         let tp = t_ret.any_poison(ctx);
         let viol4 = ctx.and_many(&[live, tp, ctx.not(sp)]);
-        if let Some(v) = engine.run(
-            env,
-            QueryKind::RetPoison,
-            viol4,
-            &[],
-            &[t_flat.value],
-            stats,
-        ) {
+        if let Some(v) = engine.run(env, QueryKind::RetPoison, viol4, &[], ret_pool, stats) {
             return v;
         }
 
@@ -800,7 +811,7 @@ fn check_refinement(
             ctx.not(tp),
         ]);
         let mut pool5 = tgt_fresh.clone();
-        pool5.push(t_flat.value);
+        pool5.extend_from_slice(ret_pool);
         if let Some(v) = engine.run(env, QueryKind::RetUndef, viol5, &src_univ, &pool5, stats) {
             return v;
         }
@@ -809,7 +820,7 @@ fn check_refinement(
         // source is well-defined.
         let refined = value_refined(ctx, cfg, env.shared_blocks, &src.ret_ty, s_ret, t_ret);
         let viol6 = ctx.and(live, ctx.not(refined));
-        if let Some(v) = engine.run(env, QueryKind::RetValue, viol6, &[], &[t_flat.value], stats) {
+        if let Some(v) = engine.run(env, QueryKind::RetValue, viol6, &[], ret_pool, stats) {
             return v;
         }
     }
@@ -890,6 +901,13 @@ pub(crate) fn model_args(env: &Env, model: &Model) -> Vec<(String, String)> {
 mod tests {
     use super::*;
     use alive2_ir::parser::parse_module;
+    use std::cell::RefCell;
+
+    thread_local! {
+        /// For each seed pool [`QueryEngine::run`] built on this thread,
+        /// whether a term in it carries an application.
+        pub(super) static SEED_POOLS_APPLY: RefCell<Vec<bool>> = const { RefCell::new(Vec::new()) };
+    }
 
     fn check(src: &str, tgt: &str) -> Verdict {
         check_cfg(src, tgt, &EncodeConfig::default())
@@ -1232,6 +1250,56 @@ exit:
         match v {
             Verdict::Inconclusive(_) | Verdict::Correct => {}
             other => panic!("must not claim a definite bug: {other:?}"),
+        }
+    }
+
+    /// Encodes the first function of `m`.
+    fn encode_first(m: &Module) -> (Env, EncodedFn) {
+        let f = &m.functions[0];
+        let env = Env::new(EncodeConfig::default(), m, f).unwrap();
+        let enc = encode_function(&env, f).unwrap();
+        (env, enc)
+    }
+
+    #[test]
+    fn seed_pools_hold_no_application() {
+        // The return value reads argument memory through `init_mem`: the
+        // one non-variable pool term, and it carries an application.
+        let text = "define i32 @f(ptr %p) {\nentry:\n  %v = load i32, ptr %p\n  ret i32 %v\n}";
+        let m = parse_module(text).unwrap();
+        let (env, enc) = encode_first(&m);
+        let ret = enc.ret.as_ref().unwrap().flatten(&env.ctx).value;
+        assert!(env.ctx.has_apply(ret));
+        let f = &m.functions[0];
+        SEED_POOLS_APPLY.with(|p| p.borrow_mut().clear());
+        assert!(validate_pair(&m, f, f, &EncodeConfig::default()).is_correct());
+        let pools = SEED_POOLS_APPLY.with(|p| p.take());
+        // Queries 2, 2b, 3 (twice), 4, 5, 6 and 7.
+        assert_eq!(pools, vec![false; 8]);
+    }
+
+    #[test]
+    fn precondition_with_an_application_keeps_its_verdicts() {
+        // Two adjacent calls of `@g`, the second on a value loaded from
+        // `%p`: the §6 call relation compares `%x` with a memory read, so
+        // Query 1's precondition carries an application, which the
+        // validator Ackermannizes before the solver sees it.
+        let func = |op: &str| {
+            format!(
+                "declare i8 @g(i8)\ndefine i8 @f(ptr %p, i8 %x) {{\nentry:\n  \
+                 %v = load i8, ptr %p\n  %a = call i8 @g(i8 %x)\n  \
+                 %b = call i8 @g(i8 %v)\n  %r = {op}\n  ret i8 %r\n}}"
+            )
+        };
+        let src = func("add i8 %a, %b");
+        let (env, enc) = encode_first(&parse_module(&src).unwrap());
+        assert!(env
+            .ctx
+            .has_apply(call_constraints(&env.ctx, &enc.calls, &enc.calls)));
+        assert!(check(&src, &func("add i8 %b, %a")).is_correct());
+        match check(&src, &func("sub i8 %a, %b")) {
+            Verdict::Incorrect(cex) => assert_eq!(cex.query, QueryKind::RetValue),
+            other => panic!("expected a return-value counterexample: {other:?}"),
         }
     }
 

@@ -76,10 +76,9 @@ pub struct QueryProfile {
     /// CNF size as bit-blasted.
     pub vars_pre: u64,
     pub clauses_pre: u64,
-    /// What the solver holds at dispatch: the blasted variables, and the
-    /// clauses resident after `add_clause`'s level-0 work (learned ones
-    /// included on an incremental solver).
-    pub vars_post: u64,
+    /// The clauses the solver holds at dispatch: those resident after
+    /// `add_clause`'s level-0 work (learned ones included on an
+    /// incremental solver).
     pub clauses_post: u64,
     /// CDCL search effort of the live solve (zero when nothing solved).
     pub conflicts: u64,
@@ -125,7 +124,7 @@ impl QueryProfile {
         };
         format!(
             "{{\"job\":\"{}\",\"wall_us\":{},\"vars_pre\":{},\"clauses_pre\":{},\
-             \"vars_post\":{},\"clauses_post\":{},\"conflicts\":{},\"decisions\":{},\
+             \"clauses_post\":{},\"conflicts\":{},\"decisions\":{},\
              \"propagations\":{},\"restarts\":{},\"learnts_kept\":{},\
              \"rewrite_steps\":{},\"discharged\":{},\"cache\":\"{}\",\
              \"incremental\":{},\"solved\":{}{iter}{obligation},\"result\":\"{}\"}}",
@@ -133,7 +132,6 @@ impl QueryProfile {
             self.wall_us,
             self.vars_pre,
             self.clauses_pre,
-            self.vars_post,
             self.clauses_post,
             self.conflicts,
             self.decisions,

@@ -148,7 +148,7 @@ pub fn render_top_queries(s: &ProfileSummary) -> String {
             q.result,
             kind,
             if q.job.is_empty() { "?" } else { &q.job },
-            q.vars_post,
+            q.vars_pre,
             q.clauses_post,
             q.conflicts,
             q.decisions,
@@ -217,7 +217,7 @@ mod tests {
             top: vec![QueryProfile {
                 job: "pair-x".into(),
                 wall_us: 1234,
-                vars_post: 8,
+                vars_pre: 8,
                 clauses_post: 21,
                 conflicts: 3,
                 decisions: 4_096,
@@ -236,6 +236,7 @@ mod tests {
         assert!(text.contains("1234"));
         assert!(text.contains("job pair-x"));
         assert!(text.contains("cegqi#2"));
+        assert!(text.contains("cnf 8v/21c"));
         assert!(text.contains("conflicts 3  decisions 4096  propagations 65537"));
         assert!(text.contains("profiles 7 (4 live solves), ring-dropped 1"));
     }

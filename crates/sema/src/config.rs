@@ -23,9 +23,6 @@ pub struct EncodeConfig {
     pub solver_memory: usize,
     /// Maximum CEGQI refinement iterations per query.
     pub max_ef_iterations: u32,
-    /// Bound on the number of `isundef` instantiations expanded in the
-    /// final formula (§3.7's exponential-growth limiter).
-    pub max_undef_instantiations: u32,
     /// Approximate cap, in megabytes, on the per-job term DAG (the paper's
     /// 1 GB-per-process analogue, enforced *before* the solver rather than
     /// by the OS). `None` means unlimited. Exceeding it yields an
@@ -49,7 +46,6 @@ impl Default for EncodeConfig {
             solver_timeout_ms: 60_000,
             solver_memory: 50_000_000,
             max_ef_iterations: 32,
-            max_undef_instantiations: 8,
             mem_budget_mb: None,
             rewrite: true,
         }

@@ -5,28 +5,30 @@
 //! constraint `args₁ = args₂ ⇒ res₁ = res₂` is added. This is sound and
 //! complete for quantifier-free formulas and lets the bit-blaster stay
 //! purely propositional.
+//!
+//! The validator is the one caller: it eliminates the applications of
+//! every formula before any solver sees it, so what a solver blasts is
+//! QF_BV. Over an ∃∀ obligation it decides per application which side
+//! the replacement variable quantifies with (see DESIGN.md, "Key
+//! algorithmic notes").
 
 use crate::fxhash::FxHashMap;
 use crate::term::{Ctx, FuncId, Op, TermId};
 
-/// Result of Ackermannizing a set of assertions.
+/// Result of Ackermannizing a formula.
 #[derive(Debug)]
 pub struct Ackermannized {
-    /// The rewritten assertions (applications replaced by variables).
-    pub assertions: Vec<TermId>,
+    /// The rewritten formula (applications replaced by variables).
+    pub formula: TermId,
     /// The added functional-consistency constraints.
     pub constraints: Vec<TermId>,
     /// Map from each original application term to its replacement variable.
     pub app_vars: Vec<(TermId, TermId)>,
 }
 
-/// Stateful Ackermannization for incremental solving: the application
-/// table persists across [`rewrite`](Self::rewrite) calls, so assertions
-/// pushed one at a time share replacement variables with everything
-/// rewritten before, and only the consistency constraints pairing *new*
-/// applications against old ones are emitted — each exactly once.
-#[derive(Debug, Default)]
-pub struct Ackermannizer {
+/// The tables of one [`ackermannize`] call.
+#[derive(Default)]
+struct Ackermannizer {
     memo: FxHashMap<TermId, TermId>,
     /// (func, rewritten args) -> replacement var
     table: FxHashMap<(FuncId, Vec<TermId>), TermId>,
@@ -36,22 +38,10 @@ pub struct Ackermannizer {
 }
 
 impl Ackermannizer {
-    /// Creates an empty rewriter.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Map from each original application term to its replacement
-    /// variable, across every `rewrite` so far.
-    pub fn app_vars(&self) -> &[(TermId, TermId)] {
-        &self.app_vars
-    }
-
-    /// Rewrites `t` to contain no `Apply` nodes. Functional-consistency
-    /// constraints for newly seen applications (paired against every
-    /// previously seen application of the same function) are appended to
-    /// `constraints`.
-    pub fn rewrite(&mut self, ctx: &Ctx, t: TermId, constraints: &mut Vec<TermId>) -> TermId {
+    /// Rewrites `t` to contain no `Apply` nodes. The consistency
+    /// constraints of each new application (paired against every earlier
+    /// application of the same function) are appended to `constraints`.
+    fn rewrite(&mut self, ctx: &Ctx, t: TermId, constraints: &mut Vec<TermId>) -> TermId {
         if let Some(&r) = self.memo.get(&t) {
             return r;
         }
@@ -97,16 +87,15 @@ impl Ackermannizer {
     }
 }
 
-/// Rewrites `assertions` so they contain no `Apply` nodes.
-pub fn ackermannize(ctx: &Ctx, assertions: &[TermId]) -> Ackermannized {
-    let mut ack = Ackermannizer::new();
+/// Rewrites `t` so it contains no `Apply` nodes. A formula without
+/// applications comes back as itself, with no constraint, and interns
+/// no term.
+pub fn ackermannize(ctx: &Ctx, t: TermId) -> Ackermannized {
+    let mut ack = Ackermannizer::default();
     let mut constraints = Vec::new();
-    let rewritten: Vec<TermId> = assertions
-        .iter()
-        .map(|&t| ack.rewrite(ctx, t, &mut constraints))
-        .collect();
+    let formula = ack.rewrite(ctx, t, &mut constraints);
     Ackermannized {
-        assertions: rewritten,
+        formula,
         constraints,
         app_vars: ack.app_vars,
     }
@@ -115,6 +104,8 @@ pub fn ackermannize(ctx: &Ctx, assertions: &[TermId]) -> Ackermannized {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sat::Budget;
+    use crate::solver::Solver;
     use crate::term::Sort;
 
     #[test]
@@ -125,17 +116,12 @@ mod tests {
         let y = ctx.var("y", Sort::BitVec(8));
         let fx = ctx.apply(f, &[x]);
         let fy = ctx.apply(f, &[y]);
-        let assertion = ctx.ne(fx, fy);
-        let ack = ackermannize(&ctx, &[assertion]);
+        let ack = ackermannize(&ctx, ctx.ne(fx, fy));
         assert_eq!(ack.app_vars.len(), 2);
         assert_eq!(ack.constraints.len(), 1);
-        // Rewritten assertion must not contain Apply.
-        fn has_apply(ctx: &Ctx, t: TermId) -> bool {
-            matches!(ctx.op(t), Op::Apply(_)) || ctx.args(t).iter().any(|&a| has_apply(ctx, a))
-        }
-        assert!(!has_apply(&ctx, ack.assertions[0]));
+        assert!(ctx.has_apply(fx) && !ctx.has_apply(ack.formula));
         for &c in &ack.constraints {
-            assert!(!has_apply(&ctx, c));
+            assert!(!ctx.has_apply(c));
         }
     }
 
@@ -147,7 +133,7 @@ mod tests {
         let fx1 = ctx.apply(f, &[x]);
         let fx2 = ctx.apply(f, &[x]);
         assert_eq!(fx1, fx2); // hash-consed
-        let ack = ackermannize(&ctx, &[ctx.eq(fx1, fx2)]);
+        let ack = ackermannize(&ctx, ctx.eq(fx1, fx2));
         assert_eq!(ack.app_vars.len(), 0); // folded away by eq(x, x) = true
     }
 
@@ -157,9 +143,44 @@ mod tests {
         let f = ctx.func("f", &[Sort::BitVec(8)], Sort::BitVec(8));
         let x = ctx.var("x", Sort::BitVec(8));
         let ffx = ctx.apply(f, &[ctx.apply(f, &[x])]);
-        let assertion = ctx.eq(ffx, x);
-        let ack = ackermannize(&ctx, &[assertion]);
+        let ack = ackermannize(&ctx, ctx.eq(ffx, x));
         assert_eq!(ack.app_vars.len(), 2);
         assert_eq!(ack.constraints.len(), 1);
+    }
+
+    #[test]
+    fn no_application_is_the_identity() {
+        let ctx = Ctx::new();
+        let x = ctx.var("x", Sort::BitVec(8));
+        let t = ctx.bv_ult(x, ctx.bv_lit_u64(8, 5));
+        let terms = ctx.num_terms();
+        let ack = ackermannize(&ctx, t);
+        assert_eq!(ack.formula, t);
+        assert!(ack.constraints.is_empty() && ack.app_vars.is_empty());
+        assert_eq!(ctx.num_terms(), terms);
+    }
+
+    /// The solvers blast what they are given: an Ackermannized formula
+    /// with its constraints asserted keeps functional consistency.
+    #[test]
+    fn ackermannized_uf_consistency_through_the_solver() {
+        let ctx = Ctx::new();
+        let f = ctx.func("f", &[Sort::BitVec(8)], Sort::BitVec(8));
+        let x = ctx.var("x", Sort::BitVec(8));
+        let y = ctx.var("y", Sort::BitVec(8));
+        let fx = ctx.apply(f, &[x]);
+        let fy = ctx.apply(f, &[y]);
+        let check = |t: TermId| {
+            let ack = ackermannize(&ctx, t);
+            let mut s = Solver::new(&ctx);
+            s.assert(ack.formula);
+            for &c in &ack.constraints {
+                s.assert(c);
+            }
+            s.check(Budget::unlimited())
+        };
+        assert!(check(ctx.and(ctx.eq(x, y), ctx.ne(fx, fy))).is_unsat());
+        // Without x == y, f(x) != f(y) is satisfiable.
+        assert!(check(ctx.ne(fx, fy)).is_sat());
     }
 }

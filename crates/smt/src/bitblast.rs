@@ -50,7 +50,7 @@ fn flip_if(l: Lit, flip: bool) -> Lit {
 /// Every clause goes through [`add_clause`](Self::add_clause) into
 /// `sat` the moment it is built, so the solver's level-0 work happens on
 /// the way in and no clause is stored twice. A one-shot check blasts its
-/// roots into a fresh blaster and solves `sat`; an incremental solver
+/// query into a fresh blaster and solves `sat`; an incremental solver
 /// keeps one blaster, and with it one warm solver, across its checks.
 ///
 /// Every gate's defining clauses are added unconditionally, so a gate's
@@ -60,7 +60,8 @@ fn flip_if(l: Lit, flip: bool) -> Lit {
 /// guarded.
 ///
 /// Uninterpreted function applications must be eliminated (Ackermannized)
-/// before blasting; encountering one is a bug and panics.
+/// before blasting; encountering one is a bug and panics, which an engine
+/// job contains as a `Crash` verdict.
 pub struct BitBlaster<'a> {
     ctx: &'a Ctx,
     /// The solver every clause goes into.
@@ -69,8 +70,11 @@ pub struct BitBlaster<'a> {
     emitted: usize,
     bool_memo: FxHashMap<TermId, Lit>,
     bv_memo: FxHashMap<TermId, Vec<Lit>>,
-    var_bool: FxHashMap<VarId, Lit>,
-    var_bits: FxHashMap<VarId, Vec<Lit>>,
+    /// The literal of every blasted boolean variable, and the literals
+    /// (LSB first) of every blasted bit-vector variable: the domain of a
+    /// solver's model.
+    pub(crate) var_bool: FxHashMap<VarId, Lit>,
+    pub(crate) var_bits: FxHashMap<VarId, Vec<Lit>>,
     /// Output literal of every gate built so far. Only ever looked up,
     /// never iterated, so its hash order cannot reach the CNF.
     gates: FxHashMap<Gate, Lit>,
@@ -136,16 +140,6 @@ impl<'a> BitBlaster<'a> {
     pub fn assert_term(&mut self, t: TermId) {
         let l = self.blast_bool(t);
         self.add_clause(&[l]);
-    }
-
-    /// The SAT literal of a boolean variable, if it was blasted.
-    pub fn bool_var_lit(&self, v: VarId) -> Option<Lit> {
-        self.var_bool.get(&v).copied()
-    }
-
-    /// The SAT literals (LSB first) of a bit-vector variable, if blasted.
-    pub fn bv_var_lits(&self, v: VarId) -> Option<&[Lit]> {
-        self.var_bits.get(&v).map(|v| v.as_slice())
     }
 
     fn const_lit(&self, b: bool) -> Lit {

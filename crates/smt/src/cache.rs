@@ -8,7 +8,7 @@
 //!
 //! - a one-shot query ([`TermKey::of_query`]): the term DAG a
 //!   [`Solver`](crate::solver::Solver) check would blast, taken after
-//!   rewriting and Ackermannization;
+//!   rewriting;
 //! - a whole ∃∀ obligation ([`TermKey::of_obligation`]), taken before
 //!   CEGQI starts, so a hit skips the rewriter, the refinement loop and
 //!   every check in it.
@@ -24,7 +24,7 @@
 //!   dominate the one that gave up).
 //! - `Sat` entries store the model over canonical variables. The caller
 //!   maps it back and re-validates it before reuse: one-shot models by
-//!   concrete evaluation of every root, obligation witnesses by the CEGQI
+//!   concrete evaluation of the query, obligation witnesses by the CEGQI
 //!   verify step. A corrupted or colliding entry degrades to a live solve
 //!   (`cache_reval`), never to a wrong verdict.
 //! - `Unsat` needs no model; a fingerprint collision is guarded by also
@@ -342,25 +342,14 @@ impl<'a> KeyBuilder<'a> {
 }
 
 impl TermKey {
-    /// The key of a one-shot query: the conjunction of `roots`, taken
-    /// after rewriting and Ackermannization. Roots are ordered by shape
-    /// too (a conjunction's model does not depend on their order).
-    pub fn of_query(ctx: &Ctx, roots: &[TermId]) -> TermKey {
+    /// The key of a one-shot query: its conjunction `root`, taken after
+    /// rewriting.
+    pub fn of_query(ctx: &Ctx, root: TermId) -> TermKey {
         let mut b = KeyBuilder::new(ctx, &[], KEY_QUERY);
-        for &r in roots {
-            b.shapes(r);
-        }
-        let mut order: Vec<(u64, u64, TermId)> = roots
-            .iter()
-            .map(|r| (b.nodes[r].shape, b.nodes[r].named, *r))
-            .collect();
-        order.sort_unstable();
-        order.dedup();
-        for (_, _, r) in order {
-            let id = b.visit(r);
-            b.h.word(REC_ROOT);
-            b.h.word(id);
-        }
+        b.shapes(root);
+        let id = b.visit(root);
+        b.h.word(REC_ROOT);
+        b.h.word(id);
         b.finish()
     }
 
@@ -415,9 +404,8 @@ impl TermKey {
     }
 
     /// `model` over canonical variables, sorted by index; `None` when it
-    /// assigns a variable the key does not cover (one created while
-    /// solving, such as an Ackermann result), which makes the answer
-    /// uncacheable.
+    /// assigns a variable the keyed terms do not mention, which makes the
+    /// answer uncacheable.
     pub fn encode_model(&self, ctx: &Ctx, model: &Model) -> Option<Vec<(u32, Value)>> {
         let index: FxHashMap<VarId, u32> = self
             .vars
@@ -474,9 +462,8 @@ pub struct CnfSizes {
     /// Variables / clauses as bit-blasted.
     pub vars_pre: u64,
     pub clauses_pre: u64,
-    /// Variables as blasted, and the clauses resident in the solver at
-    /// dispatch (what `add_clause` kept after its level-0 work).
-    pub vars_post: u64,
+    /// The clauses resident in the solver at dispatch (what `add_clause`
+    /// kept after its level-0 work).
     pub clauses_post: u64,
 }
 
@@ -695,7 +682,7 @@ mod tests {
         let (writer, _) = scopes(1);
         cache.store_term(
             writer,
-            &TermKey::of_query(&ctx, &[b]),
+            &TermKey::of_query(&ctx, b),
             TermOutcome::Unsat,
             CnfSizes::default(),
         );
@@ -703,7 +690,7 @@ mod tests {
         assert!(bytes > 0, "entry overhead counted");
         // A model payload counts too, each value's words included.
         let x = ctx.var("x", Sort::BitVec(512));
-        let key = TermKey::of_query(&ctx, &[ctx.bv_ult(x, ctx.bv_lit_u64(512, 9))]);
+        let key = TermKey::of_query(&ctx, ctx.bv_ult(x, ctx.bv_lit_u64(512, 9)));
         let wide = Value::Bv(crate::bv::BitVec::from_u64(512, 3));
         cache.store_term(
             writer,
@@ -1048,7 +1035,7 @@ mod tests {
         // One-shot query: x <u 5 (no rewriting, so the key is taken on the
         // asserted term itself); the entry says x = 9.
         let t = ctx.bv_ult(x, ctx.bv_lit_u64(4, 5));
-        let key = TermKey::of_query(&ctx, &[t]);
+        let key = TermKey::of_query(&ctx, t);
         global().store_term(writer, &key, forged(&key, x, 9), CnfSizes::default());
         let mut s = Solver::new(&ctx);
         s.set_rewrite(false);
@@ -1063,7 +1050,7 @@ mod tests {
         let cache = QueryCache::new();
         let ctx = Ctx::new();
         let b = ctx.var("b", Sort::Bool);
-        let key = TermKey::of_query(&ctx, &[b]);
+        let key = TermKey::of_query(&ctx, b);
         let sat = |v| TermOutcome::Sat(vec![(0, Value::Bool(v))]);
         let at = |engine, run, visible_below, job| TermScope {
             engine,

@@ -6,7 +6,8 @@
 //! - [`bv`]: fixed-width arbitrary-precision bit-vector values;
 //! - [`term`]: a hash-consed term DAG over booleans and bit-vectors with
 //!   simplifying smart constructors;
-//! - [`ackermann`]: elimination of uninterpreted functions;
+//! - [`ackermann`]: elimination of uninterpreted functions, which the
+//!   validator applies before any query reaches a solver;
 //! - [`bitblast`]: Tseitin conversion to CNF, written straight into the
 //!   SAT solver the blaster owns;
 //! - [`sat`]: a CDCL SAT solver with conflict/time/memory budgets;

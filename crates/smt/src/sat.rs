@@ -103,14 +103,6 @@ impl Budget {
         Self::default()
     }
 
-    /// A budget limited by wall-clock milliseconds.
-    pub fn with_millis(ms: u64) -> Self {
-        Budget {
-            max_millis: ms,
-            ..Self::default()
-        }
-    }
-
     /// This budget further capped by an absolute deadline.
     pub fn with_deadline(self, deadline: Option<Instant>) -> Self {
         Budget { deadline, ..self }

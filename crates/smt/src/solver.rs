@@ -1,16 +1,18 @@
 //! The user-facing SMT solver: assert terms, check satisfiability under a
 //! resource budget, and extract models.
 //!
-//! Two entry points share the pipeline from terms to an answer
-//! (Ackermannize, then bit-blast straight into the CDCL solver the
-//! blaster owns), one search step (CNF sizes, the solve, its counts and
-//! the projection of a SAT assignment back onto the term-level
-//! variables) and one profile tail:
+//! Both solvers take quantifier-free bit-vector formulas (QF_BV): the
+//! validator eliminates uninterpreted functions before any query reaches
+//! them, and the bit-blaster panics on an application that slips through.
+//! Two entry points share the pipeline from terms to an answer (bit-blast
+//! straight into the CDCL solver the blaster owns), one search step (CNF
+//! sizes, the solve, its counts and the projection of a SAT assignment
+//! onto the blasted variables) and one profile tail:
 //!
-//! * [`Solver`] — the one-shot path. Each check rewrites and
-//!   Ackermannizes the formula and, inside an engine job, looks the term
-//!   DAG up in the query cache before any CNF exists. A miss blasts the
-//!   DAG into a fresh blaster and searches its solver.
+//! * [`Solver`] — the one-shot path. Each check rewrites the formula
+//!   and, inside an engine job, looks the term DAG up in the query cache
+//!   before any CNF exists. A miss blasts the DAG into a fresh blaster
+//!   and searches its solver.
 //! * [`IncrementalSolver`] — a persistent push-assertion /
 //!   check-under-assumptions solver that keeps one blaster, and with it
 //!   one CDCL solver, alive across checks. Its results depend on solver
@@ -25,17 +27,16 @@
 //! `sat_solves`. A merged type would branch on which caller it serves;
 //! sharing the tail is simpler.
 
-use crate::ackermann::{ackermannize, Ackermannizer};
 use crate::bitblast::BitBlaster;
 use crate::cache::{self, CnfSizes, TermKey, TermOutcome, TermScope};
 use crate::model::{Model, Value};
 use crate::sat::{Budget, Lit, SatOutcome};
-use crate::term::{Ctx, Sort, TermId};
+use crate::term::{Ctx, TermId};
 
 /// The outcome of an SMT check.
 #[derive(Clone, Debug)]
 pub enum SmtResult {
-    /// Satisfiable, with a model over the assertions' free variables.
+    /// Satisfiable, with a model over the blasted variables.
     Sat(Model),
     /// Unsatisfiable.
     Unsat,
@@ -100,19 +101,16 @@ fn profiled(
 /// Searches what `bb` has emitted under `assumptions`, the search step
 /// both solvers share: it records the CNF sizes and the search counts in
 /// `prof`, counts a failed-assumption core, and projects a model onto
-/// the free variables of `roots`. "Pre" is the CNF as blasted, "post"
-/// the live clause population at dispatch.
+/// the blasted variables. `clauses_pre` is the CNF as blasted,
+/// `clauses_post` the live clause population at dispatch.
 fn search(
-    ctx: &Ctx,
     bb: &mut BitBlaster,
-    roots: &[TermId],
     assumptions: &[Lit],
     budget: Budget,
     prof: &mut alive2_obs::QueryProfile,
 ) -> SmtResult {
     prof.vars_pre = bb.sat.num_vars() as u64;
     prof.clauses_pre = bb.num_clauses() as u64;
-    prof.vars_post = prof.vars_pre;
     prof.clauses_post = bb.sat.num_clauses() as u64;
     prof.solved = true;
     let outcome = bb.sat.solve_assuming(assumptions, budget);
@@ -131,7 +129,7 @@ fn search(
             }
             SmtResult::Unsat
         }
-        SatOutcome::Sat => SmtResult::Sat(project_model(ctx, bb, roots)),
+        SatOutcome::Sat => SmtResult::Sat(project_model(bb)),
     }
 }
 
@@ -189,11 +187,6 @@ impl<'a> Solver<'a> {
         self.assertions.push(t);
     }
 
-    /// The asserted terms.
-    pub fn assertions(&self) -> &[TermId] {
-        &self.assertions
-    }
-
     /// Checks satisfiability of the conjunction of assertions.
     ///
     /// The returned model is *partial* in the sense of §3.8 of the paper:
@@ -235,21 +228,12 @@ impl<'a> Solver<'a> {
             alive2_obs::stats::record_rewrite_residue();
             conj = r;
         }
-        let ack = ackermannize(self.ctx, &[conj]);
-        // Roots include the Ackermann result variables (mapped back to
-        // applications by callers that care).
-        let roots: Vec<TermId> = ack
-            .assertions
-            .iter()
-            .chain(&ack.constraints)
-            .copied()
-            .collect();
 
-        // Inside an engine job the rewritten, Ackermannized DAG is keyed
-        // before any CNF exists, so a hit skips blasting and the solve.
-        let tier = cache::term_scope().map(|scope| (scope, TermKey::of_query(self.ctx, &roots)));
+        // Inside an engine job the rewritten DAG is keyed before any CNF
+        // exists, so a hit skips blasting and the solve.
+        let tier = cache::term_scope().map(|scope| (scope, TermKey::of_query(self.ctx, conj)));
         if let Some((scope, key)) = &tier {
-            if let Some(r) = self.replay(*scope, key, &roots, prof) {
+            if let Some(r) = self.replay(*scope, key, conj, prof) {
                 return r;
             }
             alive2_obs::stats::record_cache_miss();
@@ -257,7 +241,7 @@ impl<'a> Solver<'a> {
                 prof.cache = alive2_obs::profile::CacheOutcome::Miss;
             }
         }
-        let result = self.solve_roots(&roots, budget, prof);
+        let result = self.solve(conj, budget, prof);
         if let Some((scope, key)) = &tier {
             let outcome = match &result {
                 SmtResult::Unsat => Some(TermOutcome::Unsat),
@@ -268,7 +252,6 @@ impl<'a> Solver<'a> {
                 let sizes = CnfSizes {
                     vars_pre: prof.vars_pre,
                     clauses_pre: prof.clauses_pre,
-                    vars_post: prof.vars_post,
                     clauses_post: prof.clauses_post,
                 };
                 cache::global().store_term(*scope, key, outcome, sizes);
@@ -278,24 +261,22 @@ impl<'a> Solver<'a> {
     }
 
     /// Answers a query from the cache: `Unsat` as stored, `Sat` once
-    /// the stored model, mapped back onto this context, satisfies every
-    /// root. A model that fails counts as `cache_reval` and leaves the
+    /// the stored model, mapped back onto this context, satisfies
+    /// `conj`. A model that fails counts as `cache_reval` and leaves the
     /// query to the live path. A hit replays the CNF sizes of the solve
     /// that wrote the entry into `prof`.
     fn replay(
         &self,
         scope: TermScope,
         key: &TermKey,
-        roots: &[TermId],
+        conj: TermId,
         prof: &mut alive2_obs::QueryProfile,
     ) -> Option<SmtResult> {
         let (outcome, sizes) = cache::global().lookup_term(scope, key)?;
         let result = match outcome {
             TermOutcome::Unsat => SmtResult::Unsat,
             TermOutcome::Sat(bits) => match key.decode_model(self.ctx, &bits) {
-                Some(m) if roots.iter().all(|&t| m.eval(self.ctx, t).as_bool()) => {
-                    SmtResult::Sat(m)
-                }
+                Some(m) if m.eval(self.ctx, conj).as_bool() => SmtResult::Sat(m),
                 _ => {
                     alive2_obs::stats::record_cache_reval();
                     prof.cache = alive2_obs::profile::CacheOutcome::Reval;
@@ -307,54 +288,47 @@ impl<'a> Solver<'a> {
         prof.cache = alive2_obs::profile::CacheOutcome::Hit;
         prof.vars_pre = sizes.vars_pre;
         prof.clauses_pre = sizes.clauses_pre;
-        prof.vars_post = sizes.vars_post;
         prof.clauses_post = sizes.clauses_post;
         Some(result)
     }
 
-    /// Blasts `roots` into a fresh blaster and searches it with no
+    /// Blasts `conj` into a fresh blaster and searches it with no
     /// assumptions. The solver runs even when `add_clause`'s level-0
     /// propagation already settles the formula, so every blasted query
     /// is one live solve.
-    fn solve_roots(
+    fn solve(
         &self,
-        roots: &[TermId],
+        conj: TermId,
         budget: Budget,
         prof: &mut alive2_obs::QueryProfile,
     ) -> SmtResult {
         let mut bb = BitBlaster::new(self.ctx);
-        for &t in roots {
-            bb.assert_term(t);
-        }
+        bb.assert_term(conj);
         alive2_obs::stats::record_sat_solve();
-        search(self.ctx, &mut bb, roots, &[], budget, prof)
+        search(&mut bb, &[], budget, prof)
     }
 }
 
-/// Projects the satisfying assignment of `bb`'s solver back through the
-/// blaster onto the free variables of `roots`. A solver that answered
-/// `Sat` has assigned every variable it holds, so the only don't-cares
-/// are the variables the blaster never materialized: they stay out of
-/// the model, and the counterexample printer renders them as `any`, not
-/// as a fabricated zero.
-fn project_model(ctx: &Ctx, bb: &BitBlaster, roots: &[TermId]) -> Model {
-    let lit_val = |l: Lit| -> Option<bool> {
-        bb.sat
-            .value(l.var())
-            .map(|b| if l.is_positive() { b } else { !b })
-    };
+/// Projects the satisfying assignment of `bb`'s solver onto the
+/// variables the blaster materialized, which are the free variables of
+/// what it blasted. A solver that answered `Sat` has assigned every
+/// variable it holds, so the only don't-cares are the variables the
+/// blaster never materialized: they stay out of the model, and the
+/// counterexample printer renders them as `any`, not as a fabricated
+/// zero. The tables are read in hash order, which cannot reach an
+/// answer: the one reader that iterates a model sorts it.
+fn project_model(bb: &BitBlaster) -> Model {
+    let lit_val = |l: Lit| bb.sat.value(l.var()).map(|b| b == l.is_positive());
     let mut model = Model::new();
-    for vt in ctx.free_vars_many(roots) {
-        let v = ctx.as_var(vt).expect("free var is a Var term");
-        let value = match ctx.sort(vt) {
-            Sort::Bool => bb.bool_var_lit(v).and_then(lit_val).map(Value::Bool),
-            Sort::BitVec(_) => bb.bv_var_lits(v).and_then(|lits| {
-                let bits: Option<Vec<bool>> = lits.iter().map(|&l| lit_val(l)).collect();
-                bits.map(|b| Value::Bv(crate::bv::BitVec::from_bits(&b)))
-            }),
-        };
-        if let Some(value) = value {
-            model.set(v, value);
+    for (&v, &l) in &bb.var_bool {
+        if let Some(b) = lit_val(l) {
+            model.set(v, Value::Bool(b));
+        }
+    }
+    for (&v, lits) in &bb.var_bits {
+        let bits: Option<Vec<bool>> = lits.iter().map(|&l| lit_val(l)).collect();
+        if let Some(bits) = bits {
+            model.set(v, Value::Bv(crate::bv::BitVec::from_bits(&bits)));
         }
     }
     model
@@ -422,10 +396,6 @@ pub struct Activation(Lit);
 pub struct IncrementalSolver<'a> {
     ctx: &'a Ctx,
     bb: BitBlaster<'a>,
-    ack: Ackermannizer,
-    /// Every assertion root (permanent and grouped) plus the Ackermann
-    /// consistency constraints — the model projection domain.
-    roots: Vec<TermId>,
     /// Clauses the blaster had emitted at the last check.
     checked_clauses: usize,
 }
@@ -436,33 +406,19 @@ impl<'a> IncrementalSolver<'a> {
         IncrementalSolver {
             ctx,
             bb: BitBlaster::new(ctx),
-            ack: Ackermannizer::new(),
-            roots: Vec::new(),
             checked_clauses: 0,
         }
     }
 
-    /// Ackermannizes `t` incrementally and blasts it to a single literal,
-    /// or to `None` when it folded to `true`. A folded `false` blasts to
-    /// the false constant, whose clause the solver reduces to `¬g` (or
-    /// to the empty clause for a permanent assertion). Consistency
-    /// constraints pairing new applications against all previously
-    /// pushed ones are asserted permanently (sound even for grouped
-    /// assertions: the constraints are implications over shared
-    /// application variables).
+    /// Blasts `t` to a single literal, or to `None` when it folded to
+    /// `true`. A folded `false` blasts to the false constant, whose
+    /// clause the solver reduces to `¬g` (or to the empty clause for a
+    /// permanent assertion).
     fn blast_root(&mut self, t: TermId) -> Option<Lit> {
-        let mut constraints = Vec::new();
-        let r = self.ack.rewrite(self.ctx, t, &mut constraints);
-        for c in constraints {
-            self.roots.push(c);
-            let l = self.bb.blast_bool(c);
-            self.bb.add_clause(&[l]);
-        }
-        if self.ctx.as_bool_lit(r) == Some(true) {
+        if self.ctx.as_bool_lit(t) == Some(true) {
             return None;
         }
-        self.roots.push(r);
-        Some(self.bb.blast_bool(r))
+        Some(self.bb.blast_bool(t))
     }
 
     /// Pushes a permanent assertion (must be boolean-sorted). There is no
@@ -505,14 +461,7 @@ impl<'a> IncrementalSolver<'a> {
             alive2_obs::stats::record_learnts_kept(self.bb.sat.num_learnts() as u64);
             self.bb.sat.reset_phases();
             let assumptions: Vec<Lit> = active.iter().map(|a| a.0).collect();
-            search(
-                self.ctx,
-                &mut self.bb,
-                &self.roots,
-                &assumptions,
-                budget,
-                prof,
-            )
+            search(&mut self.bb, &assumptions, budget, prof)
         })
     }
 
@@ -594,24 +543,6 @@ mod tests {
         // x - 1 == x + 1 is invalid
         let t3 = ctx.eq(ctx.bv_sub(x, one), ctx.bv_add(x, one));
         assert_eq!(is_valid(&ctx, t3, Budget::unlimited()), Some(false));
-    }
-
-    #[test]
-    fn uf_consistency() {
-        let ctx = Ctx::new();
-        let f = ctx.func("f", &[Sort::BitVec(8)], Sort::BitVec(8));
-        let x = ctx.var("x", Sort::BitVec(8));
-        let y = ctx.var("y", Sort::BitVec(8));
-        let fx = ctx.apply(f, &[x]);
-        let fy = ctx.apply(f, &[y]);
-        let mut s = Solver::new(&ctx);
-        s.assert(ctx.eq(x, y));
-        s.assert(ctx.ne(fx, fy));
-        assert!(s.check(Budget::unlimited()).is_unsat());
-        // Without x == y, f(x) != f(y) is satisfiable.
-        let mut s2 = Solver::new(&ctx);
-        s2.assert(ctx.ne(fx, fy));
-        assert!(s2.check(Budget::unlimited()).is_sat());
     }
 
     #[test]
@@ -929,23 +860,6 @@ mod tests {
         assert!(r.is_unsat());
         assert_eq!(d.assumption_cores, 1);
         assert_eq!(s.failed_groups(), vec![g]);
-    }
-
-    #[test]
-    fn incremental_uf_consistency_across_pushes() {
-        // Ackermann constraints must pair applications pushed in
-        // *different* assert calls.
-        let ctx = Ctx::new();
-        let f = ctx.func("f", &[Sort::BitVec(8)], Sort::BitVec(8));
-        let x = ctx.var("x", Sort::BitVec(8));
-        let y = ctx.var("y", Sort::BitVec(8));
-        let mut s = IncrementalSolver::new(&ctx);
-        s.assert(ctx.eq(ctx.apply(f, &[x]), ctx.bv_lit_u64(8, 1)));
-        assert!(s.check(&[], Budget::unlimited()).is_sat());
-        s.assert(ctx.eq(ctx.apply(f, &[y]), ctx.bv_lit_u64(8, 2)));
-        assert!(s.check(&[], Budget::unlimited()).is_sat());
-        s.assert(ctx.eq(x, y)); // forces f(x) = f(y), i.e. 1 = 2
-        assert!(s.check(&[], Budget::unlimited()).is_unsat());
     }
 
     #[test]

@@ -1224,6 +1224,13 @@ impl Ctx {
         out
     }
 
+    /// True if an uninterpreted function application occurs in `t`.
+    pub fn has_apply(&self, t: TermId) -> bool {
+        self.walk(t, &mut FxHashSet::default(), |_, op| {
+            matches!(op, Op::Apply(_))
+        })
+    }
+
     /// Adds the variables under `t` to `out`, skipping the nodes in `seen`
     /// (and adding the ones it visits).
     fn collect_free_vars(
@@ -1232,6 +1239,22 @@ impl Ctx {
         seen: &mut FxHashSet<TermId>,
         out: &mut FxHashSet<TermId>,
     ) {
+        self.walk(t, seen, |cur, op| {
+            if let Op::Var(_) = op {
+                out.insert(cur);
+            }
+            false
+        });
+    }
+
+    /// Visits the nodes under `t` that are not in `seen` (adding them),
+    /// until `stop` returns true for one; returns whether it did.
+    fn walk(
+        &self,
+        t: TermId,
+        seen: &mut FxHashSet<TermId>,
+        mut stop: impl FnMut(TermId, &Op) -> bool,
+    ) -> bool {
         let mut stack = vec![t];
         let inner = self.inner.borrow();
         while let Some(cur) = stack.pop() {
@@ -1239,11 +1262,12 @@ impl Ctx {
                 continue;
             }
             let node = &inner.nodes[cur.index()];
-            if let Op::Var(_) = node.op {
-                out.insert(cur);
+            if stop(cur, &node.op) {
+                return true;
             }
             stack.extend_from_slice(inner.operands(node));
         }
+        false
     }
 
     /// Rebuilds `t` with variables substituted per `map` (var term → term).

@@ -133,10 +133,7 @@ pub fn alive_tv_main() -> ExitCode {
             "----------------------------------------\n@{}:",
             outcome.name
         );
-        counts.pairs += 1;
-        counts.diff += 1;
-        counts.record(&outcome.verdict);
-        counts.stats.add_job(&outcome.stats);
+        counts.add_outcome(&outcome);
         match outcome.verdict {
             Verdict::Incorrect(cex) => {
                 for line in cex.to_string().lines() {

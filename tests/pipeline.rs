@@ -35,6 +35,13 @@ fn validate_case(text: &str, bugs: BugSet, cfg: &EncodeConfig) -> Vec<(&'static 
     out
 }
 
+/// The clean pipeline and the ten bug-seeded ones.
+fn every_pipeline() -> Vec<BugSet> {
+    let mut pipelines = vec![BugSet::none()];
+    pipelines.extend(BugId::all().into_iter().map(BugSet::only));
+    pipelines
+}
+
 #[test]
 fn clean_pipeline_never_miscompiles_the_corpus() {
     let cfg = EncodeConfig::default();
@@ -197,8 +204,7 @@ fn dup_call_and_two_slot_pairs_settle_through_every_pipeline() {
     // Both used to reach the CEGQI loop (3 and 35 iterations) and time
     // out at the unit_pipeline limit.
     let cfg = EncodeConfig::default();
-    let mut pipelines = vec![BugSet::none()];
-    pipelines.extend(BugId::all().into_iter().map(BugSet::only));
+    let pipelines = every_pipeline();
     for name in ["dup-readnone-call", "promote-two-slots"] {
         let case = corpus().into_iter().find(|c| c.name == name).unwrap();
         let module = parse_module(case.text).unwrap();
@@ -218,6 +224,32 @@ fn dup_call_and_two_slot_pairs_settle_through_every_pipeline() {
         }
         assert!(validated >= pipelines.len(), "{name}: {validated} pairs");
     }
+}
+
+#[test]
+fn dup_gep_pairs_are_correct_through_every_pipeline() {
+    // `dup-gep` loads twice through equal GEPs of `%p`, so its return
+    // value reads argument memory through `init_mem`, an uninterpreted
+    // function. That value stays out of the seed pool, and every query
+    // reaches the solvers Ackermannized; an application that slipped
+    // through would panic in the bit-blaster.
+    let cfg = EncodeConfig::default();
+    let case = corpus().into_iter().find(|c| c.name == "dup-gep").unwrap();
+    let module = parse_module(case.text).unwrap();
+    let pipelines = every_pipeline();
+    let mut validated = 0;
+    for bugs in &pipelines {
+        let mut f = module.functions[0].clone();
+        let pm = PassManager::default_pipeline(bugs.clone());
+        for (pass, before, after) in pm.run_with_snapshots(&mut f) {
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
+            let (v, stats) =
+                validate_pair_with_deadline(&module, &before, &after, &cfg, Some(deadline));
+            assert!(v.is_correct(), "{pass} {bugs:?}: {v:?} {stats:?}");
+            validated += 1;
+        }
+    }
+    assert!(validated >= pipelines.len(), "{validated} pairs");
 }
 
 #[test]
