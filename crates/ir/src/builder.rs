@@ -54,22 +54,6 @@ impl FunctionBuilder {
         Operand::Reg(name)
     }
 
-    /// Adds a parameter with attributes.
-    pub fn param_with_attrs(
-        &mut self,
-        name: impl Into<String>,
-        ty: Type,
-        attrs: ParamAttrs,
-    ) -> Operand {
-        let name = name.into();
-        self.func.params.push(Param {
-            name: name.clone(),
-            ty,
-            attrs,
-        });
-        Operand::Reg(name)
-    }
-
     /// Sets function attributes.
     pub fn attrs(&mut self, attrs: FnAttrs) -> &mut Self {
         self.func.attrs = attrs;
@@ -238,11 +222,6 @@ impl FunctionBuilder {
         self.stmt(InstOp::Ret {
             val: Some((ty, val)),
         })
-    }
-
-    /// `ret void`.
-    pub fn ret_void(&mut self) -> &mut Self {
-        self.stmt(InstOp::Ret { val: None })
     }
 
     /// Unconditional branch.

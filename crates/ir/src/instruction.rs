@@ -110,14 +110,6 @@ impl BinOpKind {
         )
     }
 
-    /// True if the operator accepts the `exact` flag.
-    pub fn supports_exact(self) -> bool {
-        matches!(
-            self,
-            BinOpKind::UDiv | BinOpKind::SDiv | BinOpKind::LShr | BinOpKind::AShr
-        )
-    }
-
     /// True for division/remainder (immediate UB on zero divisor).
     pub fn is_div_rem(self) -> bool {
         matches!(

@@ -209,13 +209,6 @@ impl LoopForest {
         self.loops.iter().any(|l| l.irreducible)
     }
 
-    /// Indices of top-level (outermost) loops.
-    pub fn top_level(&self) -> Vec<usize> {
-        (0..self.loops.len())
-            .filter(|&i| self.loops[i].parent.is_none())
-            .collect()
-    }
-
     /// Post-order traversal of the loop forest: inner loops before the
     /// loops that contain them — the unrolling order of §7.
     pub fn post_order(&self) -> Vec<usize> {

@@ -55,11 +55,6 @@ impl Module {
         self.functions.iter().find(|f| f.name == name)
     }
 
-    /// Finds a function mutably by name.
-    pub fn function_mut(&mut self, name: &str) -> Option<&mut Function> {
-        self.functions.iter_mut().find(|f| f.name == name)
-    }
-
     /// Finds a global by name.
     pub fn global(&self, name: &str) -> Option<&GlobalVar> {
         self.globals.iter().find(|g| g.name == name)

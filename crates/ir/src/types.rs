@@ -98,11 +98,6 @@ impl Type {
         Type::Array(n, Box::new(elem))
     }
 
-    /// True for `iN`.
-    pub fn is_int(&self) -> bool {
-        matches!(self, Type::Int(_))
-    }
-
     /// True for floating-point types.
     pub fn is_float(&self) -> bool {
         matches!(self, Type::Float(_))
@@ -116,16 +111,6 @@ impl Type {
     /// True for vectors.
     pub fn is_vector(&self) -> bool {
         matches!(self, Type::Vector(..))
-    }
-
-    /// True for vectors, arrays and structs.
-    pub fn is_aggregate(&self) -> bool {
-        matches!(self, Type::Vector(..) | Type::Array(..) | Type::Struct(_))
-    }
-
-    /// True for types a `ret`/argument can carry (everything but void).
-    pub fn is_first_class(&self) -> bool {
-        !matches!(self, Type::Void)
     }
 
     /// The integer width.

@@ -133,6 +133,17 @@ pub fn verify_function(f: &Function) -> Vec<VerifyError> {
     let cfg = Cfg::new(f);
     let dom = Dominators::new(&cfg);
 
+    // The entry block runs once, before everything else (LLVM's rule).
+    if !cfg.preds[0].is_empty() {
+        err(
+            &mut errors,
+            format!(
+                "@{}: entry block %{} has predecessors",
+                f.name, f.blocks[0].name
+            ),
+        );
+    }
+
     // φ nodes: one incoming entry per CFG predecessor.
     for (bi, b) in f.blocks.iter().enumerate() {
         let preds: HashSet<&str> = cfg.preds[bi]
@@ -386,6 +397,21 @@ join:
     fn bad_branch_target() {
         let errs = check("define void @f() {\nentry:\n  br label %nowhere\n}");
         assert!(errs.iter().any(|e| e.message.contains("unknown label")));
+    }
+
+    #[test]
+    fn entry_block_with_predecessors() {
+        let errs = check(
+            r#"define i8 @f(i8 %a, i1 %c) {
+entry:
+  %x = add i8 %a, 1
+  br i1 %c, label %entry, label %exit
+exit:
+  ret i8 %x
+}"#,
+        );
+        assert_eq!(errs.len(), 1, "{errs:?}");
+        assert_eq!(errs[0].message, "@f: entry block %entry has predecessors");
     }
 
     #[test]

@@ -377,8 +377,6 @@ pub struct EncodedFn {
     pub overapprox: Vec<TermId>,
     /// The final memory.
     pub mem: SymMemory,
-    /// True if the function contained loops that were unrolled.
-    pub had_loops: bool,
 }
 
 struct FnEncoder<'e> {
@@ -425,9 +423,9 @@ pub fn encode_function(env: &Env, f: &Function) -> Result<EncodedFn, EncodeError
     if !errs.is_empty() {
         unsupported::<()>(format!("ill-formed IR: {}", errs[0]))?;
     }
-    let unrolled =
-        unroll_loops(f, env.cfg.unroll_factor).map_err(|e| Unsupported { reason: e.reason })?;
-    let func = unrolled.func;
+    let func = unroll_loops(f, env.cfg.unroll_factor)
+        .map_err(|e| Unsupported { reason: e.reason })?
+        .func;
     let ctx = &env.ctx;
 
     let mut mem = SymMemory::new(ctx, env.cfg, env.init_mem);
@@ -560,7 +558,6 @@ pub fn encode_function(env: &Env, f: &Function) -> Result<EncodedFn, EncodeError
         calls: enc.calls,
         overapprox: enc.overapprox,
         mem: enc.mem,
-        had_loops: unrolled.had_loops,
     })
 }
 
@@ -2450,7 +2447,6 @@ exit:
   ret i32 %acc
 }"#,
         );
-        assert!(enc.had_loops);
         let ctx = &env.ctx;
         // The default factor (2) allows two header executions, i.e. n <= 1.
         let mut m = Model::new();

@@ -512,11 +512,6 @@ impl SymMemory {
     pub fn final_byte(&mut self, ctx: &Ctx, addr: TermId, fresh_acc: &mut Vec<TermId>) -> TermId {
         self.load_byte(ctx, addr, fresh_acc)
     }
-
-    /// Number of stores recorded (diagnostics / tests).
-    pub fn store_count(&self) -> usize {
-        self.stores.len()
-    }
 }
 
 #[cfg(test)]

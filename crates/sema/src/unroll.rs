@@ -8,18 +8,21 @@
 //! the function's precondition, so verification is restricted to paths that
 //! finish within the unroll bound (bounded translation validation).
 //!
-//! Loop-exit values are patched with the paper's conservative strategy:
-//! existing φ nodes are extended with entries for each copy, and any
-//! remaining definition that no longer dominates a use is demoted to a
-//! fresh stack slot (the paper's "introduce a new stack variable"
-//! fallback).
+//! Loop-exit values take one of two routes. A φ outside the loop that
+//! reads a value over an exit edge is extended with one entry per copy.
+//! Every other use after the loop of a value defined in it is demoted to
+//! a fresh stack slot before the loop is copied (the paper's "introduce a
+//! new stack variable" fallback), so each exit reads the value of the
+//! iteration that left. The unrolled function then goes through
+//! [`verify_function`], the one check of what valid SSA is; output it
+//! rejects is an [`UnrollError`].
 
 use alive2_ir::cfg::Cfg;
-use alive2_ir::dominators::Dominators;
 use alive2_ir::function::{Block, Function};
 use alive2_ir::instruction::{InstOp, Instruction, Operand};
 use alive2_ir::loops::LoopForest;
-use std::collections::{HashMap, HashSet};
+use alive2_ir::verify::verify_function;
+use std::collections::HashSet;
 
 /// Label of the sink block introduced by unrolling. The encoder recognizes
 /// it by name.
@@ -55,11 +58,13 @@ pub fn is_sink_label(label: &str) -> bool {
 }
 
 /// Unrolls every loop of `f` by `factor` and returns a loop-free function.
+/// `f` must be well-formed ([`verify_function`] accepts it).
 ///
 /// # Errors
 ///
-/// Returns an [`UnrollError`] for irreducible control flow or a zero
-/// factor.
+/// Returns an [`UnrollError`] for irreducible control flow, a zero
+/// factor, or unrolled output that [`verify_function`] rejects (the
+/// error carries the verifier's first message).
 pub fn unroll_loops(f: &Function, factor: u32) -> Result<Unrolled, UnrollError> {
     if factor == 0 {
         return Err(UnrollError {
@@ -103,7 +108,11 @@ pub fn unroll_loops(f: &Function, factor: u32) -> Result<Unrolled, UnrollError> 
     }
     if had_loops {
         ensure_sink(&mut func);
-        demote_broken_ssa(&mut func);
+        if let Some(e) = verify_function(&func).into_iter().next() {
+            return Err(UnrollError {
+                reason: format!("unrolled IR is ill-formed: {e}"),
+            });
+        }
     }
     Ok(Unrolled { func, had_loops })
 }
@@ -493,194 +502,10 @@ fn ensure_sink(func: &mut Function) {
     }
 }
 
-/// Demotes to a stack slot every register whose definition no longer
-/// dominates one of its uses — the paper's memory fallback for complex
-/// loop-exit values.
-fn demote_broken_ssa(func: &mut Function) {
-    let def_types = func.def_types();
-    let cfg = Cfg::new(func);
-    let dom = Dominators::new(&cfg);
-    // def block per register (params = entry).
-    let mut def_block: HashMap<String, usize> = HashMap::new();
-    for p in &func.params {
-        def_block.insert(p.name.clone(), 0);
-    }
-    for (bi, b) in func.blocks.iter().enumerate() {
-        for inst in &b.insts {
-            if let Some(r) = &inst.result {
-                def_block.insert(r.clone(), bi);
-            }
-        }
-    }
-    // Find broken uses.
-    let mut broken: HashSet<String> = HashSet::new();
-    for (bi, b) in func.blocks.iter().enumerate() {
-        if !dom.is_reachable(bi) {
-            continue;
-        }
-        let mut defined_here: HashSet<&str> = HashSet::new();
-        for inst in &b.insts {
-            if let InstOp::Phi { incoming, .. } = &inst.op {
-                for (v, from) in incoming {
-                    if let Some(r) = v.as_reg() {
-                        if let (Some(&db), Some(fb)) = (def_block.get(r), func.block_index(from)) {
-                            if dom.is_reachable(fb) && !dom.dominates(db, fb) {
-                                broken.insert(r.to_string());
-                            }
-                        }
-                    }
-                }
-            } else {
-                for op in inst.op.operands() {
-                    if let Some(r) = op.as_reg() {
-                        if let Some(&db) = def_block.get(r) {
-                            let ok = if db == bi {
-                                defined_here.contains(r)
-                            } else {
-                                dom.strictly_dominates(db, bi)
-                            };
-                            if !ok {
-                                broken.insert(r.to_string());
-                            }
-                        }
-                    }
-                }
-            }
-            if let Some(r) = &inst.result {
-                defined_here.insert(r);
-            }
-        }
-    }
-    if broken.is_empty() {
-        return;
-    }
-
-    // Demote each broken register: alloca a slot in the entry block, store
-    // after every definition, reload before every use that needs it.
-    let mut reload_n = 0usize;
-    for reg in broken {
-        let Some(ty) = def_types.get(&reg).cloned() else {
-            continue;
-        };
-        let slot = func.fresh_reg(&format!("{reg}.slot"));
-        let def_bi = *def_block.get(&reg).unwrap_or(&0);
-        // Insert the alloca at the top of the entry block.
-        func.blocks[0].insts.insert(
-            0,
-            Instruction::with_result(
-                slot.clone(),
-                InstOp::Alloca {
-                    elem_ty: ty.clone(),
-                    count: Operand::int(64, 1),
-                    align: 0,
-                },
-            ),
-        );
-        // Store after the definition.
-        for b in &mut func.blocks {
-            let mut i = 0;
-            while i < b.insts.len() {
-                if b.insts[i].result.as_deref() == Some(reg.as_str()) {
-                    let store = Instruction::stmt(InstOp::Store {
-                        ty: ty.clone(),
-                        val: Operand::Reg(reg.clone()),
-                        ptr: Operand::Reg(slot.clone()),
-                        align: 0,
-                    });
-                    b.insts.insert(i + 1, store);
-                    i += 1;
-                }
-                i += 1;
-            }
-        }
-        // Rewrite uses (outside the defining block) as reloads.
-        let nblocks = func.blocks.len();
-        for bi in 0..nblocks {
-            if bi == def_bi {
-                continue;
-            }
-            let mut i = 0;
-            while i < func.blocks[bi].insts.len() {
-                let uses_reg = {
-                    let inst = &func.blocks[bi].insts[i];
-                    if matches!(inst.op, InstOp::Phi { .. }) {
-                        false // φ incoming edges handled via stores; see below
-                    } else {
-                        inst.op
-                            .operands()
-                            .iter()
-                            .any(|o| o.as_reg() == Some(reg.as_str()))
-                    }
-                };
-                if uses_reg {
-                    let reload = format!("{reg}.reload{reload_n}");
-                    reload_n += 1;
-                    let load = Instruction::with_result(
-                        reload.clone(),
-                        InstOp::Load {
-                            ty: ty.clone(),
-                            ptr: Operand::Reg(slot.clone()),
-                            align: 0,
-                        },
-                    );
-                    func.blocks[bi].insts.insert(i, load);
-                    i += 1;
-                    func.blocks[bi].insts[i].op.map_operands(|op| {
-                        if op.as_reg() == Some(reg.as_str()) {
-                            *op = Operand::Reg(reload.clone());
-                        }
-                    });
-                }
-                i += 1;
-            }
-            // φ uses: load at the end of each incoming block instead.
-            let mut phi_edits: Vec<(usize, String)> = Vec::new();
-            for (ii, inst) in func.blocks[bi].insts.iter().enumerate() {
-                if let InstOp::Phi { incoming, .. } = &inst.op {
-                    for (v, from) in incoming {
-                        if v.as_reg() == Some(reg.as_str()) && from != &func.blocks[bi].name {
-                            phi_edits.push((ii, from.clone()));
-                        }
-                    }
-                }
-            }
-            for (ii, from) in phi_edits {
-                let Some(from_bi) = func.block_index(&from) else {
-                    continue;
-                };
-                if from_bi == def_bi {
-                    continue;
-                }
-                let reload = format!("{reg}.reload{reload_n}");
-                reload_n += 1;
-                let load = Instruction::with_result(
-                    reload.clone(),
-                    InstOp::Load {
-                        ty: ty.clone(),
-                        ptr: Operand::Reg(slot.clone()),
-                        align: 0,
-                    },
-                );
-                let at = func.blocks[from_bi].insts.len().saturating_sub(1);
-                func.blocks[from_bi].insts.insert(at, load);
-                if let InstOp::Phi { incoming, .. } = &mut func.blocks[bi].insts[ii].op {
-                    for (v, f2) in incoming {
-                        if v.as_reg() == Some(reg.as_str()) && f2 == &from {
-                            *v = Operand::Reg(reload.clone());
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use alive2_ir::loops::LoopForest;
     use alive2_ir::parser::parse_function;
-    use alive2_ir::verify::verify_function;
 
     fn count_loop(src: &str, factor: u32) -> Function {
         let f = parse_function(src).unwrap();
@@ -820,6 +645,36 @@ exit:
 }"#;
         let f = parse_function(src).unwrap();
         assert!(unroll_loops(&f, 2).is_err());
+    }
+
+    #[test]
+    fn parameters_keep_their_uses() {
+        // A parameter dominates every block, so its uses in the entry block
+        // and after the loop stay as they are: no slot, no reload.
+        let src = r#"define i8 @f(i8 %a, i1 %c) {
+entry:
+  %x = add i8 %a, 0
+  br label %loop
+loop:
+  br i1 %c, label %loop, label %exit
+exit:
+  %r = add i8 %a, 1
+  ret i8 %r
+}"#;
+        let f = count_loop(src, 2);
+        let insts: Vec<String> = f
+            .blocks
+            .iter()
+            .flat_map(|b| b.insts.iter().map(|i| i.to_string()))
+            .collect();
+        assert!(insts.iter().any(|i| i == "%x = add i8 %a, 0"), "{f}");
+        assert!(insts.iter().any(|i| i == "%r = add i8 %a, 1"), "{f}");
+        assert!(
+            !insts
+                .iter()
+                .any(|i| i.contains("alloca") || i.contains("load")),
+            "{f}"
+        );
     }
 
     #[test]

@@ -57,11 +57,6 @@ impl SmtResult {
         matches!(self, SmtResult::Unsat)
     }
 
-    /// True if the check ran out of resources.
-    pub fn is_resource_exhausted(&self) -> bool {
-        matches!(self, SmtResult::Timeout | SmtResult::OutOfMemory)
-    }
-
     /// The model, if satisfiable.
     pub fn model(&self) -> Option<&Model> {
         match self {

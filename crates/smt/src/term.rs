@@ -214,11 +214,6 @@ impl<'a> IntoIterator for &'a Args {
     }
 }
 
-struct VarInfo {
-    name: String,
-    sort: Sort,
-}
-
 struct FuncInfo {
     name: String,
     arg_sorts: Vec<Sort>,
@@ -234,6 +229,11 @@ const NIL: u32 = u32::MAX;
 /// the charge is kept, so a `--mem-budget-mb` cap trips on the node it
 /// always tripped on.
 const NODE_CHARGE: usize = 56;
+
+/// The bytes [`Ctx::var`] charges a variable besides its name: the size
+/// of its table entry when the entry also held the variable's sort (its
+/// node holds it). Kept for the reason [`NODE_CHARGE`] is.
+const VAR_CHARGE: usize = 32;
 
 /// The hash-cons key of a node: its operator, operands and sort, hashed in
 /// place.
@@ -262,7 +262,8 @@ struct Inner {
     /// Masks every node hash; all ones except in tests that force
     /// collisions.
     hash_mask: u64,
-    vars: Vec<VarInfo>,
+    /// Variable names, by [`VarId`].
+    vars: Vec<String>,
     funcs: Vec<FuncInfo>,
     /// Approximate bytes held by the DAG (nodes + dedup entries + operand
     /// slices). The DAG is append-only, so this is also the live size.
@@ -506,11 +507,8 @@ impl Ctx {
         let vid = {
             let mut inner = self.inner.borrow_mut();
             let vid = VarId(inner.vars.len() as u32);
-            inner.vars.push(VarInfo {
-                name: name.to_string(),
-                sort,
-            });
-            inner.charge(std::mem::size_of::<VarInfo>() + name.len());
+            inner.vars.push(name.to_string());
+            inner.charge(VAR_CHARGE + name.len());
             vid
         };
         self.intern(Op::Var(vid), &[], sort)
@@ -526,18 +524,13 @@ impl Ctx {
 
     /// The name of a variable.
     pub fn var_name(&self, v: VarId) -> String {
-        self.inner.borrow().vars[v.0 as usize].name.clone()
+        self.inner.borrow().vars[v.0 as usize].clone()
     }
 
     /// Calls `f` on the name of a variable without copying it. `f` must
     /// not build terms: the context is borrowed while it runs.
     pub fn with_var_name<R>(&self, v: VarId, f: impl FnOnce(&str) -> R) -> R {
-        f(&self.inner.borrow().vars[v.0 as usize].name)
-    }
-
-    /// The sort of a variable.
-    pub fn var_sort(&self, v: VarId) -> Sort {
-        self.inner.borrow().vars[v.0 as usize].sort
+        f(&self.inner.borrow().vars[v.0 as usize])
     }
 
     /// Number of variables declared.

@@ -67,11 +67,6 @@ impl Rng64 {
         r
     }
 
-    /// The next 32-bit output (upper bits of the 64-bit stream).
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Uniform `u64` in `[lo, hi)`. Uses the widening-multiply range
     /// reduction (Lemire); the residual bias over a 64-bit stream is
     /// immaterial for test generation.

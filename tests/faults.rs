@@ -218,3 +218,28 @@ fn out_of_bounds_aggregate_index_is_unsupported_not_crash() {
         results[0].1
     );
 }
+
+/// A branch back to the entry block is ill-formed (LLVM's verifier rejects
+/// it too), so the pair is skipped as unsupported. The unroller's
+/// live-out demotion cannot place a slot in a loop's entry block; without
+/// the rule the pair reached that invariant and crashed its job.
+#[test]
+fn branch_to_the_entry_block_is_unsupported_not_crash() {
+    let pair = |k: u8| {
+        parse_module(&format!(
+            "define i8 @f(i8 %a, i1 %c) {{\nentry:\n  %x = add i8 %a, {k}\n  \
+             br i1 %c, label %entry, label %exit\nexit:\n  ret i8 %x\n}}"
+        ))
+        .unwrap()
+    };
+    let (src, tgt) = (pair(1), pair(2));
+    let jobs = jobs_of(&src, &tgt, EncodeConfig::default());
+    let outcomes = ValidationEngine::sequential().run(&jobs);
+    match &outcomes[0].verdict {
+        Verdict::Unsupported(reason) => assert_eq!(
+            reason,
+            "ill-formed IR: @f: entry block %entry has predecessors"
+        ),
+        other => panic!("expected Unsupported, got {other:?}"),
+    }
+}
