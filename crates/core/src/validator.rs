@@ -14,6 +14,7 @@ use alive2_ir::module::Module;
 use alive2_obs::Phase;
 use alive2_sema::config::EncodeConfig;
 use alive2_sema::encode::{encode_function, CallSite, EncodeError, EncodedFn, Env};
+use alive2_sema::value::SymValue;
 use alive2_smt::ackermann::ackermannize;
 use alive2_smt::exists_forall::{solve_exists_forall_with_seeds, EfConfig, EfResult};
 use alive2_smt::fxhash::{FxHashMap, FxHashSet, FxHasher};
@@ -456,6 +457,77 @@ fn build_seed(
     seed
 }
 
+/// The *matched* settling seed: walks each (source term, target term)
+/// pair of `pairs` in parallel, depth first and operands in order, and
+/// binds every universal that is `live` (free in φ) to the target term in
+/// the same position. Positions line up where the two operators agree;
+/// where they differ, each operand of the source term that has the target
+/// term's sort is paired with the whole target term, which maps `or %a,
+/// %a` onto the `%a` that replaced it. A pair of different sorts binds
+/// nothing, the first binding of a universal wins, and a target term
+/// that holds a universal or an application is never bound, so the
+/// instance stays a term over the existentials with no application, like
+/// φ. The walk visits each pair once and reads no hash-map order, so the
+/// seed depends only on the terms.
+///
+/// The positional seeds of [`build_seeds`] pair universals with pool
+/// entries by creation order, which misses when an optimization removed
+/// or merged reads: after `%v = or %a, %a; mul %a, %v` → `mul %a, %a`,
+/// the source has three reads of `%a` and the target two, and the third
+/// takes the wrong one.
+fn matched_seed(
+    ctx: &Ctx,
+    live: &FxHashSet<TermId>,
+    universals: &FxHashSet<TermId>,
+    pairs: &[(TermId, TermId)],
+) -> FxHashMap<TermId, TermId> {
+    let plain =
+        |t: TermId| !ctx.has_apply(t) && ctx.free_vars(t).iter().all(|v| !universals.contains(v));
+    let mut seed = FxHashMap::default();
+    let mut bindable: FxHashMap<TermId, bool> = FxHashMap::default();
+    let mut seen: FxHashSet<(TermId, TermId)> = FxHashSet::default();
+    let mut stack: Vec<(TermId, TermId)> = pairs.iter().rev().copied().collect();
+    while let Some((s, t)) = stack.pop() {
+        if s == t || ctx.sort(s) != ctx.sort(t) || !seen.insert((s, t)) {
+            continue;
+        }
+        if universals.contains(&s) {
+            if live.contains(&s)
+                && !seed.contains_key(&s)
+                && *bindable.entry(t).or_insert_with(|| plain(t))
+            {
+                seed.insert(s, t);
+            }
+            continue;
+        }
+        let (sargs, targs) = (ctx.args(s), ctx.args(t));
+        let next = stack.len();
+        if ctx.op(s) == ctx.op(t) && sargs.len() == targs.len() {
+            stack.extend(sargs.iter().copied().zip(targs.iter().copied()));
+        } else {
+            stack.extend(sargs.iter().map(|&a| (a, t)));
+        }
+        stack[next..].reverse();
+    }
+    seed
+}
+
+/// The `(value, poison)` pairs of two return values, element by element
+/// through aggregates of one shape, for [`matched_seed`].
+fn value_pairs(s: &SymValue, t: &SymValue, out: &mut Vec<(TermId, TermId)>) {
+    match (s, t) {
+        (SymValue::Scalar(s), SymValue::Scalar(t)) => {
+            out.extend([(s.value, t.value), (s.poison, t.poison)]);
+        }
+        (SymValue::Aggregate(s), SymValue::Aggregate(t)) if s.len() == t.len() => {
+            for (s, t) in s.iter().zip(t) {
+                value_pairs(s, t, out);
+            }
+        }
+        _ => {}
+    }
+}
+
 /// Shared state for dispatching the §5.3 queries.
 struct QueryEngine<'a> {
     ctx: &'a Ctx,
@@ -474,14 +546,20 @@ struct QueryEngine<'a> {
     /// Every argument's `isundef` and `ispoison` flag: a counterexample
     /// prefers defined inputs when one exists.
     input_flags: Vec<TermId>,
+    /// The (source, target) term pairs every query compares, for the
+    /// matched settling seed: UB, the return domain, no-return, the
+    /// return value and its poison, and each call's guard, arguments and
+    /// argument poisons by call index.
+    pairs: Vec<(TermId, TermId)>,
     ef: EfConfig,
 }
 
 impl<'a> QueryEngine<'a> {
     /// Runs one negated-refinement query. `extra_universals` join the ∀
     /// side (per-query source refreshes); `extra_pool` extends the seed
-    /// pool (per-query target refreshes and output terms). Returns `None`
-    /// when the property holds.
+    /// pool (per-query target refreshes and output terms), and
+    /// `extra_pairs` the matched seed's pairs. Returns `None` when the
+    /// property holds.
     fn run(
         &self,
         env: &Env,
@@ -489,6 +567,7 @@ impl<'a> QueryEngine<'a> {
         violation: TermId,
         extra_universals: &[TermId],
         extra_pool: &[TermId],
+        extra_pairs: &[(TermId, TermId)],
         stats: &mut ValidateStats,
     ) -> Option<Verdict> {
         stats.queries += 1;
@@ -565,20 +644,37 @@ impl<'a> QueryEngine<'a> {
             .with(|p| p.borrow_mut().push(pool.iter().any(|&t| ctx.has_apply(t))));
         let groups = SeedGroups::new(ctx, universals.iter().chain(&pool).copied());
         let seeds = build_seeds(&groups, &universals, &pool);
-        // The settling seeds: the same three maps over φ's live terms
-        // (`live` is φ's free variables).
-        let settle = |live: &FxHashSet<TermId>| {
-            let live_universals: Vec<TermId> = universals
-                .iter()
-                .copied()
-                .filter(|u| live.contains(u))
-                .collect();
-            let live_pool: Vec<TermId> = pool
-                .iter()
-                .copied()
-                .filter(|t| ctx.as_var(*t).is_none() || live.contains(t))
-                .collect();
-            Vec::from(build_seeds(&groups, &live_universals, &live_pool))
+        // The settling stages (`live` is φ's free variables): the same
+        // three maps over φ's live terms, then, if they fail, the matched
+        // seed.
+        let settle = |live: &FxHashSet<TermId>, stage: usize| match stage {
+            0 => {
+                let live_universals: Vec<TermId> = universals
+                    .iter()
+                    .copied()
+                    .filter(|u| live.contains(u))
+                    .collect();
+                let live_pool: Vec<TermId> = pool
+                    .iter()
+                    .copied()
+                    .filter(|t| ctx.as_var(*t).is_none() || live.contains(t))
+                    .collect();
+                Some(Vec::from(build_seeds(
+                    &groups,
+                    &live_universals,
+                    &live_pool,
+                )))
+            }
+            // A matched seed that binds nothing would only add the zero
+            // instance, which the loop's first check holds anyway.
+            1 => {
+                let all: FxHashSet<TermId> = universals.iter().copied().collect();
+                let pairs: Vec<(TermId, TermId)> =
+                    self.pairs.iter().chain(extra_pairs).copied().collect();
+                let seed = matched_seed(ctx, live, &all, &pairs);
+                (!seed.is_empty()).then(|| vec![seed])
+            }
+            _ => None,
         };
         match solve_exists_forall_with_seeds(
             ctx,
@@ -681,6 +777,29 @@ fn check_refinement(
         vars
     };
 
+    let mut pairs = vec![
+        (src.ub, tgt.ub),
+        (src.returns, tgt.returns),
+        (src.noreturn, tgt.noreturn),
+    ];
+    if let (Some(s), Some(t)) = (&src.ret, &tgt.ret) {
+        value_pairs(s, t, &mut pairs);
+    }
+    for (s, t) in src.calls.iter().zip(&tgt.calls) {
+        pairs.push((s.guard, t.guard));
+        pairs.extend(
+            s.arg_values
+                .iter()
+                .copied()
+                .zip(t.arg_values.iter().copied()),
+        );
+        pairs.extend(
+            s.arg_poisons
+                .iter()
+                .copied()
+                .zip(t.arg_poisons.iter().copied()),
+        );
+    }
     let engine = QueryEngine {
         ctx,
         pre_exist,
@@ -695,6 +814,7 @@ fn check_refinement(
             .flat_map(|a| &a.vars)
             .flat_map(|v| [v.isundef, v.ispoison])
             .collect(),
+        pairs,
         ef,
     };
 
@@ -705,6 +825,7 @@ fn check_refinement(
         env,
         QueryKind::TargetMoreUb,
         ctx.and(tgt.ub, not_src_ub),
+        &[],
         &[],
         &[],
         stats,
@@ -740,6 +861,7 @@ fn check_refinement(
             ctx.and(any, not_src_ub),
             &[],
             &[],
+            &[],
             stats,
         ) {
             return v;
@@ -754,6 +876,7 @@ fn check_refinement(
         ctx.and(dom_diff, not_src_ub),
         &[],
         &[],
+        &[],
         stats,
     ) {
         return v;
@@ -763,6 +886,7 @@ fn check_refinement(
         env,
         QueryKind::ReturnDomain,
         ctx.and(noret_diff, not_src_ub),
+        &[],
         &[],
         &[],
         stats,
@@ -788,7 +912,7 @@ fn check_refinement(
         let sp = s_ret.any_poison(ctx);
         let tp = t_ret.any_poison(ctx);
         let viol4 = ctx.and_many(&[live, tp, ctx.not(sp)]);
-        if let Some(v) = engine.run(env, QueryKind::RetPoison, viol4, &[], ret_pool, stats) {
+        if let Some(v) = engine.run(env, QueryKind::RetPoison, viol4, &[], ret_pool, &[], stats) {
             return v;
         }
 
@@ -812,7 +936,16 @@ fn check_refinement(
         ]);
         let mut pool5 = tgt_fresh.clone();
         pool5.extend_from_slice(ret_pool);
-        if let Some(v) = engine.run(env, QueryKind::RetUndef, viol5, &src_univ, &pool5, stats) {
+        let pairs5 = [(s_a.value, t_a.value), (s_b.value, t_b.value)];
+        if let Some(v) = engine.run(
+            env,
+            QueryKind::RetUndef,
+            viol5,
+            &src_univ,
+            &pool5,
+            &pairs5,
+            stats,
+        ) {
             return v;
         }
 
@@ -820,7 +953,7 @@ fn check_refinement(
         // source is well-defined.
         let refined = value_refined(ctx, cfg, env.shared_blocks, &src.ret_ty, s_ret, t_ret);
         let viol6 = ctx.and(live, ctx.not(refined));
-        if let Some(v) = engine.run(env, QueryKind::RetValue, viol6, &[], ret_pool, stats) {
+        if let Some(v) = engine.run(env, QueryKind::RetValue, viol6, &[], ret_pool, &[], stats) {
             return v;
         }
     }
@@ -840,7 +973,15 @@ fn check_refinement(
         );
         let both_done = ctx.or(src.returns, src.noreturn);
         let viol7 = ctx.and_many(&[both_done, not_src_ub, ctx.not(refined)]);
-        if let Some(v) = engine.run(env, QueryKind::Memory, viol7, &src_fresh, &tgt_fresh, stats) {
+        if let Some(v) = engine.run(
+            env,
+            QueryKind::Memory,
+            viol7,
+            &src_fresh,
+            &tgt_fresh,
+            &[],
+            stats,
+        ) {
             return v;
         }
     }
@@ -1319,5 +1460,115 @@ exit:
         let groups = SeedGroups::new(&ctx, [u, p]);
         let [_, _, all_to_last] = build_seeds(&groups, &[u], &[p]);
         assert_eq!(all_to_last.get(&u), Some(&p));
+    }
+
+    /// A set of `terms`, every one of them live.
+    fn set(terms: &[TermId]) -> FxHashSet<TermId> {
+        terms.iter().copied().collect()
+    }
+
+    #[test]
+    fn matched_seed_binds_by_position_and_the_first_binding_wins() {
+        let ctx = Ctx::new();
+        let bv8 = |name| ctx.var(name, Sort::BitVec(8));
+        let (u1, u2, t1, t2, t3) = (bv8("undef"), bv8("undef"), bv8("t"), bv8("t"), bv8("t"));
+        let x = bv8("x");
+        let unis = set(&[u1, u2]);
+        // mul(x, u1) - u2 against mul(x, t1) - t2, then u1 against t3.
+        let s = ctx.bv_sub(ctx.bv_mul(x, u1), u2);
+        let t = ctx.bv_sub(ctx.bv_mul(x, t1), t2);
+        let seed = matched_seed(&ctx, &unis, &unis, &[(s, t), (u1, t3)]);
+        assert_eq!(seed, FxHashMap::from_iter([(u1, t1), (u2, t2)]));
+        // A universal that is not live is not bound.
+        let seed = matched_seed(&ctx, &set(&[u2]), &unis, &[(s, t)]);
+        assert_eq!(seed, FxHashMap::from_iter([(u2, t2)]));
+    }
+
+    #[test]
+    fn matched_seed_binds_nothing_across_sorts() {
+        let ctx = Ctx::new();
+        let u = ctx.var("undef", Sort::BitVec(8));
+        let t = ctx.var("t", Sort::BitVec(16));
+        let b = ctx.var("b", Sort::Bool);
+        let unis = set(&[u]);
+        let s = ctx.bv_add(u, ctx.bv_lit_u64(8, 1));
+        for pair in [(u, t), (s, t), (ctx.eq(u, u), b), (ctx.zext(u, 16), t)] {
+            assert!(
+                matched_seed(&ctx, &unis, &unis, &[pair]).is_empty(),
+                "{pair:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn matched_seed_pairs_operands_with_a_different_operator() {
+        // `or %a, %a` → `%a`: both source reads pair with the target's one.
+        let ctx = Ctx::new();
+        let bv32 = |name| ctx.var(name, Sort::BitVec(32));
+        let (u1, u2, t) = (bv32("undef"), bv32("undef"), bv32("t"));
+        let unis = set(&[u1, u2]);
+        let seed = matched_seed(&ctx, &unis, &unis, &[(ctx.bv_or(u1, u2), t)]);
+        assert_eq!(seed, FxHashMap::from_iter([(u1, t), (u2, t)]));
+        // Under one operator, positions line up again below the mismatch:
+        // mul(u0, or(u1, u2)) against mul(t0, t).
+        let u0 = bv32("undef");
+        let t0 = bv32("t");
+        let unis = set(&[u0, u1, u2]);
+        let s = ctx.bv_mul(u0, ctx.bv_or(u1, u2));
+        let seed = matched_seed(&ctx, &unis, &unis, &[(s, ctx.bv_mul(t0, t))]);
+        assert_eq!(seed, FxHashMap::from_iter([(u0, t0), (u1, t), (u2, t)]));
+    }
+
+    #[test]
+    fn matched_seed_never_binds_a_term_that_holds_a_universal() {
+        let ctx = Ctx::new();
+        let bv8 = |name| ctx.var(name, Sort::BitVec(8));
+        let (u1, u2, t) = (bv8("undef"), bv8("undef"), bv8("t"));
+        let unis = set(&[u1, u2]);
+        let f = ctx.func("f", &[Sort::BitVec(8)], Sort::BitVec(8));
+        for target in [u2, ctx.bv_add(t, u2), ctx.apply(f, &[t])] {
+            let seed = matched_seed(&ctx, &unis, &unis, &[(u1, target)]);
+            assert!(seed.is_empty(), "{}", ctx.display(target));
+        }
+        // The first term it may bind is the one it binds.
+        let seed = matched_seed(&ctx, &unis, &unis, &[(u1, u2), (u1, t)]);
+        assert_eq!(seed, FxHashMap::from_iter([(u1, t)]));
+    }
+
+    #[test]
+    fn matched_seed_does_not_depend_on_hash_map_order() {
+        // The same pairs against live sets built in opposite orders, with
+        // many other entries, give one seed.
+        let ctx = Ctx::new();
+        let bv8 = |name| ctx.var(name, Sort::BitVec(8));
+        let unis: Vec<TermId> = (0..6).map(|_| bv8("undef")).collect();
+        let targets: Vec<TermId> = (0..4).map(|_| bv8("t")).collect();
+        let decoys: Vec<TermId> = (0..200).map(|_| bv8("x")).collect();
+        let s = ctx.bv_sub(
+            ctx.bv_xor(unis[0], ctx.bv_or(unis[1], unis[2])),
+            ctx.bv_mul(unis[3], unis[4]),
+        );
+        let t = ctx.bv_sub(ctx.bv_xor(targets[0], targets[1]), targets[2]);
+        let pairs = [(s, t), (unis[5], targets[3]), (unis[0], targets[3])];
+        let forward: FxHashSet<TermId> = unis.iter().chain(&decoys).copied().collect();
+        let mut backward = FxHashSet::default();
+        for &v in decoys.iter().chain(&unis).rev() {
+            backward.insert(v);
+        }
+        let all = set(&unis);
+        let a = matched_seed(&ctx, &forward, &all, &pairs);
+        let b = matched_seed(&ctx, &backward, &all, &pairs);
+        assert_eq!(a, b);
+        assert_eq!(
+            a,
+            FxHashMap::from_iter([
+                (unis[0], targets[0]),
+                (unis[1], targets[1]),
+                (unis[2], targets[1]),
+                (unis[3], targets[2]),
+                (unis[4], targets[2]),
+                (unis[5], targets[3]),
+            ])
+        );
     }
 }

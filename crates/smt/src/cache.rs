@@ -924,7 +924,7 @@ mod tests {
                 phi,
                 EfConfig::default(),
                 &[],
-                |_| Vec::new(),
+                |_, _| None,
                 &[],
             )
         };
@@ -958,7 +958,7 @@ mod tests {
                 phi,
                 EfConfig::default(),
                 &[],
-                |_| Vec::new(),
+                |_, _| None,
                 &[],
             )
         };
@@ -1021,7 +1021,7 @@ mod tests {
                 phi,
                 EfConfig::default(),
                 &[],
-                |_| Vec::new(),
+                |_, _| None,
                 &[],
             )
         });

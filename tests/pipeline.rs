@@ -6,7 +6,9 @@
 //!   that triggers it — with the right §5.3 query class.
 
 use alive2_core::engine::ValidationEngine;
-use alive2_core::validator::{validate_pair, validate_pair_with_deadline, Verdict};
+use alive2_core::validator::{
+    validate_pair, validate_pair_with_deadline, validate_pair_with_stats, Verdict,
+};
 use alive2_ir::parser::parse_module;
 use alive2_ir::verify::verify_function;
 use alive2_opt::bugs::{BugId, BugSet};
@@ -227,6 +229,49 @@ fn dup_call_and_two_slot_pairs_settle_through_every_pipeline() {
             }
         }
         assert!(validated >= pipelines.len(), "{name}: {validated} pairs");
+    }
+}
+
+#[test]
+fn three_sqlite3_pairs_settle_by_a_matched_seed() {
+    // Three pairs of the benchmark's apps items (appgen's sqlite3 profile
+    // at scale 0.25, before and after one clean pass) whose CEGQI loops
+    // ran into the 2 s limit. In fn7, instsimplify folds `or %a0, %a0`
+    // into `%a0`, so the source reads `%a0` three times where the target
+    // reads it twice; in fn19 and fn33, dce removes dead instructions.
+    // The matched settling seed pairs each source read with the target
+    // term in its place, and fn33's Query 2 also needs a non-variable
+    // atom fixed by propagation, so no obligation reaches the loop. A
+    // loop that runs at all fails the test, so one round is allowed: a
+    // failure shows in a round instead of a 240 s loop.
+    let pairs = [
+        (
+            "sqlite3/fn7/instsimplify",
+            include_str!("fixtures/sqlite3_fn7_instsimplify_src.ll"),
+            include_str!("fixtures/sqlite3_fn7_instsimplify_tgt.ll"),
+        ),
+        (
+            "sqlite3/fn19/dce",
+            include_str!("fixtures/sqlite3_fn19_dce_src.ll"),
+            include_str!("fixtures/sqlite3_fn19_dce_tgt.ll"),
+        ),
+        (
+            "sqlite3/fn33/dce",
+            include_str!("fixtures/sqlite3_fn33_dce_src.ll"),
+            include_str!("fixtures/sqlite3_fn33_dce_tgt.ll"),
+        ),
+    ];
+    for (name, src, tgt) in pairs {
+        let src = parse_module(src).unwrap();
+        let tgt = parse_module(tgt).unwrap();
+        let cfg = EncodeConfig {
+            max_ef_iterations: 1,
+            ..EncodeConfig::default()
+        };
+        let (v, stats) = validate_pair_with_stats(&src, &src.functions[0], &tgt.functions[0], &cfg);
+        assert!(v.is_correct(), "{name}: {v:?} {stats:?}");
+        assert_eq!(stats.cegqi_iters, 0, "{name}: {stats:?}");
+        assert_eq!(stats.incremental_solves, 0, "{name}: {stats:?}");
     }
 }
 
